@@ -1,0 +1,129 @@
+"""Scenario configuration: flat key-value files with one nesting level.
+
+INI-style sections [chain], [run], [meta].  The chain section carries the
+physical parameters (keys: n_sites, mass, omega0, xi, lattice_const,
+lambda, gamma, hbar, k_boltz, bath_temp; hbar and k_boltz default to 1.0),
+the run section the subcommand-specific keys, and meta the seed and output
+directory.
+"""
+
+from __future__ import annotations
+
+import configparser
+from dataclasses import dataclass, field
+from pathlib import Path
+
+from .params import ChainParams
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; `problems` lists every offending key."""
+
+    def __init__(self, problems: "list[str]"):
+        self.problems = list(problems)
+        super().__init__("invalid configuration: " + "; ".join(self.problems))
+
+
+CHAIN_KEYS = {
+    "n_sites": int,
+    "mass": float,
+    "omega0": float,
+    "xi": float,
+    "lattice_const": float,
+    "lambda": float,
+    "gamma": float,
+    "hbar": float,
+    "k_boltz": float,
+    "bath_temp": float,
+}
+OPTIONAL_CHAIN_KEYS = {"hbar": 1.0, "k_boltz": 1.0}
+
+
+@dataclass
+class ScenarioConfig:
+    chain: ChainParams
+    run: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def seed(self) -> int:
+        return int(self.meta.get("seed", 1234))
+
+    @property
+    def output_dir(self) -> str:
+        return str(self.meta.get("output_dir", "out"))
+
+
+def _parse_value(raw: str):
+    text = raw.strip()
+    for caster in (int, float):
+        try:
+            return caster(text)
+        except ValueError:
+            continue
+    low = text.lower()
+    if low in ("true", "yes", "on"):
+        return True
+    if low in ("false", "no", "off"):
+        return False
+    return text
+
+
+def parse_chain_section(items: dict) -> ChainParams:
+    problems = []
+    values = {}
+    for key, caster in CHAIN_KEYS.items():
+        if key in items:
+            raw = items[key]
+            try:
+                values[key] = caster(raw) if not isinstance(raw, str) else caster(_parse_value(raw))
+            except (TypeError, ValueError):
+                problems.append(f"chain.{key}: cannot parse {items[key]!r} as {caster.__name__}")
+        elif key in OPTIONAL_CHAIN_KEYS:
+            values[key] = OPTIONAL_CHAIN_KEYS[key]
+        else:
+            problems.append(f"chain.{key}: required key missing")
+    unknown = set(items) - set(CHAIN_KEYS)
+    for key in sorted(unknown):
+        problems.append(f"chain.{key}: unknown key")
+    if problems:
+        raise ConfigError(problems)
+    try:
+        return ChainParams(
+            n_sites=values["n_sites"],
+            mass=values["mass"],
+            omega0=values["omega0"],
+            xi=values["xi"],
+            lattice_const=values["lattice_const"],
+            lambda_fric=values["lambda"],
+            gamma_fric=values["gamma"],
+            hbar=values["hbar"],
+            k_boltz=values["k_boltz"],
+            bath_temp=values["bath_temp"],
+        )
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
+
+
+def load_config(path: "str | Path") -> ScenarioConfig:
+    """Parse and validate a scenario configuration file."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError([f"config file not found: {path}"])
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError([f"cannot parse {path}: {exc}"]) from exc
+    if "chain" not in parser:
+        raise ConfigError(["missing [chain] section"])
+    chain = parse_chain_section(dict(parser["chain"]))
+    run = {k: _parse_value(v) for k, v in parser["run"].items()} if "run" in parser else {}
+    meta = {k: _parse_value(v) for k, v in parser["meta"].items()} if "meta" in parser else {}
+    return ScenarioConfig(chain=chain, run=run, meta=meta)
+
+
+def require_run_keys(cfg: ScenarioConfig, keys: "list[str]", subcommand: str) -> None:
+    missing = [k for k in keys if k not in cfg.run]
+    if missing:
+        raise ConfigError([f"run.{k}: required by '{subcommand}'" for k in missing])

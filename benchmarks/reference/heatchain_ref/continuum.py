@@ -1,0 +1,371 @@
+"""Continuum heat-transport equation and conductivity cross-checks.
+
+The emergent equation for the energy density u(x, t) on the periodic line is
+
+    du/dt = diff_const * d2u/dx2 - 2 lambda (u - u_eq),
+
+with diff_const = a^2 xi / (2 lambda m) and source s = 2 lambda u_eq.  The
+same transport coefficient is cross-checked against a phonon mode-sum
+(velocity * range * mode heat capacity) and against the microscopic chain in
+`compare_discrete_continuum`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .covariance import Array
+from .diffusion import (
+    gibbs_energy_density,
+    heat_capacity_density,
+    thermal_matrices,
+)
+from .dynamics import evolve, gaussian_site_weights, hotspot_state, site_observables
+from .chain import dispersion, group_velocity, mode_grid
+from .params import ChainParams
+
+
+class CFLError(ValueError):
+    """Requested explicit step violates the stability bounds."""
+
+
+@dataclass
+class ContinuumField:
+    """Energy density samples on a uniform periodic grid."""
+
+    values: Array
+    dx: float
+    time: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 1 or self.values.size < 8:
+            raise ValueError("field needs at least 8 samples on a 1d grid")
+        if not self.dx > 0:
+            raise ValueError(f"dx must be > 0, got {self.dx}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("field values must be finite")
+
+    @property
+    def length(self) -> float:
+        return self.dx * self.values.size
+
+    @property
+    def grid(self) -> Array:
+        return self.dx * np.arange(self.values.size)
+
+
+@dataclass(frozen=True)
+class TransportCoefficients:
+    """Transport quantities of the continuum limit at one temperature.
+
+    diff_const = eff_velocity * range_b = sigma_diffusivity holds exactly;
+    kappa = diff_const * C(T).
+    """
+
+    range_b: float
+    eff_velocity: float
+    diff_const: float
+    kappa: float
+    sigma_diffusivity: float
+
+
+def transport_coefficients(params: ChainParams, temp: float) -> TransportCoefficients:
+    """Propagation range b = v_s/(2 lambda), diffusion constant, conductivity."""
+    v = params.sound_speed
+    b = v / (2.0 * params.lambda_fric)
+    diff = v * b  # = a^2 xi / (2 lambda m)
+    c = heat_capacity_density(params, temp)
+    return TransportCoefficients(
+        range_b=b,
+        eff_velocity=v,
+        diff_const=diff,
+        kappa=diff * c,
+        sigma_diffusivity=diff,
+    )
+
+
+def diffusion_constant(params: ChainParams) -> float:
+    return params.sound_speed**2 / (2.0 * params.lambda_fric)
+
+
+def _laplacian(u: Array, dx: float) -> Array:
+    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (dx * dx)
+
+
+def _check_cfl(dt: float, dx: float, diff: float, lam: float) -> None:
+    bound = min(0.4 * dx * dx / diff if diff > 0 else np.inf, 0.1 / (2.0 * lam))
+    if dt > bound * (1.0 + 1e-12):
+        raise CFLError(
+            f"dt = {dt:.3e} exceeds the explicit stability bound {bound:.3e} "
+            f"(dx = {dx}, diff_const = {diff:.3e}, lambda = {lam})"
+        )
+
+
+def _heat_step(u: Array, dx: float, diff: float, lam: float, s: float, dt: float) -> Array:
+    """One explicit step; the linear decay toward s/(2 lambda) is exact.
+
+    u' = u_eq + e^{-2 lam dt} (u - u_eq) + phi * diff * Laplacian(u), with
+    phi = (1 - e^{-2 lam dt}) / (2 lam) -> dt as lam dt -> 0.  First order in
+    the diffusion term like plain forward stepping, but uniform fields decay
+    exactly and the fixed point s/(2 lambda) is preserved to roundoff.
+    """
+    decay = np.exp(-2.0 * lam * dt)
+    phi = -np.expm1(-2.0 * lam * dt) / (2.0 * lam) if lam > 0 else dt
+    u_eq = s / (2.0 * lam) if lam > 0 else 0.0
+    out = u_eq + decay * (u - u_eq) + phi * diff * _laplacian(u, dx)
+    if lam == 0.0:
+        out = out + dt * s
+    return out
+
+
+def solve_heat(
+    field0: ContinuumField,
+    params: ChainParams,
+    s_value: float,
+    t_final: float,
+    dt: float | None = None,
+    sample_stride: int = 50,
+) -> "list[ContinuumField]":
+    """Explicit integration of du/dt = diff * u_xx - 2 lambda u + s.
+
+    Explicit stepping with a second-order central Laplacian on the periodic
+    grid; the decay/source part is advanced with its exact exponential
+    factor.  `dt` defaults to the stability bound min(0.4 dx^2/diff,
+    0.1/(2 lambda)); a larger request is rejected at configuration time.
+    Returns samples including the initial and final fields.
+    """
+    if s_value < 0:
+        raise ValueError(f"source density must be >= 0, got {s_value}")
+    if t_final < field0.time:
+        raise ValueError("t_final precedes the initial field time")
+    diff = diffusion_constant(params)
+    lam = params.lambda_fric
+    bound = min(0.4 * field0.dx**2 / diff if diff > 0 else np.inf, 0.1 / (2.0 * lam))
+    if dt is None:
+        dt = bound
+    _check_cfl(dt, field0.dx, diff, lam)
+
+    span = t_final - field0.time
+    n_steps = max(1, int(np.ceil(span / dt - 1e-12))) if span > 0 else 0
+    dt = span / n_steps if n_steps else 0.0
+
+    u = field0.values.copy()
+    out = [ContinuumField(u.copy(), field0.dx, field0.time)]
+    for i in range(1, n_steps + 1):
+        u = _heat_step(u, field0.dx, diff, lam, s_value, dt)
+        if i % sample_stride == 0 or i == n_steps:
+            out.append(ContinuumField(u.copy(), field0.dx, field0.time + i * dt))
+    return out
+
+
+def fourier_current(field: ContinuumField, params: ChainParams) -> Array:
+    """Heat current J = -diff_const * du/dx (central difference, periodic)."""
+    grad = (np.roll(field.values, -1) - np.roll(field.values, 1)) / (2.0 * field.dx)
+    return -diffusion_constant(params) * grad
+
+
+def klemens_conductivity(params: ChainParams, temp: float, velocity: str = "sound") -> float:
+    """Mode-sum conductivity kappa = (1/Na) sum_q v(q) r(q) d(eps)/dT.
+
+    eps(q, T) is the Bose-Einstein mode energy and r(q) = v(q) tau with the
+    uniform relaxation time tau = 1/(2 lambda) of the on-site damping.
+
+    velocity:
+        "sound" uses the long-wavelength constant group velocity
+        a*sqrt(xi/m) for every mode (the elastic-continuum reduction, which
+        meets the continuum kappa = diff_const * C(T));
+        "dispersion" uses the exact slope a*d(omega)/dq, which suppresses
+        the zone-edge contribution and stays strictly below the
+        long-wavelength value.
+    """
+    if temp < 0:
+        raise ValueError(f"temperature must be >= 0, got {temp}")
+    if velocity not in ("sound", "dispersion"):
+        raise ValueError(f"velocity must be 'sound' or 'dispersion', got {velocity!r}")
+    if temp == 0.0:
+        return 0.0
+    q = mode_grid(params)
+    w = np.asarray(dispersion(params, q), dtype=float)
+    x = params.hbar * w / (params.k_boltz * temp)
+    # d eps / dT = k_B (x/2)^2 / sinh(x/2)^2, with the x -> 0 limit k_B
+    deps = np.full_like(w, params.k_boltz)
+    pos = x > 0
+    half = x[pos] / 2.0
+    safe = half < 350.0
+    vals = np.zeros_like(half)
+    vals[safe] = params.k_boltz * (half[safe] / np.sinh(half[safe])) ** 2
+    deps[pos] = vals
+    if velocity == "sound":
+        v2 = np.full_like(w, params.sound_speed**2)
+    else:
+        v2 = np.asarray(group_velocity(params, q), dtype=float) ** 2
+    tau = 1.0 / (2.0 * params.lambda_fric)
+    total = float(np.sum(v2 * tau * deps))
+    return total / (params.n_sites * params.lattice_const)
+
+
+@dataclass
+class CompareScenario:
+    """Matched chain / continuum run: a heated region on a cold background."""
+
+    t_hot: float
+    t_cold: float
+    width_sites: float  # Gaussian envelope width (sigma) in lattice units
+    t_final: float
+    center: float | None = None
+    hotspot_mode: str = "thermal"
+    dt_max: float | None = None
+    sample_interval: float | None = None  # defaults to ~80 samples
+    fit_t_min: float | None = None  # defaults to 0.5 / lambda
+    fit_t_max: float | None = None  # defaults to t_final
+    pde_dt_factor: float = 0.05  # fraction of the explicit stability bound
+
+
+@dataclass
+class ComparisonReport:
+    """Outcome of the chain-versus-continuum experiment."""
+
+    times: Array
+    dev_field: Array  # ||u_disc - u_pde|| / ||u_pde||
+    dev_transient: Array  # ||u_disc - u_pde|| / ||u_pde - u_eq||
+    fit_slope: float
+    diff_const: float
+    u_eq: float
+    slope_per_time: Array
+    u_disc: Array  # (n_times, N)
+    j_disc: Array
+    u_pde: Array
+    warnings: "list[str]" = field(default_factory=list)
+
+    @property
+    def max_dev_field(self) -> float:
+        return float(np.max(self.dev_field))
+
+    @property
+    def slope_ratio(self) -> float:
+        return self.fit_slope / self.diff_const
+
+
+def compare_discrete_continuum(
+    params: ChainParams, scenario: CompareScenario
+) -> ComparisonReport:
+    """Run the chain and the heat equation from matched initial data.
+
+    The chain starts from a cold Gibbs state with a Gaussian heated region
+    and evolves under the full moment dynamics; the continuum field starts
+    from the coarse-grained site energy density on a grid with dx = a and
+    follows the transport equation with the chain's own equilibrium density
+    as source.  Reports the L2 deviation over time (relative to the full
+    field and to the transient amplitude) and the pooled regression of the
+    microscopic current on the discrete density gradient within the fit
+    window, whose slope the transport coefficient should reproduce.
+    """
+    run = params.with_bath_temp(scenario.t_cold)
+    n = run.n_sites
+    a = run.lattice_const
+    lam = run.lambda_fric
+    center = scenario.center if scenario.center is not None else n / 2.0
+
+    warnings: "list[str]" = []
+    b = transport_coefficients(run, scenario.t_cold).range_b
+    if scenario.width_sites * a < b:
+        warnings.append(
+            f"hotspot width {scenario.width_sites * a:.3g} below the propagation range b = {b:.3g}"
+        )
+    if b < a:
+        warnings.append(
+            f"propagation range b = {b:.3g} below the lattice constant (friction too strong "
+            "for the long-wavelength premise)"
+        )
+
+    weights = gaussian_site_weights(n, center, scenario.width_sites)
+    state0 = hotspot_state(
+        run, scenario.t_cold, scenario.t_hot, weights, mode=scenario.hotspot_mode
+    )
+    matrices = thermal_matrices(run)
+
+    interval = scenario.sample_interval
+    if interval is None:
+        interval = scenario.t_final / 80.0
+    from .dynamics import _step_bound  # shared step policy
+
+    dt = _step_bound(matrices)
+    if scenario.dt_max is not None:
+        dt = min(dt, scenario.dt_max)
+    stride = max(1, int(round(interval / dt)))
+
+    def observer(state):
+        obs = site_observables(state, run)
+        return obs.densities, obs.currents
+
+    traj = evolve(
+        state0,
+        matrices,
+        t_final=scenario.t_final,
+        dt_max=scenario.dt_max,
+        sample_stride=stride,
+        observer=observer,
+    )
+    times = traj.times
+    u_disc = np.array([o[0] for o in traj.observations])
+    j_disc = np.array([o[1] for o in traj.observations])
+
+    u_eq = gibbs_energy_density(run, scenario.t_cold)
+    diff = diffusion_constant(run)
+    s_value = 2.0 * lam * u_eq
+
+    # Step the continuum field exactly onto the chain sample times.
+    bound = min(0.4 * a * a / diff if diff > 0 else np.inf, 0.1 / (2.0 * lam))
+    dt_pde = scenario.pde_dt_factor * bound
+    u = u_disc[0].copy()
+    u_pde = [u.copy()]
+    for t_prev, t_next in zip(times[:-1], times[1:]):
+        span = t_next - t_prev
+        steps = max(1, int(np.ceil(span / dt_pde - 1e-12)))
+        h = span / steps
+        for _ in range(steps):
+            u = _heat_step(u, a, diff, lam, s_value, h)
+        u_pde.append(u.copy())
+    u_pde = np.array(u_pde)
+
+    delta = u_disc - u_pde
+    norm_field = np.linalg.norm(u_pde, axis=1)
+    norm_trans = np.linalg.norm(u_pde - u_eq, axis=1)
+    dev_field = np.linalg.norm(delta, axis=1) / norm_field
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev_transient = np.where(
+            norm_trans > 0, np.linalg.norm(delta, axis=1) / norm_trans, 0.0
+        )
+
+    t_lo = scenario.fit_t_min if scenario.fit_t_min is not None else 0.5 / lam
+    t_hi = scenario.fit_t_max if scenario.fit_t_max is not None else scenario.t_final
+    window = (times >= t_lo - 1e-12) & (times <= t_hi + 1e-12)
+    grad = (np.roll(u_disc, -1, axis=1) - np.roll(u_disc, 1, axis=1)) / (2.0 * a)
+    x = -grad[window].ravel()
+    y = j_disc[window].ravel()
+    denom = float(np.dot(x, x))
+    fit_slope = float(np.dot(x, y) / denom) if denom > 0 else np.nan
+
+    slope_per_time = np.full(len(times), np.nan)
+    for i in range(len(times)):
+        xi_ = -grad[i]
+        d = float(np.dot(xi_, xi_))
+        if d > 0:
+            slope_per_time[i] = float(np.dot(xi_, j_disc[i]) / d)
+
+    return ComparisonReport(
+        times=times,
+        dev_field=dev_field,
+        dev_transient=dev_transient,
+        fit_slope=fit_slope,
+        diff_const=diff,
+        u_eq=u_eq,
+        slope_per_time=slope_per_time,
+        u_disc=u_disc,
+        j_disc=j_disc,
+        u_pde=u_pde,
+        warnings=warnings,
+    )

@@ -1,0 +1,110 @@
+"""Deterministic CSV emission and the JSON run report."""
+
+from __future__ import annotations
+
+import json
+from dataclasses import asdict, dataclass, field
+from datetime import datetime, timezone
+from importlib import resources
+from pathlib import Path
+
+from . import __version__ as _version
+
+SCHEMA_VERSION = "1"
+
+
+def fmt_number(x) -> str:
+    """Shortest decimal representation that round-trips the value."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    return repr(float(x))
+
+
+def write_csv(path: "str | Path", header: "list[str]", rows) -> Path:
+    """Write rows of numbers/strings with a header; byte-deterministic."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else fmt_number(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return path
+
+
+@dataclass
+class RunReport:
+    """Quantitative outcomes plus full provenance of one subcommand run."""
+
+    subcommand: str
+    config: dict
+    summary: dict
+    criteria: "list[dict] | None" = None
+    warnings: "list[str]" = field(default_factory=list)
+    artifacts: "list[str]" = field(default_factory=list)
+    created_utc: str = ""
+    tool_version: str = _version
+    schema_version: str = SCHEMA_VERSION
+
+    def __post_init__(self) -> None:
+        if not self.created_utc:
+            self.created_utc = datetime.now(timezone.utc).isoformat()
+
+    def to_dict(self) -> dict:
+        d = asdict(self)
+        if d["criteria"] is None:
+            del d["criteria"]
+        return d
+
+    def write(self, path: "str | Path") -> Path:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        problems = validate_report(self.to_dict())
+        if problems:
+            raise ValueError("report does not match its schema: " + "; ".join(problems))
+        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        return path
+
+
+def load_schema() -> dict:
+    text = resources.files(__package__).joinpath("schemas/run_report.schema.json").read_text()
+    return json.loads(text)
+
+
+def _check_node(value, schema: dict, where: str, problems: "list[str]") -> None:
+    expected = schema.get("type")
+    if expected == "object":
+        if not isinstance(value, dict):
+            problems.append(f"{where}: expected object")
+            return
+        for key in schema.get("required", []):
+            if key not in value:
+                problems.append(f"{where}.{key}: required field missing")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _check_node(value[key], sub, f"{where}.{key}", problems)
+    elif expected == "array":
+        if not isinstance(value, list):
+            problems.append(f"{where}: expected array")
+            return
+        item_schema = schema.get("items")
+        if item_schema:
+            for i, item in enumerate(value):
+                _check_node(item, item_schema, f"{where}[{i}]", problems)
+    elif expected == "string":
+        if not isinstance(value, str):
+            problems.append(f"{where}: expected string")
+    elif expected == "number":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            problems.append(f"{where}: expected number")
+    elif expected == "boolean":
+        if not isinstance(value, bool):
+            problems.append(f"{where}: expected boolean")
+
+
+def validate_report(data: dict) -> "list[str]":
+    """Structural validation against the shipped schema; returns problems."""
+    problems: "list[str]" = []
+    _check_node(data, load_schema(), "report", problems)
+    return problems
