@@ -49,15 +49,6 @@ class DiffusionSet:
     temp: float
 
 
-@dataclass(frozen=True)
-class GibbsSummary:
-    """Thermal-equilibrium covariance plus energy and heat-capacity densities."""
-
-    covariance: CovarianceState
-    energy_density: float
-    heat_capacity_density: float
-
-
 def coth(x):
     """coth(x) for x > 0, stable for both small and large arguments."""
     x = np.asarray(x, dtype=float)
@@ -276,14 +267,6 @@ def heat_capacity_density(params: ChainParams, temp: float) -> float:
     return float(np.mean(per_mode)) / params.lattice_const
 
 
-def gibbs_summary(params: ChainParams, temp: float) -> GibbsSummary:
-    return GibbsSummary(
-        covariance=gibbs_covariance(params, temp),
-        energy_density=gibbs_energy_density(params, temp),
-        heat_capacity_density=heat_capacity_density(params, temp),
-    )
-
-
 def thermal_diffusion_matrix(params: ChainParams, temp: float) -> Array:
     """Full-circulant diffusion matrix with Fourier symbols
     (lambda + 2 gamma cos q) * c_x(q) and (lambda + 2 gamma cos q) * c_p(q).
@@ -304,8 +287,15 @@ def thermal_diffusion_matrix(params: ChainParams, temp: float) -> Array:
 def thermal_matrices(params: ChainParams, temp: float | None = None) -> ModelMatrices:
     """Model matrices whose diffusion block is the full thermal circulant.
 
-    `temp` defaults to the bath temperature of `params`.
+    `temp` defaults to the bath temperature of `params`.  Raises for
+    omega0 = 0: the drift damps the zero mode's position as well as its
+    momentum, so the q = 0 mode settles at <x^2> = k_B T / (2 lambda^2 m)
+    and <x p> = k_B T / (2 lambda) instead of the Gibbs values, and no
+    thermal state is stationary.
     """
+    if params.omega0 == 0.0:
+        raise ValueError("thermal_matrices needs omega0 > 0: the acoustic zero mode "
+                         "has no stationary Gibbs state")
     t = params.bath_temp if temp is None else temp
     return ModelMatrices(
         drift=drift_matrix(params),

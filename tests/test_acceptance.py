@@ -1,172 +1,78 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
+Criteria 1-5 and 9 are the oracle checks of `heatchain.verify` (the checks
+behind `heatchain verify`), run on `DEFAULT_PARAMS`; criterion 1 draws its
+random states from seed 20240801.  Criteria 6-8 (conductivity consistency,
+PDE correctness, discrete-to-continuum emergence) are written out here.
+
 Default natural-unit parameter set: N = 64, m = 1, omega0 = 1, xi = 1,
 a = 1, lambda = 0.1, gamma = 0, hbar = 1, k_B = 1, T_f = 2.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from heatchain import (
-    ChainParams,
     CompareScenario,
     ContinuumField,
-    CovarianceState,
-    DiffusionSet,
-    ModelMatrices,
     compare_discrete_continuum,
     diffusion_constant,
-    evolve,
-    gaussian_site_weights,
-    gibbs_covariance,
-    gibbs_energy_density,
-    heat_capacity_density,
-    high_temp_diffusion,
-    hotspot_state,
     kinetic_prediction,
     klemens_conductivity,
-    mode_sum_diffusion,
-    moment_rhs,
-    quad_diffusion,
     solve_heat,
-    source_density,
-    stationary_covariance,
-    stiffness_matrix,
-    symmetrize,
-    thermal_matrices,
-    total_energy,
     transport_coefficients,
-    uniform_state,
 )
-
-DEFAULTS = dict(n_sites=64, mass=1.0, omega0=1.0, xi=1.0, lattice_const=1.0,
-                lambda_fric=0.1, gamma_fric=0.0, hbar=1.0, k_boltz=1.0, bath_temp=2.0)
-
-
-def make(**kw):
-    base = dict(DEFAULTS)
-    base.update(kw)
-    return ChainParams(**base)
+from heatchain.verify import (
+    DEFAULT_PARAMS,
+    check_conservation,
+    check_energy_decay,
+    check_gibbs_stationarity,
+    check_heat_capacity,
+    check_high_temp_forms,
+    check_moment_fidelity,
+)
 
 
 def report(num, name, passed, detail):
     print(f"ACCEPTANCE {num} {name}: {'PASS' if passed else 'FAIL'} -- {detail}")
 
 
+def report_check(num, name, result):
+    report(num, name, result.passed, result.detail)
+    assert result.passed, result.line()
+
+
 def test_criterion_1_moment_equation_fidelity():
     """Matrix RHS equals a literal transcription of the moment equations."""
-    p = make(n_sites=4, gamma_fric=0.02)
-    mats = thermal_matrices(p)
-    n = p.n_sites
-    lam, gam = p.lambda_fric, p.gamma_fric
-    m, om0, xi = p.mass, p.omega0, p.xi
-    dxx = mats.diffusion[:n, :n]
-    dpp = mats.diffusion[n:, n:]
-    rng = np.random.default_rng(20240801)
-    worst = 0.0
-    for _ in range(100):
-        raw = rng.normal(size=(2 * n, 2 * n))
-        sigma = symmetrize(raw @ raw.T) / (2 * n)
-        sxx, spp, sxp = sigma[:n, :n], sigma[n:, n:], sigma[:n, n:]
-        rhs = moment_rhs(CovarianceState(sigma), mats)
-        for k in range(n):
-            kp, km = (k + 1) % n, (k - 1) % n
-            dx2 = (-2 * lam * sxx[k, k] + 2 * sxp[k, k] / m
-                   - 2 * gam * (sxx[k, kp] + sxx[k, km]) + 2 * dxx[k, k])
-            dp2 = (-2 * lam * spp[k, k] - 2 * (m * om0**2 + 2 * xi) * sxp[k, k]
-                   - 2 * gam * (spp[k, kp] + spp[k, km])
-                   + 2 * xi * (sxp[km, k] + sxp[kp, k]) + 2 * dpp[k, k])
-            dnext = (-2 * lam * sxx[k, kp] + (sxp[k, kp] + sxp[kp, k]) / m
-                     - gam * (sxx[kp, kp] + sxx[kp, km])
-                     - gam * (sxx[k, (k + 2) % n] + sxx[k, k]) + 2 * dxx[k, kp])
-            worst = max(worst,
-                        abs(rhs[k, k] - dx2),
-                        abs(rhs[n + k, n + k] - dp2),
-                        abs(rhs[k, kp] - dnext))
-    passed = worst <= 1e-13
-    report(1, "moment-equation fidelity", passed, f"max |delta| {worst:.2e} (tol 1e-13)")
-    assert passed
+    report_check(1, "moment-equation fidelity",
+                 check_moment_fidelity(DEFAULT_PARAMS, seed=20240801))
 
 
 def test_criterion_2_gibbs_stationarity():
     """Stationary covariance equals the Gibbs covariance (both damping kinds)."""
-    worst = 0.0
-    for n in (8, 64):
-        for gam in (0.0, 0.02):
-            for temp in (0.5, 2.0, 50.0):
-                p = make(n_sites=n, gamma_fric=gam, bath_temp=temp)
-                st = stationary_covariance(thermal_matrices(p), "fourier")
-                gb = gibbs_covariance(p, temp)
-                rel = float(np.linalg.norm(st.sigma - gb.sigma) / np.linalg.norm(gb.sigma))
-                worst = max(worst, rel)
-    passed = worst <= 1e-9
-    report(2, "Gibbs stationarity / fluctuation-dissipation", passed,
-           f"max rel deviation {worst:.2e} (tol 1e-9)")
-    assert passed
+    report_check(2, "Gibbs stationarity / fluctuation-dissipation",
+                 check_gibbs_stationarity(DEFAULT_PARAMS))
 
 
 def test_criterion_3_total_energy_decay():
     """gamma = 0 relaxation: rate 2 lambda (0.1%) and U_eq identity (1e-6)."""
-    p = make()
-    mats = thermal_matrices(p)
-    traj = evolve(uniform_state(p, 5.0), mats, t_final=2.0 / p.lambda_fric, sample_stride=5)
-    u = np.array([total_energy(s, p) for s in traj.states])
-    u_eq = p.n_sites * p.lattice_const * gibbs_energy_density(p, p.bath_temp)
-    a = np.vstack([traj.times, np.ones_like(traj.times)]).T
-    slope = float(np.linalg.lstsq(a, np.log(np.abs(u - u_eq)), rcond=None)[0][0])
-    rate_err = abs(slope / (-2 * p.lambda_fric) - 1.0)
-    s_val = source_density(p, mode_sum_diffusion(p, p.bath_temp))
-    u_eq_pred = p.n_sites * p.lattice_const * s_val / (2 * p.lambda_fric)
-    ueq_err = abs(u_eq / u_eq_pred - 1.0)
-    psd_ok = bool(np.min(traj.min_eig_ratios) >= -1e-10)
-    passed = rate_err <= 1e-3 and ueq_err <= 1e-6 and psd_ok
-    report(3, "exact total-energy decay", passed,
-           f"rate err {rate_err:.2e} (tol 1e-3), U_eq err {ueq_err:.2e} (tol 1e-6)")
-    assert passed
+    report_check(3, "exact total-energy decay", check_energy_decay(DEFAULT_PARAMS))
 
 
 def test_criterion_4_high_temperature_closed_forms():
     """Quadrature coefficients vs printed closed forms at k_B T = 50 hbar w(pi)."""
-    worst_coeff = 0.0
-    worst_source = 0.0
-    for gam in (0.0, 0.02):
-        p = make(gamma_fric=gam)
-        temp = 50.0 * p.hbar * p.omega_max / p.k_boltz
-        closed = high_temp_diffusion(p, temp)
-        quad_set = DiffusionSet(
-            d_xx=quad_diffusion(p, temp, 0, "position"),
-            d_pp=quad_diffusion(p, temp, 0, "momentum"),
-            d_ex=quad_diffusion(p, temp, 1, "position"),
-            temp=temp,
-        )
-        for got, want in ((quad_set.d_xx, closed.d_xx), (quad_set.d_pp, closed.d_pp),
-                          (quad_set.d_ex, closed.d_ex)):
-            worst_coeff = max(worst_coeff, abs(got / want - 1.0))
-        ratio = source_density(p, quad_set) * p.lattice_const / (
-            2 * p.lambda_fric * p.k_boltz * temp)
-        worst_source = max(worst_source, abs(ratio - 1.0))
-    passed = worst_coeff <= 0.01 and worst_source <= 0.005
-    report(4, "high-temperature closed forms", passed,
-           f"coeff err {worst_coeff:.2e} (tol 1e-2), source err {worst_source:.2e} (tol 5e-3)")
-    assert passed
+    report_check(4, "high-temperature closed forms", check_high_temp_forms(DEFAULT_PARAMS))
 
 
 def test_criterion_5_heat_capacity_limits():
     """C(T) a / k_B in [0.99, 1] on the classical plateau; C(0) = 0."""
-    p = make()
-    ratios = []
-    for mult in (50.0, 120.0, 500.0):
-        temp = mult * p.hbar * p.omega_max / p.k_boltz
-        ratios.append(heat_capacity_density(p, temp) * p.lattice_const / p.k_boltz)
-    czero = heat_capacity_density(p, 0.0)
-    passed = all(0.99 <= r <= 1.0 for r in ratios) and czero == 0.0
-    report(5, "heat capacity limits", passed,
-           f"plateau ratios {[f'{r:.5f}' for r in ratios]}, C(0) = {czero}")
-    assert passed
+    report_check(5, "heat capacity limits", check_heat_capacity(DEFAULT_PARAMS))
 
 
 def test_criterion_6_conductivity_consistency():
     """Mode-sum conductivity meets diff_const * C(T) at high temperature."""
-    p = make(n_sites=1024, omega0=0.0)
+    p = replace(DEFAULT_PARAMS, n_sites=1024, omega0=0.0)
     temp = 50.0 * p.hbar * p.omega_max / p.k_boltz
     kappa_sum = klemens_conductivity(p, temp, velocity="sound")
     kappa_cont = transport_coefficients(p, temp).kappa
@@ -179,7 +85,7 @@ def test_criterion_6_conductivity_consistency():
 
 def test_criterion_7_pde_correctness():
     """Explicit solver vs the closed-form heat-kernel solution (512 cells)."""
-    p = make()
+    p = DEFAULT_PARAMS
     m_cells, length = 512, 256.0
     dx = length / m_cells
     x = dx * np.arange(m_cells)
@@ -214,7 +120,7 @@ def test_criterion_8_discrete_continuum_emergence():
     law visible; the chain must also follow the kinetic density to 1e-2 of
     the transient.
     """
-    p = make(n_sites=256, omega0=0.05, lambda_fric=0.125, bath_temp=300.0)
+    p = replace(DEFAULT_PARAMS, n_sites=256, omega0=0.05, lambda_fric=0.125, bath_temp=300.0)
     b = transport_coefficients(p, p.bath_temp).range_b
     width = 10.0 * b  # >= 8 b
     sc = CompareScenario(t_hot=400.0, t_cold=300.0, width_sites=width,
@@ -256,22 +162,4 @@ def test_criterion_8_discrete_continuum_emergence():
 
 def test_criterion_9_conservation_sanity():
     """Undamped, noiseless chain conserves energy; states stay PSD."""
-    p = make()
-    n = p.n_sites
-    z = np.zeros((n, n))
-    mats = ModelMatrices(
-        drift=np.block([[z, np.eye(n) / p.mass], [-stiffness_matrix(p), z]]),
-        diffusion=np.zeros((2 * n, 2 * n)),
-        stiffness=stiffness_matrix(p),
-        friction=z,
-    )
-    state0 = hotspot_state(p, p.bath_temp, 5.0, gaussian_site_weights(n, n / 2, 4.0))
-    traj = evolve(state0, mats, t_final=100.0 / p.omega_max,
-                  dt_max=0.02 / p.omega_max, sample_stride=100)
-    u = np.array([total_energy(s, p) for s in traj.states])
-    drift = float(np.max(np.abs(u - u[0])) / abs(u[0]))
-    psd_ok = bool(np.min(traj.min_eig_ratios) >= -1e-10)
-    passed = drift <= 1e-9 and psd_ok
-    report(9, "conservation sanity", passed,
-           f"energy drift {drift:.2e} (tol 1e-9), min eig ratio {np.min(traj.min_eig_ratios):.2e}")
-    assert passed
+    report_check(9, "conservation sanity", check_conservation(DEFAULT_PARAMS))

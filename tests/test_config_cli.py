@@ -142,6 +142,16 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["relax", "--config", str(cfg), "--out", str(out)]) == 0
 
+    def test_relax_acoustic_chain_fails_fast(self, tmp_path, capsys):
+        body = BASE_CONFIG.replace("omega0 = 1.0", "omega0 = 0.0") + (
+            "\n[run]\nscenario = uniform\nt_hot = 4.0\nt_final = 1.0\n")
+        cfg = write_config(tmp_path, body)
+        code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ValueError"
+        assert "acoustic zero mode" in record["detail"]
+
     def test_conductivity_sweep(self, tmp_path):
         body = BASE_CONFIG + "\n[run]\nt_min = 1.0\nt_max = 100.0\nt_steps = 3\nscale = log\n"
         cfg = write_config(tmp_path, body)

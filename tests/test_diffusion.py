@@ -7,7 +7,6 @@ from heatchain import (
     coth,
     gibbs_covariance,
     gibbs_energy_density,
-    gibbs_summary,
     heat_capacity_density,
     high_temp_diffusion,
     mode_grid,
@@ -16,6 +15,7 @@ from heatchain import (
     source_density,
     stiffness_matrix,
     thermal_diffusion_matrix,
+    thermal_matrices,
 )
 
 
@@ -234,6 +234,11 @@ class TestThermalDiffusionMatrix:
         g = gibbs_covariance(p, 2.0)
         assert np.allclose(d, p.lambda_fric * g.sigma, rtol=1e-12, atol=1e-15)
 
+    def test_thermal_matrices_reject_acoustic_zero_mode(self):
+        # omega0 = 0: the undamped-position zero mode has no stationary Gibbs state
+        with pytest.raises(ValueError, match="omega0 > 0: the acoustic zero mode"):
+            thermal_matrices(params(omega0=0.0, n_sites=8))
+
     def test_quadrature_matches_mode_sum_at_n64(self):
         # continuum integrals against the N = 64 ring sums (0.1% budget)
         p = params(gamma_fric=0.02)
@@ -290,9 +295,3 @@ class TestEnergyAndHeatCapacity:
         assert gibbs_energy_density(p, temp) == pytest.approx(
             p.k_boltz * temp / p.lattice_const, rel=1e-3)
 
-    def test_summary_bundle(self):
-        p = params(n_sites=8)
-        summ = gibbs_summary(p, 2.0)
-        assert summ.energy_density == pytest.approx(gibbs_energy_density(p, 2.0))
-        assert summ.heat_capacity_density == pytest.approx(heat_capacity_density(p, 2.0))
-        assert summ.covariance.sigma.shape == (16, 16)

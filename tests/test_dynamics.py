@@ -6,7 +6,6 @@ import pytest
 from heatchain import (
     ChainParams,
     CovarianceState,
-    ModelMatrices,
     PSDViolationError,
     energy_balance_residual,
     energy_balance_rhs,
@@ -18,12 +17,12 @@ from heatchain import (
     moment_rhs,
     site_observables,
     stationary_covariance,
-    stiffness_matrix,
     symmetrize,
     thermal_matrices,
     total_energy,
     uniform_state,
 )
+from heatchain.verify import transcribed_moment_rhs, undamped_matrices
 
 
 def params(**kw):
@@ -31,45 +30,6 @@ def params(**kw):
                 lambda_fric=0.1, gamma_fric=0.0, bath_temp=2.0)
     base.update(kw)
     return ChainParams(**base)
-
-
-def undamped_matrices(p):
-    n = p.n_sites
-    z = np.zeros((n, n))
-    return ModelMatrices(
-        drift=np.block([[z, np.eye(n) / p.mass], [-stiffness_matrix(p), z]]),
-        diffusion=np.zeros((2 * n, 2 * n)),
-        stiffness=stiffness_matrix(p),
-        friction=z,
-    )
-
-
-def literal_rhs_entries(sigma, p, mats):
-    """Hand-coded per-site loops for the three displayed moment families.
-
-    Written independently of the matrix algebra: each sum over neighbours
-    is spelled out with the friction couplings lambda_kk = lambda and
-    lambda_{k,k+-1} = gamma.
-    """
-    n = p.n_sites
-    sxx, spp, sxp = sigma[:n, :n], sigma[n:, n:], sigma[:n, n:]
-    dxx = mats.diffusion[:n, :n]
-    dpp = mats.diffusion[n:, n:]
-    lam, gam = p.lambda_fric, p.gamma_fric
-    m, om0, xi = p.mass, p.omega0, p.xi
-
-    dx2, dp2, dxnext = np.zeros(n), np.zeros(n), np.zeros(n)
-    for k in range(n):
-        kp, km = (k + 1) % n, (k - 1) % n
-        dx2[k] = (-2 * lam * sxx[k, k] + 2 * sxp[k, k] / m
-                  - 2 * gam * (sxx[k, kp] + sxx[k, km]) + 2 * dxx[k, k])
-        dp2[k] = (-2 * lam * spp[k, k] - 2 * (m * om0**2 + 2 * xi) * sxp[k, k]
-                  - 2 * gam * (spp[k, kp] + spp[k, km])
-                  + 2 * xi * (sxp[km, k] + sxp[kp, k]) + 2 * dpp[k, k])
-        dxnext[k] = (-2 * lam * sxx[k, kp] + (sxp[k, kp] + sxp[kp, k]) / m
-                     - gam * (sxx[kp, kp] + sxx[kp, km])
-                     - gam * (sxx[k, (k + 2) % n] + sxx[k, k]) + 2 * dxx[k, kp])
-    return dx2, dp2, dxnext
 
 
 class TestMomentRhs:
@@ -83,7 +43,7 @@ class TestMomentRhs:
             raw = rng.normal(size=(2 * n, 2 * n))
             sigma = symmetrize(raw @ raw.T) / (2 * n)
             rhs = moment_rhs(CovarianceState(sigma), mats)
-            dx2, dp2, dxnext = literal_rhs_entries(sigma, p, mats)
+            dx2, dp2, dxnext = transcribed_moment_rhs(sigma, p, mats)
             assert np.max(np.abs(np.diag(rhs[:n, :n]) - dx2)) <= 1e-13
             assert np.max(np.abs(np.diag(rhs[n:, n:]) - dp2)) <= 1e-13
             assert np.max(np.abs(rhs[idx, (idx + 1) % n] - dxnext)) <= 1e-13
