@@ -1,18 +1,22 @@
-"""Dispersion relation and the circulant matrices generating the moment dynamics.
+"""Dispersion relation and the circulant model of the moment dynamics.
 
-The drift matrix uses the coordinate ordering (x_1..x_N, p_1..p_N), so all
-four N x N blocks are explicit circulants:
+The ring is translation invariant, so every N x N block of the drift and of
+the bath diffusion is a circulant fixed by its first row.  `ModelMatrices`
+holds those rows (stiffness K: diagonal m*omega0^2 + 2*xi, off-diagonal
+-xi; friction Lambda: diagonal lambda, off-diagonal gamma; the x-x and p-p
+diffusion blocks) together with the mass.  In the coordinate ordering
+(x_1..x_N, p_1..p_N) the dense drift and diffusion are derived views:
 
-    A = [[-Lambda, I/m], [-K, -Lambda]]
+    A = [[-Lambda, I/m], [-K, -Lambda]],    D = [[D^xx, 0], [0, D^pp]].
 
-with stiffness K (diagonal m*omega0^2 + 2*xi, off-diagonal -xi) and friction
-Lambda (diagonal lambda, off-diagonal gamma).
+A block's Fourier symbol over the mode grid is `circulant_symbol(row)`.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,99 +70,94 @@ def circulant(first_row: Array) -> Array:
 
 def circulant_row_from_symbol(symbol: Array) -> Array:
     """First row of the circulant whose Fourier symbol is given on mode_grid order."""
-    row = np.fft.ifft(np.asarray(symbol, dtype=complex)).real
+    return np.fft.ifft(np.asarray(symbol, dtype=complex)).real
+
+
+def circulant_symbol(row: Array) -> Array:
+    """Fourier symbol (eigenvalues on the mode grid) of the circulant with first row `row`."""
+    return np.fft.fft(row).real
+
+
+def block_circulant(row_xx: Array, row_pp: Array, row_xp: "Array | None" = None) -> Array:
+    """The 2N x 2N matrix [[C_xx, C_xp], [C_xp^T, C_pp]] of circulant blocks.
+
+    Each block is given by its first row; the cross block defaults to zero.
+    """
+    xp = circulant(np.zeros(len(row_xx)) if row_xp is None else row_xp)
+    return np.block([[circulant(row_xx), xp], [xp.T, circulant(row_pp)]])
+
+
+def _neighbour_row(n_sites: int, on_site: float, neighbour: float) -> Array:
+    """First row of the nearest-neighbour circulant: `on_site` at 0, `neighbour` at +-1."""
+    row = np.zeros(n_sites)
+    row[0] = on_site
+    row[1] = neighbour
+    row[-1] = neighbour
     return row
 
 
-def circulant_symbol(block: Array) -> Array:
-    """Fourier symbol (eigenvalues on the mode grid) of a circulant block."""
-    return np.fft.fft(block[0]).real
+def stiffness_row(params: ChainParams) -> Array:
+    """First row of the stiffness K: m omega0^2 + 2 xi on site, -xi to each neighbour."""
+    return _neighbour_row(params.n_sites, params.mass * params.omega0**2 + 2.0 * params.xi, -params.xi)
 
 
-def stiffness_matrix(params: ChainParams) -> Array:
-    row = np.zeros(params.n_sites)
-    row[0] = params.mass * params.omega0**2 + 2.0 * params.xi
-    row[1] = -params.xi
-    row[-1] = -params.xi
-    return circulant(row)
-
-
-def friction_matrix(params: ChainParams) -> Array:
-    row = np.zeros(params.n_sites)
-    row[0] = params.lambda_fric
-    row[1] = params.gamma_fric
-    row[-1] = params.gamma_fric
-    return circulant(row)
-
-
-def drift_matrix(params: ChainParams) -> Array:
-    n = params.n_sites
-    k = stiffness_matrix(params)
-    lam = friction_matrix(params)
-    eye = np.eye(n)
-    return np.block([[-lam, eye / params.mass], [-k, -lam]])
+def friction_row(params: ChainParams) -> Array:
+    """First row of the friction Lambda: lambda on site, gamma to each neighbour."""
+    return _neighbour_row(params.n_sites, params.lambda_fric, params.gamma_fric)
 
 
 @dataclass(frozen=True)
 class ModelMatrices:
-    """Drift and diffusion matrices of the linear moment equation
-    d(Sigma)/dt = A Sigma + Sigma A^T + 2 D, plus the generating circulants."""
+    """The linear moment equation d(Sigma)/dt = A Sigma + Sigma A^T + 2 D: the
+    mass and the first rows of the four circulant blocks, with the dense
+    2N x 2N `drift` A and `diffusion` D built on first use."""
 
-    drift: Array
-    diffusion: Array
+    mass: float
     stiffness: Array
     friction: Array
+    diffusion_xx: Array
+    diffusion_pp: Array
+
+    @classmethod
+    def of_chain(cls, params: ChainParams, diffusion_xx: Array, diffusion_pp: Array) -> "ModelMatrices":
+        """The ring's stiffness and friction rows with the given diffusion rows."""
+        return cls(params.mass, stiffness_row(params), friction_row(params), diffusion_xx, diffusion_pp)
 
     @property
     def n_sites(self) -> int:
-        return self.stiffness.shape[0]
+        return len(self.stiffness)
 
     @property
-    def diffusion_xx(self) -> Array:
-        n = self.n_sites
-        return self.diffusion[:n, :n]
+    def omega_max(self) -> float:
+        """Fastest mode frequency, sqrt(max K-symbol / m) (0 for a static chain)."""
+        return float(np.sqrt(max(float(np.max(circulant_symbol(self.stiffness))), 0.0) / self.mass))
 
-    @property
-    def diffusion_pp(self) -> Array:
-        n = self.n_sites
-        return self.diffusion[n:, n:]
+    @cached_property
+    def drift(self) -> Array:
+        lam = circulant(self.friction)
+        eye = np.eye(self.n_sites)
+        return np.block([[-lam, eye / self.mass], [-circulant(self.stiffness), -lam]])
 
-
-def assemble_diffusion(n_sites: int, d_xx: float, d_pp: float, d_ex: float) -> Array:
-    """Nearest-neighbour diffusion matrix: D^xx circulant with diagonal d_xx
-    and first off-diagonals d_ex, D^pp = d_pp * I, zero cross block.
-
-    The truncation can lose positive semidefiniteness when the underlying
-    kernel is sharply peaked in q (soft pinning at low temperature); a
-    warning is logged when the circulant symbol d_xx + 2 d_ex cos(q) dips
-    negative.  The full-circulant thermal assembly never does.
-    """
-    if d_xx - 2.0 * abs(d_ex) < 0.0:
-        logging.getLogger("heatchain").warning(
-            "truncated diffusion block is indefinite (d_xx = %g, d_ex = %g)", d_xx, d_ex
-        )
-    row = np.zeros(n_sites)
-    row[0] = d_xx
-    row[1] = d_ex
-    row[-1] = d_ex
-    dxx = circulant(row)
-    dpp = d_pp * np.eye(n_sites)
-    z = np.zeros((n_sites, n_sites))
-    return np.block([[dxx, z], [z, dpp]])
+    @cached_property
+    def diffusion(self) -> Array:
+        return block_circulant(self.diffusion_xx, self.diffusion_pp)
 
 
 def build_matrices(params: ChainParams, diff: "DiffusionSet") -> ModelMatrices:
-    """Assemble drift and nearest-neighbour-truncated diffusion matrices.
+    """Model with nearest-neighbour-truncated diffusion blocks.
 
-    The diffusion blocks keep exactly the on-site and nearest-neighbour
-    coefficients of `diff`.  For a diffusion matrix that makes the finite-N
-    Gibbs state exactly stationary use
+    D^xx keeps exactly the on-site and nearest-neighbour coefficients of
+    `diff` and D^pp = d_pp * I.  The truncation can lose positive
+    semidefiniteness when the underlying kernel is sharply peaked in q (soft
+    pinning at low temperature); a warning is logged when the symbol
+    d_xx + 2 d_ex cos(q) dips negative.  For a diffusion matrix that makes
+    the finite-N Gibbs state exactly stationary use
     :func:`heatchain.diffusion.thermal_matrices` instead.
     """
-    d = assemble_diffusion(params.n_sites, diff.d_xx, diff.d_pp, diff.d_ex)
-    return ModelMatrices(
-        drift=drift_matrix(params),
-        diffusion=d,
-        stiffness=stiffness_matrix(params),
-        friction=friction_matrix(params),
-    )
+    if diff.d_xx - 2.0 * abs(diff.d_ex) < 0.0:
+        logging.getLogger("heatchain").warning(
+            "truncated diffusion block is indefinite (d_xx = %g, d_ex = %g)", diff.d_xx, diff.d_ex
+        )
+    n = params.n_sites
+    return ModelMatrices.of_chain(
+        params, _neighbour_row(n, diff.d_xx, diff.d_ex), _neighbour_row(n, diff.d_pp, 0.0))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .chain import dispersion, mode_grid
-from .config import ConfigError, ScenarioConfig, load_config, require_run_keys
+from .config import ConfigError, ScenarioConfig, load_config, require_run_keys, run_value
 from .continuum import (
     CompareScenario,
     compare_discrete_continuum,
@@ -59,9 +59,9 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 
 def _temperature_sweep(cfg: ScenarioConfig, subcommand: str) -> np.ndarray:
     require_run_keys(cfg, ["t_min", "t_max", "t_steps"], subcommand)
-    t_min = float(cfg.run["t_min"])
-    t_max = float(cfg.run["t_max"])
-    steps = int(cfg.run["t_steps"])
+    t_min = run_value(cfg, "t_min")
+    t_max = run_value(cfg, "t_max")
+    steps = run_value(cfg, "t_steps", int)
     scale = str(cfg.run.get("scale", "linear"))
     if steps < 1:
         raise ConfigError(["run.t_steps: must be >= 1"])
@@ -132,22 +132,22 @@ def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     p = cfg.chain
     require_run_keys(cfg, ["scenario", "t_final"], "relax")
     scenario = str(cfg.run["scenario"])
-    t_final = float(cfg.run["t_final"])
-    dt_max = float(cfg.run["dt_max"]) if "dt_max" in cfg.run else None
-    stride = int(cfg.run.get("sample_stride", 10))
+    t_final = run_value(cfg, "t_final")
+    dt_max = run_value(cfg, "dt_max")
+    stride = run_value(cfg, "sample_stride", int, 10)
 
     if scenario == "uniform":
         require_run_keys(cfg, ["t_hot"], "relax")
-        state0 = uniform_state(p, float(cfg.run["t_hot"]))
+        state0 = uniform_state(p, run_value(cfg, "t_hot"))
     elif scenario == "hotspot":
         require_run_keys(cfg, ["t_hot"], "relax")
-        t_hot = float(cfg.run["t_hot"])
-        t_cold = float(cfg.run.get("t_cold", p.bath_temp))
+        t_hot = run_value(cfg, "t_hot")
+        t_cold = run_value(cfg, "t_cold", float, p.bath_temp)
         if "hotspot_width" in cfg.run:
-            weights = gaussian_site_weights(p.n_sites, p.n_sites / 2.0, float(cfg.run["hotspot_width"]))
+            weights = gaussian_site_weights(p.n_sites, p.n_sites / 2.0, run_value(cfg, "hotspot_width"))
         else:
             require_run_keys(cfg, ["hot_sites"], "relax")
-            count = int(cfg.run["hot_sites"])
+            count = run_value(cfg, "hot_sites", int)
             if not 0 < count <= p.n_sites:
                 raise ConfigError(["run.hot_sites: must be in (0, n_sites]"])
             weights = np.zeros(p.n_sites)
@@ -193,15 +193,15 @@ def cmd_compare(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     p = cfg.chain
     require_run_keys(cfg, ["hotspot_width", "t_hot", "t_cold", "t_final"], "compare")
     scenario = CompareScenario(
-        t_hot=float(cfg.run["t_hot"]),
-        t_cold=float(cfg.run["t_cold"]),
-        width_sites=float(cfg.run["hotspot_width"]),
-        t_final=float(cfg.run["t_final"]),
+        t_hot=run_value(cfg, "t_hot"),
+        t_cold=run_value(cfg, "t_cold"),
+        width_sites=run_value(cfg, "hotspot_width"),
+        t_final=run_value(cfg, "t_final"),
         hotspot_mode=str(cfg.run.get("hotspot_mode", "thermal")),
-        dt_max=float(cfg.run["dt_max"]) if "dt_max" in cfg.run else None,
-        sample_interval=float(cfg.run["sample_interval"]) if "sample_interval" in cfg.run else None,
-        fit_t_min=float(cfg.run["fit_t_min"]) if "fit_t_min" in cfg.run else None,
-        fit_t_max=float(cfg.run["fit_t_max"]) if "fit_t_max" in cfg.run else None,
+        dt_max=run_value(cfg, "dt_max"),
+        sample_interval=run_value(cfg, "sample_interval"),
+        fit_t_min=run_value(cfg, "fit_t_min"),
+        fit_t_max=run_value(cfg, "fit_t_max"),
     )
     rep = compare_discrete_continuum(p, scenario)
 

@@ -47,7 +47,7 @@ class ScenarioConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.meta.get("seed", 1234))
+        return _cast("meta", "seed", self.meta["seed"], int) if "seed" in self.meta else 1234
 
     @property
     def output_dir(self) -> str:
@@ -69,16 +69,28 @@ def _parse_value(raw: str):
     return text
 
 
+def _cast(section: str, key: str, raw, kind: type):
+    """A config value (string or already parsed) as `kind`; ConfigError naming the key when it
+    does not parse, or when an int would drop a fraction or an infinity."""
+    value = _parse_value(raw) if isinstance(raw, str) else raw
+    try:
+        cast = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        cast = None
+    if cast is None or (kind is int and cast != value):
+        raise ConfigError([f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}"])
+    return cast
+
+
 def parse_chain_section(items: dict) -> ChainParams:
     problems = []
     values = {}
     for key, caster in CHAIN_KEYS.items():
         if key in items:
-            raw = items[key]
             try:
-                values[key] = caster(raw) if not isinstance(raw, str) else caster(_parse_value(raw))
-            except (TypeError, ValueError):
-                problems.append(f"chain.{key}: cannot parse {items[key]!r} as {caster.__name__}")
+                values[key] = _cast("chain", key, items[key], caster)
+            except ConfigError as exc:
+                problems += exc.problems
         elif key in OPTIONAL_CHAIN_KEYS:
             values[key] = OPTIONAL_CHAIN_KEYS[key]
         else:
@@ -121,6 +133,11 @@ def load_config(path: "str | Path") -> ScenarioConfig:
     run = {k: _parse_value(v) for k, v in parser["run"].items()} if "run" in parser else {}
     meta = {k: _parse_value(v) for k, v in parser["meta"].items()} if "meta" in parser else {}
     return ScenarioConfig(chain=chain, run=run, meta=meta)
+
+
+def run_value(cfg: ScenarioConfig, key: str, kind: type = float, default=None):
+    """`cfg.run[key]` cast to `kind`, or `default` when the key is absent (see `_cast`)."""
+    return _cast("run", key, cfg.run[key], kind) if key in cfg.run else default
 
 
 def require_run_keys(cfg: ScenarioConfig, keys: "list[str]", subcommand: str) -> None:

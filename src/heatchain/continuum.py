@@ -25,7 +25,7 @@ from .diffusion import (
     mode_thermal_variances,
     thermal_matrices,
 )
-from .dynamics import evolve, gaussian_site_weights, hotspot_state, site_observables
+from .dynamics import evolve, gaussian_site_weights, hotspot_state, site_observables, step_bound
 from .chain import dispersion, group_velocity, mode_grid
 from .params import ChainParams
 
@@ -98,13 +98,9 @@ def _laplacian(u: Array, dx: float) -> Array:
     return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (dx * dx)
 
 
-def _check_cfl(dt: float, dx: float, diff: float, lam: float) -> None:
-    bound = min(0.4 * dx * dx / diff if diff > 0 else np.inf, 0.1 / (2.0 * lam))
-    if dt > bound * (1.0 + 1e-12):
-        raise CFLError(
-            f"dt = {dt:.3e} exceeds the explicit stability bound {bound:.3e} "
-            f"(dx = {dx}, diff_const = {diff:.3e}, lambda = {lam})"
-        )
+def _stability_bound(dx: float, diff: float, lam: float) -> float:
+    """Explicit heat-step bound min(0.4 dx^2 / diff_const, 0.1 / (2 lambda))."""
+    return min(0.4 * dx * dx / diff if diff > 0 else np.inf, 0.1 / (2.0 * lam))
 
 
 def _heat_step(u: Array, dx: float, diff: float, lam: float, s: float, dt: float) -> Array:
@@ -146,10 +142,11 @@ def solve_heat(
         raise ValueError("t_final precedes the initial field time")
     diff = diffusion_constant(params)
     lam = params.lambda_fric
-    bound = min(0.4 * field0.dx**2 / diff if diff > 0 else np.inf, 0.1 / (2.0 * lam))
-    if dt is None:
-        dt = bound
-    _check_cfl(dt, field0.dx, diff, lam)
+    bound = _stability_bound(field0.dx, diff, lam)
+    dt = bound if dt is None else dt
+    if dt > bound * (1.0 + 1e-12):
+        raise CFLError(f"dt = {dt:.3e} exceeds the explicit stability bound {bound:.3e} "
+                       f"(dx = {field0.dx}, diff_const = {diff:.3e}, lambda = {lam})")
 
     span = t_final - field0.time
     n_steps = max(1, int(np.ceil(span / dt - 1e-12))) if span > 0 else 0
@@ -320,12 +317,7 @@ def compare_discrete_continuum(
     interval = scenario.sample_interval
     if interval is None:
         interval = scenario.t_final / 80.0
-    from .dynamics import _step_bound  # shared step policy
-
-    dt = _step_bound(matrices)
-    if scenario.dt_max is not None:
-        dt = min(dt, scenario.dt_max)
-    stride = max(1, int(round(interval / dt)))
+    stride = max(1, int(round(interval / step_bound(matrices, scenario.dt_max))))
 
     def observer(state):
         obs = site_observables(state, run)
@@ -348,8 +340,7 @@ def compare_discrete_continuum(
     s_value = 2.0 * lam * u_eq
 
     # Step the continuum field exactly onto the chain sample times.
-    bound = min(0.4 * a * a / diff if diff > 0 else np.inf, 0.1 / (2.0 * lam))
-    dt_pde = scenario.pde_dt_factor * bound
+    dt_pde = scenario.pde_dt_factor * _stability_bound(a, diff, lam)
     u = u_disc[0].copy()
     u_pde = [u.copy()]
     for t_prev, t_next in zip(times[:-1], times[1:]):

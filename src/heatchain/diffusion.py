@@ -9,9 +9,10 @@ in three consistent forms:
 * finite-N mode sums (`mode_sum_diffusion`) matching the simulated ring.
 
 The same kernels give the Gibbs covariance of the ring, its energy density
-and heat capacity density, and the full diffusion matrix (`thermal_matrices`)
-for which the finite-N Gibbs state is exactly stationary (the
-fluctuation-dissipation pairing D = friction-weighted thermal covariance).
+and heat capacity density, and the model (`thermal_matrices`) whose full
+circulant diffusion rows make the finite-N Gibbs state exactly stationary
+(the fluctuation-dissipation pairing D = friction-weighted thermal
+covariance).
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ from scipy.integrate import quad
 
 from .chain import (
     ModelMatrices,
-    circulant,
+    block_circulant,
     circulant_row_from_symbol,
     dispersion,
-    drift_matrix,
-    friction_matrix,
     mode_grid,
-    stiffness_matrix,
 )
 from .covariance import Array, CovarianceState, symmetrize
 from .params import ChainParams
@@ -223,11 +221,7 @@ def gibbs_covariance(params: ChainParams, temp: float) -> CovarianceState:
     a PSD circulant-blocked matrix.
     """
     _, _, c_x, c_p = mode_thermal_variances(params, temp)
-    n = params.n_sites
-    row_x = circulant_row_from_symbol(c_x)
-    row_p = circulant_row_from_symbol(c_p)
-    z = np.zeros((n, n))
-    sigma = np.block([[circulant(row_x), z], [z, circulant(row_p)]])
+    sigma = block_circulant(circulant_row_from_symbol(c_x), circulant_row_from_symbol(c_p))
     return CovarianceState(symmetrize(sigma), time=0.0)
 
 
@@ -267,29 +261,16 @@ def heat_capacity_density(params: ChainParams, temp: float) -> float:
     return float(np.mean(per_mode)) / params.lattice_const
 
 
-def thermal_diffusion_matrix(params: ChainParams, temp: float) -> Array:
-    """Full-circulant diffusion matrix with Fourier symbols
-    (lambda + 2 gamma cos q) * c_x(q) and (lambda + 2 gamma cos q) * c_p(q).
-
-    This is the fluctuation-dissipation completion of the on-site and
-    nearest-neighbour coefficients: with it the finite-N Gibbs state at
-    `temp` is an exact stationary point of the moment dynamics.
-    """
-    q, _, c_x, c_p = mode_thermal_variances(params, temp)
-    weight = params.lambda_fric + 2.0 * params.gamma_fric * np.cos(q)
-    n = params.n_sites
-    row_x = circulant_row_from_symbol(weight * c_x)
-    row_p = circulant_row_from_symbol(weight * c_p)
-    z = np.zeros((n, n))
-    return np.block([[circulant(row_x), z], [z, circulant(row_p)]])
-
-
 def thermal_matrices(params: ChainParams, temp: float | None = None) -> ModelMatrices:
-    """Model matrices whose diffusion block is the full thermal circulant.
+    """Model whose diffusion blocks are the full thermal circulants.
 
-    `temp` defaults to the bath temperature of `params`.  Raises for
-    omega0 = 0: the drift damps the zero mode's position as well as its
-    momentum, so the q = 0 mode settles at <x^2> = k_B T / (2 lambda^2 m)
+    D^xx and D^pp have Fourier symbols (lambda + 2 gamma cos q) c_x(q) and
+    (lambda + 2 gamma cos q) c_p(q): the fluctuation-dissipation completion
+    of the on-site and nearest-neighbour coefficients, with which the
+    finite-N Gibbs state at `temp` is an exact stationary point of the
+    moment dynamics.  `temp` defaults to the bath temperature of `params`.
+    Raises for omega0 = 0: the drift damps the zero mode's position as well
+    as its momentum, so the q = 0 mode settles at <x^2> = k_B T / (2 lambda^2 m)
     and <x p> = k_B T / (2 lambda) instead of the Gibbs values, and no
     thermal state is stationary.
     """
@@ -297,9 +278,7 @@ def thermal_matrices(params: ChainParams, temp: float | None = None) -> ModelMat
         raise ValueError("thermal_matrices needs omega0 > 0: the acoustic zero mode "
                          "has no stationary Gibbs state")
     t = params.bath_temp if temp is None else temp
-    return ModelMatrices(
-        drift=drift_matrix(params),
-        diffusion=thermal_diffusion_matrix(params, t),
-        stiffness=stiffness_matrix(params),
-        friction=friction_matrix(params),
-    )
+    q, _, c_x, c_p = mode_thermal_variances(params, t)
+    weight = params.lambda_fric + 2.0 * params.gamma_fric * np.cos(q)
+    return ModelMatrices.of_chain(
+        params, circulant_row_from_symbol(weight * c_x), circulant_row_from_symbol(weight * c_p))

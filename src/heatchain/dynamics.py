@@ -4,9 +4,10 @@ The second moments obey the closed linear equation
 
     d(Sigma)/dt = A Sigma + Sigma A^T + 2 D,
 
-integrated with a fixed-step classical 4th-order scheme.  The stationary
-state solves the continuous Lyapunov equation, either mode-by-mode through
-the circulant structure or densely for validation.
+integrated with a fixed-step classical 4th-order scheme on the dense views
+A and D of `ModelMatrices`.  The stationary state solves the continuous
+Lyapunov equation, either mode-by-mode from the Fourier symbols of the
+model's circulant rows or densely for validation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .chain import ModelMatrices, circulant, circulant_row_from_symbol, circulant_symbol
+from .chain import ModelMatrices, block_circulant, circulant_row_from_symbol, circulant_symbol
 from .covariance import (
     Array,
     CovarianceState,
@@ -68,18 +69,18 @@ def moment_rhs(state, matrices: ModelMatrices) -> Array:
     return a @ sigma + sigma @ a.T + 2.0 * matrices.diffusion
 
 
-def _step_bound(matrices: ModelMatrices) -> float:
-    n = matrices.n_sites
-    inv_m = matrices.drift[0, n]
-    mass = 1.0 / inv_m
-    k_max = float(np.max(circulant_symbol(matrices.stiffness)))
-    omega_max = np.sqrt(max(k_max, 0.0) / mass)
-    lam = float(matrices.friction[0, 0])
+def step_bound(matrices: ModelMatrices, dt_max: float | None = None) -> float:
+    """RK4 step min(dt_max, 0.05/omega_max, 0.05/lambda); ValueError if none is finite."""
     bound = np.inf
-    if omega_max > 0.0:
-        bound = min(bound, STEP_SAFETY / omega_max)
+    if matrices.omega_max > 0.0:
+        bound = min(bound, STEP_SAFETY / matrices.omega_max)
+    lam = float(matrices.friction[0])
     if lam > 0.0:
         bound = min(bound, STEP_SAFETY / lam)
+    if dt_max is not None:
+        bound = min(bound, dt_max)
+    if not np.isfinite(bound):
+        raise ValueError("no finite step bound: supply dt_max for an undamped static chain")
     return bound
 
 
@@ -113,12 +114,7 @@ def evolve(
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
 
-    dt = _step_bound(matrices)
-    if dt_max is not None:
-        dt = min(dt, dt_max)
-    if not np.isfinite(dt):
-        raise ValueError("no finite step bound: supply dt_max for an undamped static chain")
-
+    dt = step_bound(matrices, dt_max)
     span = t_final - state.time
     n_steps = max(1, int(np.ceil(span / dt - 1e-12))) if span > 0 else 0
     dt = span / n_steps if n_steps else 0.0
@@ -177,7 +173,6 @@ def stationary_covariance(matrices: ModelMatrices, method: str = "fourier") -> C
     solved; "dense" delegates to the dense Lyapunov solver for validation.
     Rejects a non-Hurwitz drift.
     """
-    n = matrices.n_sites
     if method == "dense":
         eig_real = np.linalg.eigvals(matrices.drift).real
         if eig_real.max() >= 0.0:
@@ -187,13 +182,10 @@ def stationary_covariance(matrices: ModelMatrices, method: str = "fourier") -> C
     if method != "fourier":
         raise ValueError(f"unknown method {method!r}")
 
-    inv_m = matrices.drift[0, n]
-    mass = 1.0 / inv_m
+    n = matrices.n_sites
+    mass = matrices.mass
     lam_q = circulant_symbol(matrices.friction)
     k_q = circulant_symbol(matrices.stiffness)
-    dxx_q = circulant_symbol(matrices.diffusion[:n, :n])
-    dpp_q = circulant_symbol(matrices.diffusion[n:, n:])
-    dxp_q = circulant_symbol(matrices.diffusion[:n, n:])
 
     if np.min(lam_q) <= 0.0:
         raise ValueError(
@@ -210,15 +202,11 @@ def stationary_covariance(matrices: ModelMatrices, method: str = "fourier") -> C
     lhs[:, 2, 0] = -k_q
     lhs[:, 2, 1] = 1.0 / mass
     lhs[:, 2, 2] = -2.0 * lam_q
-    rhs = np.stack([-2.0 * dxx_q, -2.0 * dpp_q, -2.0 * dxp_q], axis=1)
+    rhs = np.stack([-2.0 * circulant_symbol(matrices.diffusion_xx),
+                    -2.0 * circulant_symbol(matrices.diffusion_pp), np.zeros(n)], axis=1)
     sol = np.linalg.solve(lhs, rhs[..., None])[..., 0]
 
-    row_x = circulant_row_from_symbol(sol[:, 0])
-    row_p = circulant_row_from_symbol(sol[:, 1])
-    row_c = circulant_row_from_symbol(sol[:, 2])
-    sigma = np.block(
-        [[circulant(row_x), circulant(row_c)], [circulant(row_c).T, circulant(row_p)]]
-    )
+    sigma = block_circulant(*(circulant_row_from_symbol(sol[:, i]) for i in range(3)))
     return CovarianceState(symmetrize(sigma), time=0.0)
 
 
@@ -273,7 +261,6 @@ def energy_balance_rhs(
     sxx, spp = state.xx, state.pp
     obs = site_observables(state, params)
     dxx = matrices.diffusion_xx
-    dpp = matrices.diffusion_pp
     idx = np.arange(n)
     up, dn = (idx + 1) % n, (idx - 1) % n
     up2, dn2 = (idx + 2) % n, (idx - 2) % n
@@ -284,9 +271,9 @@ def energy_balance_rhs(
     grad_j = obs.currents[up] - obs.currents[idx]
     out = (
         -2.0 * lam * obs.energies
-        + np.diag(dpp) / m
-        + (m * om0**2 + 2.0 * xi) * np.diag(dxx)
-        - xi * (dxx[idx, up] + dxx[idx, dn])
+        + matrices.diffusion_pp[0] / m
+        + (m * om0**2 + 2.0 * xi) * dxx[0]
+        - xi * (dxx[1] + dxx[-1])
         - grad_j
     )
     if gam != 0.0:
@@ -333,9 +320,7 @@ def energy_balance_residual(
     if not np.allclose(spacing, spacing[0], rtol=1e-8, atol=0.0):
         raise ValueError("energy balance residual needs uniform sample spacing")
     ds = float(spacing[0])
-    inv_m = matrices.drift[0, matrices.n_sites]
-    omega_max = np.sqrt(max(float(np.max(circulant_symbol(matrices.stiffness))), 0.0) * inv_m)
-    fastest = max(omega_max, 2.0 * params.lambda_fric)
+    fastest = max(matrices.omega_max, 2.0 * params.lambda_fric)
     flagged = bool(ds * fastest > 0.5)
 
     energies = np.array([site_observables(s, params).energies for s in states])

@@ -5,12 +5,13 @@ from heatchain import (
     ChainParams,
     DiffusionSet,
     build_matrices,
+    circulant,
     dispersion,
-    drift_matrix,
-    friction_matrix,
+    friction_row,
     group_velocity,
     mode_grid,
-    stiffness_matrix,
+    stiffness_row,
+    thermal_matrices,
 )
 
 
@@ -38,7 +39,7 @@ class TestDispersion:
         p = params()
         assert dispersion(p, np.pi / 2) == pytest.approx(np.sqrt(3.0), rel=1e-14)
         p64 = params(n_sites=64)
-        eig = np.sort(np.linalg.eigvalsh(stiffness_matrix(p64) / p64.mass))
+        eig = np.sort(np.linalg.eigvalsh(circulant(stiffness_row(p64)) / p64.mass))
         w_modes = np.sort(dispersion(p64, mode_grid(p64)) ** 2)
         assert np.allclose(eig, w_modes, rtol=1e-12)
         k = np.argmin(np.abs(mode_grid(p64) - np.pi / 2))
@@ -54,7 +55,7 @@ class TestDispersion:
     def test_matches_stiffness_spectrum_mode_by_mode(self):
         for p in (params(n_sites=12), params(n_sites=9, omega0=0.3, xi=2.5, mass=1.7)):
             q = mode_grid(p)
-            sym = np.fft.fft(stiffness_matrix(p)[0]).real / p.mass
+            sym = np.fft.fft(stiffness_row(p)).real / p.mass
             assert np.allclose(dispersion(p, q) ** 2, sym, rtol=1e-12)
 
     def test_acoustic_group_velocity_slope(self):
@@ -88,12 +89,12 @@ class TestModeGrid:
 class TestMatrices:
     def test_gamma_zero_friction_is_scalar(self):
         p = params(lambda_fric=0.3)
-        assert np.array_equal(friction_matrix(p), 0.3 * np.eye(p.n_sites))
+        assert np.array_equal(circulant(friction_row(p)), 0.3 * np.eye(p.n_sites))
 
     def test_stiffness_row_entries(self):
         # row k of -K: -(m w0^2 + 2 xi) on the diagonal, +xi at k +- 1
         p = params(omega0=1.5, xi=0.7, mass=2.0)
-        k = stiffness_matrix(p)
+        k = circulant(stiffness_row(p))
         n = p.n_sites
         for i in range(n):
             row = -k[i]
@@ -105,7 +106,7 @@ class TestMatrices:
 
     def test_decoupled_chain_block_decouples(self):
         p = params(xi=0.0)
-        a = drift_matrix(p)
+        a = thermal_matrices(p).drift
         n = p.n_sites
         # every 2x2 single-site generator independent: no cross-site entries
         for i in range(n):
@@ -130,12 +131,12 @@ class TestMatrices:
                 gamma_fric=float(rng.uniform(0.0, 0.5 * lam)),
                 bath_temp=1.0,
             )
-            eig = np.linalg.eigvals(drift_matrix(p))
+            eig = np.linalg.eigvals(thermal_matrices(p).drift)
             assert np.max(eig.real) <= 1e-13
 
     def test_drift_commutes_with_cyclic_shift(self):
         p = params(n_sites=6, gamma_fric=0.04)
-        a = drift_matrix(p)
+        a = thermal_matrices(p).drift
         n = p.n_sites
         s1 = np.roll(np.eye(n), 1, axis=0)
         shift = np.block([[s1, np.zeros((n, n))], [np.zeros((n, n)), s1]])
@@ -146,11 +147,11 @@ class TestMatrices:
         diff = DiffusionSet(d_xx=0.2, d_pp=0.5, d_ex=0.01, temp=1.0)
         mats = build_matrices(p, diff)
         n = p.n_sites
-        dxx = mats.diffusion_xx
+        dxx = mats.diffusion[:n, :n]
         assert dxx[0, 0] == 0.2
         assert dxx[0, 1] == 0.01 and dxx[0, n - 1] == 0.01
         assert dxx[0, 2] == 0.0
-        assert np.array_equal(mats.diffusion_pp, 0.5 * np.eye(n))
+        assert np.array_equal(mats.diffusion[n:, n:], 0.5 * np.eye(n))
         assert np.all(mats.diffusion[:n, n:] == 0.0)
         assert np.array_equal(mats.diffusion, mats.diffusion.T)
 

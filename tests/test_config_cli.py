@@ -6,6 +6,7 @@ import pytest
 from heatchain.cli import main
 from heatchain.config import ConfigError, load_config
 from heatchain.report import RunReport, fmt_number, validate_report, write_csv
+from heatchain.verify import CheckResult
 
 BASE_CONFIG = """\
 [chain]
@@ -50,6 +51,12 @@ class TestConfig:
         text = " ".join(err.value.problems)
         assert "chain.mass" in text
         assert "chain.banana" in text
+
+    def test_fractional_count_rejected(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG.replace("n_sites = 16", "n_sites = 16.5"))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.problems == ["chain.n_sites: cannot parse '16.5' as int"]
 
     def test_physical_validation_propagates(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG.replace("gamma = 0.0", "gamma = 0.2"))
@@ -192,6 +199,23 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert any("t_min" in p for p in record["detail"])
 
+    @pytest.mark.parametrize("command, run, problem", [
+        ("compare", "hotspot_width = 4.0\nt_hot = 3.0\nt_cold = 2.0\nt_final = twenty\n",
+         "run.t_final: cannot parse 'twenty' as float"),
+        ("coefficients", "t_min = 0.5\nt_max = 8.0\nt_steps = lots\n",
+         "run.t_steps: cannot parse 'lots' as int"),
+        ("coefficients", "t_min = 0.5\nt_max = 8.0\nt_steps = 2.5\n",
+         "run.t_steps: cannot parse 2.5 as int"),
+        ("coefficients", "t_min = 0.5\nt_max = 8.0\nt_steps = inf\n",
+         "run.t_steps: cannot parse inf as int"),
+        ("verify", "[meta]\nseed = abc\n", "meta.seed: cannot parse 'abc' as int"),
+    ])
+    def test_malformed_run_value_is_config_error(self, tmp_path, capsys, command, run, problem):
+        cfg = write_config(tmp_path, BASE_CONFIG + "\n[run]\n" + run)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "config", "detail": [problem]}
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE_CONFIG)
         target = tmp_path / "env_out"
@@ -206,3 +230,14 @@ class TestCli:
         assert validate_report(rep) == []
         assert rep["summary"]["checks_passed"] == rep["summary"]["checks_total"]
         assert all(c["passed"] for c in rep["criteria"])
+        assert all(c["passed"] == (c["value"] <= c["tolerance"]) for c in rep["criteria"])
+
+    def test_check_reports_the_deciding_clause(self):
+        # a source err of 7e-3 fails its 5e-3 bound although it is below the coefficient's 1e-2
+        res = CheckResult.from_clauses("high-temperature-forms", [(1e-3, 1e-2), (7e-3, 5e-3)], "")
+        assert (res.passed, res.value, res.tolerance) == (False, 7e-3, 5e-3)
+        # a plateau ratio of 1.001 leaves the band [0.99, 1] from above
+        res = CheckResult.from_clauses("heat-capacity-limits", [(0.0, 0.01), (1e-3, 0.0)], "")
+        assert (res.passed, res.value, res.tolerance) == (False, 1e-3, 0.0)
+        res = CheckResult.from_clauses("passing", [(2e-5, 1e-2), (2e-5, 5e-3), (-1.0, 0.0)], "")
+        assert (res.passed, res.value, res.tolerance) == (True, 2e-5, 5e-3)

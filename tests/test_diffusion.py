@@ -12,9 +12,9 @@ from heatchain import (
     mode_grid,
     mode_sum_diffusion,
     quad_diffusion,
+    circulant,
     source_density,
-    stiffness_matrix,
-    thermal_diffusion_matrix,
+    stiffness_row,
     thermal_matrices,
 )
 
@@ -173,7 +173,7 @@ class TestGibbsState:
         # rotate back to site coordinates
         p = params(n_sites=8, gamma_fric=0.0)
         temp = 2.0
-        k = stiffness_matrix(p)
+        k = circulant(stiffness_row(p))
         evals, vecs = np.linalg.eigh(k)
         w = np.sqrt(evals / p.mass)
         cx = p.hbar / (2 * p.mass * w) / np.tanh(p.hbar * w / (2 * p.k_boltz * temp))
@@ -213,7 +213,7 @@ class TestGibbsState:
 class TestThermalDiffusionMatrix:
     def test_diagonal_matches_mode_sums(self):
         p = params(gamma_fric=0.03)
-        d = thermal_diffusion_matrix(p, 2.0)
+        d = thermal_matrices(p, 2.0).diffusion
         ds = mode_sum_diffusion(p, 2.0)
         n = p.n_sites
         assert d[0, 0] == pytest.approx(ds.d_xx, rel=1e-12)
@@ -223,14 +223,14 @@ class TestThermalDiffusionMatrix:
     @pytest.mark.parametrize("gamma", [0.0, 0.02, 0.05])
     def test_psd_including_critical_damping_edge(self, gamma):
         p = params(gamma_fric=gamma, lambda_fric=0.1)
-        d = thermal_diffusion_matrix(p, 0.5)
+        d = thermal_matrices(p, 0.5).diffusion
         eig = np.linalg.eigvalsh(d)
         assert eig.min() >= -1e-12 * eig.max()
 
     def test_fluctuation_dissipation_d_equals_lambda_covariance(self):
         # gamma = 0: D = lambda * (thermal covariance), block by block
         p = params()
-        d = thermal_diffusion_matrix(p, 2.0)
+        d = thermal_matrices(p, 2.0).diffusion
         g = gibbs_covariance(p, 2.0)
         assert np.allclose(d, p.lambda_fric * g.sigma, rtol=1e-12, atol=1e-15)
 

@@ -1,0 +1,61 @@
+"""Property tests of the circulant model over admissible chains.
+
+Hypothesis draws rings with N from 3 to 24, varied mass and coupling,
+omega0 > 0, 0 <= gamma <= 0.45 lambda and bath temperatures T >= 0 with
+T = 0 included.  The examples are derandomized and bounded, so every run
+checks the same chains.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heatchain import (
+    ChainParams,
+    circulant_symbol,
+    dispersion,
+    gibbs_covariance,
+    mode_grid,
+    stationary_covariance,
+    stiffness_row,
+    thermal_matrices,
+)
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@st.composite
+def chains(draw) -> ChainParams:
+    lam = draw(st.floats(0.02, 2.0))
+    return ChainParams(
+        n_sites=draw(st.integers(3, 24)),
+        mass=draw(st.floats(0.25, 4.0)),
+        omega0=draw(st.floats(0.05, 3.0)),
+        xi=draw(st.floats(0.0, 4.0)),
+        lattice_const=1.0,
+        lambda_fric=lam,
+        gamma_fric=draw(st.floats(0.0, 0.45)) * lam,
+        bath_temp=draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0))),
+    )
+
+
+@SETTINGS
+@given(chains())
+def test_fourier_stationary_solve_matches_dense_and_gibbs(p):
+    # same tolerances as TestStationary in test_dynamics
+    mats = thermal_matrices(p)
+    sf = stationary_covariance(mats, "fourier").sigma
+    sd = stationary_covariance(mats, "dense").sigma
+    assert np.max(np.abs(sf - sd)) <= 1e-12 * max(1.0, np.max(np.abs(sd)))
+    gb = gibbs_covariance(p, p.bath_temp).sigma
+    assert np.linalg.norm(sf - gb) / np.linalg.norm(gb) <= 1e-9
+
+
+@SETTINGS
+@given(chains())
+def test_stiffness_symbol_is_squared_dispersion(p):
+    # rtol as in test_chain; atol covers the cancellation of the 2 xi terms
+    # at q = 0, relative to the spectral scale omega_max^2
+    sym = circulant_symbol(stiffness_row(p)) / p.mass
+    w2 = dispersion(p, mode_grid(p)) ** 2
+    assert np.allclose(sym, w2, rtol=1e-12, atol=1e-14 * p.omega_max**2)
