@@ -30,7 +30,7 @@ from .chain import (
     dispersion,
     mode_grid,
 )
-from .covariance import Array, CovarianceState, symmetrize
+from .covariance import CovarianceState, symmetrize
 from .params import ChainParams
 
 QUAD_EPSABS = 1e-12
