@@ -25,10 +25,9 @@ from heatchain import (
 p = ChainParams(n_sites=64, omega0=0.0, xi=1.0, lambda_fric=0.1, bath_temp=10.0)
 tc = transport_coefficients(p, p.bath_temp)
 print("range b           :", tc.range_b)
-print("effective velocity:", tc.eff_velocity)
+print("sound speed v_s   :", p.sound_speed)
 print("diffusion constant:", tc.diff_const)
 print("conductivity kappa:", tc.kappa)
-print("diffusivity sigma :", tc.sigma_diffusivity)
 print("mode-sum kappa    :", klemens_conductivity(p, p.bath_temp))
 print("mode-sum kappa (exact dispersion slope):",
       klemens_conductivity(p, p.bath_temp, velocity="dispersion"))
@@ -41,8 +40,7 @@ x = dx * np.arange(m_cells)
 u_eq = 1.0
 u0 = u_eq + 0.8 * np.exp(-0.5 * ((x - length / 2) / 6.0) ** 2)
 s = 2 * p.lambda_fric * u_eq
-fields = solve_heat(ContinuumField(u0, dx), p, s, t_final=1.0 / p.lambda_fric,
-                    sample_stride=400)
+fields = solve_heat(ContinuumField(u0, dx), p, s, np.linspace(0.0, 1.0 / p.lambda_fric, 6))
 
 print()
 print("    t      peak height    current extremum")

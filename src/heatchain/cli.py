@@ -44,7 +44,6 @@ from .dynamics import (
     gaussian_site_weights,
     hotspot_state,
     site_observables,
-    total_energy,
     uniform_state,
 )
 from .report import RunReport, write_csv
@@ -248,12 +247,12 @@ def cmd_conductivity(cfg: ScenarioConfig, outdir: Path) -> RunReport:
         t = float(t)
         tc = transport_coefficients(p, t)
         rows.append((t, heat_capacity_density(p, t), tc.kappa,
-                     klemens_conductivity(p, t, velocity=velocity), tc.sigma_diffusivity))
+                     klemens_conductivity(p, t, velocity=velocity), tc.diff_const))
     path = write_csv(outdir / "conductivity.csv", ["T", "C", "kappa_continuum", "kappa_klemens", "sigma"], rows)
     tc = transport_coefficients(p, float(temps[-1]))
     summary = {
         "range_b": tc.range_b,
-        "eff_velocity": tc.eff_velocity,
+        "eff_velocity": p.sound_speed,
         "diff_const": tc.diff_const,
         "velocity_convention": velocity,
     }

@@ -22,12 +22,15 @@ from .covariance import Array
 from .diffusion import (
     gibbs_energy_density,
     heat_capacity_density,
-    mode_thermal_variances,
+    mode_energies,
+    mode_heat_capacities,
     thermal_matrices,
 )
 from .dynamics import evolve, gaussian_site_weights, hotspot_state, site_observables, step_bound
-from .chain import dispersion, group_velocity, mode_grid
+from .chain import group_velocity, mode_grid
 from .params import ChainParams
+
+PDE_DT_FACTOR = 0.05  # compare's heat step, as a fraction of the stability bound
 
 
 class CFLError(ValueError):
@@ -44,54 +47,39 @@ class ContinuumField:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or self.values.size < 8:
-            raise ValueError("field needs at least 8 samples on a 1d grid")
+        if self.values.ndim != 1 or self.values.size < 3:
+            raise ValueError("field needs at least 3 samples on a 1d grid")
         if not self.dx > 0:
             raise ValueError(f"dx must be > 0, got {self.dx}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-
-    @property
-    def length(self) -> float:
-        return self.dx * self.values.size
-
-    @property
-    def grid(self) -> Array:
-        return self.dx * np.arange(self.values.size)
 
 
 @dataclass(frozen=True)
 class TransportCoefficients:
     """Transport quantities of the continuum limit at one temperature.
 
-    diff_const = eff_velocity * range_b = sigma_diffusivity holds exactly;
-    kappa = diff_const * C(T).
+    diff_const = v_s * range_b up to rounding; kappa = diff_const * C(T).
     """
 
     range_b: float
-    eff_velocity: float
     diff_const: float
     kappa: float
-    sigma_diffusivity: float
+
+
+def diffusion_constant(params: ChainParams) -> float:
+    """diff_const = v_s^2 / (2 lambda) = a^2 xi / (2 lambda m)."""
+    return params.sound_speed**2 / (2.0 * params.lambda_fric)
 
 
 def transport_coefficients(params: ChainParams, temp: float) -> TransportCoefficients:
     """Propagation range b = v_s/(2 lambda), diffusion constant, conductivity."""
-    v = params.sound_speed
-    b = v / (2.0 * params.lambda_fric)
-    diff = v * b  # = a^2 xi / (2 lambda m)
-    c = heat_capacity_density(params, temp)
+    diff = diffusion_constant(params)
     return TransportCoefficients(
-        range_b=b,
-        eff_velocity=v,
+        range_b=params.sound_speed / (2.0 * params.lambda_fric),
         diff_const=diff,
-        kappa=diff * c,
-        sigma_diffusivity=diff,
+        kappa=diff * heat_capacity_density(params, temp),
     )
-
-
-def diffusion_constant(params: ChainParams) -> float:
-    return params.sound_speed**2 / (2.0 * params.lambda_fric)
 
 
 def _laplacian(u: Array, dx: float) -> Array:
@@ -124,9 +112,8 @@ def solve_heat(
     field0: ContinuumField,
     params: ChainParams,
     s_value: float,
-    t_final: float,
+    times: "Array | Sequence[float]",
     dt: float | None = None,
-    sample_stride: int = 50,
 ) -> "list[ContinuumField]":
     """Explicit integration of du/dt = diff * u_xx - 2 lambda u + s.
 
@@ -134,12 +121,18 @@ def solve_heat(
     grid; the decay/source part is advanced with its exact exponential
     factor.  `dt` defaults to the stability bound min(0.4 dx^2/diff,
     0.1/(2 lambda)); a larger request is rejected at configuration time.
-    Returns samples including the initial and final fields.
+    Returns one field per sample time; `times` starts at `field0.time` and
+    does not decrease.  Each interval is cut into
+    max(1, ceil(span/dt - 1e-12)) equal steps, so every sample time is hit
+    exactly.
     """
     if s_value < 0:
         raise ValueError(f"source density must be >= 0, got {s_value}")
-    if t_final < field0.time:
-        raise ValueError("t_final precedes the initial field time")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or times[0] != field0.time:
+        raise ValueError(f"times must start at the initial field time {field0.time}")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must not decrease")
     diff = diffusion_constant(params)
     lam = params.lambda_fric
     bound = _stability_bound(field0.dx, diff, lam)
@@ -148,16 +141,15 @@ def solve_heat(
         raise CFLError(f"dt = {dt:.3e} exceeds the explicit stability bound {bound:.3e} "
                        f"(dx = {field0.dx}, diff_const = {diff:.3e}, lambda = {lam})")
 
-    span = t_final - field0.time
-    n_steps = max(1, int(np.ceil(span / dt - 1e-12))) if span > 0 else 0
-    dt = span / n_steps if n_steps else 0.0
-
-    u = field0.values.copy()
+    u = field0.values
     out = [ContinuumField(u.copy(), field0.dx, field0.time)]
-    for i in range(1, n_steps + 1):
-        u = _heat_step(u, field0.dx, diff, lam, s_value, dt)
-        if i % sample_stride == 0 or i == n_steps:
-            out.append(ContinuumField(u.copy(), field0.dx, field0.time + i * dt))
+    for t_prev, t_next in zip(times[:-1], times[1:]):
+        span = t_next - t_prev
+        steps = max(1, int(np.ceil(span / dt - 1e-12)))
+        h = span / steps
+        for _ in range(steps):
+            u = _heat_step(u, field0.dx, diff, lam, s_value, h)
+        out.append(ContinuumField(u, field0.dx, float(t_next)))
     return out
 
 
@@ -170,7 +162,7 @@ def fourier_current(field: ContinuumField, params: ChainParams) -> Array:
 def klemens_conductivity(params: ChainParams, temp: float, velocity: str = "sound") -> float:
     """Mode-sum conductivity kappa = (1/Na) sum_q v(q) r(q) d(eps)/dT.
 
-    eps(q, T) is the Bose-Einstein mode energy and r(q) = v(q) tau with the
+    d(eps)/dT is `mode_heat_capacities` and r(q) = v(q) tau with the
     uniform relaxation time tau = 1/(2 lambda) of the on-site damping.
 
     velocity:
@@ -181,27 +173,13 @@ def klemens_conductivity(params: ChainParams, temp: float, velocity: str = "soun
         the zone-edge contribution and stays strictly below the
         long-wavelength value.
     """
-    if temp < 0:
-        raise ValueError(f"temperature must be >= 0, got {temp}")
     if velocity not in ("sound", "dispersion"):
         raise ValueError(f"velocity must be 'sound' or 'dispersion', got {velocity!r}")
-    if temp == 0.0:
-        return 0.0
-    q = mode_grid(params)
-    w = np.asarray(dispersion(params, q), dtype=float)
-    x = params.hbar * w / (params.k_boltz * temp)
-    # d eps / dT = k_B (x/2)^2 / sinh(x/2)^2, with the x -> 0 limit k_B
-    deps = np.full_like(w, params.k_boltz)
-    pos = x > 0
-    half = x[pos] / 2.0
-    safe = half < 350.0
-    vals = np.zeros_like(half)
-    vals[safe] = params.k_boltz * (half[safe] / np.sinh(half[safe])) ** 2
-    deps[pos] = vals
+    deps = mode_heat_capacities(params, temp)
     if velocity == "sound":
-        v2 = np.full_like(w, params.sound_speed**2)
+        v2 = np.full_like(deps, params.sound_speed**2)
     else:
-        v2 = np.asarray(group_velocity(params, q), dtype=float) ** 2
+        v2 = np.asarray(group_velocity(params, mode_grid(params)), dtype=float) ** 2
     tau = 1.0 / (2.0 * params.lambda_fric)
     total = float(np.sum(v2 * tau * deps))
     return total / (params.n_sites * params.lattice_const)
@@ -215,13 +193,11 @@ class CompareScenario:
     t_cold: float
     width_sites: float  # Gaussian envelope width (sigma) in lattice units
     t_final: float
-    center: float | None = None
     hotspot_mode: str = "thermal"
     dt_max: float | None = None
     sample_interval: float | None = None  # defaults to ~80 samples
     fit_t_min: float | None = None  # defaults to 0.5 / lambda
     fit_t_max: float | None = None  # defaults to t_final
-    pde_dt_factor: float = 0.05  # fraction of the explicit stability bound
 
 
 @dataclass
@@ -294,7 +270,6 @@ def compare_discrete_continuum(
     n = run.n_sites
     a = run.lattice_const
     lam = run.lambda_fric
-    center = scenario.center if scenario.center is not None else n / 2.0
 
     warnings: "list[str]" = []
     b = transport_coefficients(run, scenario.t_cold).range_b
@@ -308,7 +283,7 @@ def compare_discrete_continuum(
             "for the long-wavelength premise)"
         )
 
-    weights = gaussian_site_weights(n, center, scenario.width_sites)
+    weights = gaussian_site_weights(n, n / 2.0, scenario.width_sites)
     state0 = hotspot_state(
         run, scenario.t_cold, scenario.t_hot, weights, mode=scenario.hotspot_mode
     )
@@ -337,20 +312,9 @@ def compare_discrete_continuum(
 
     u_eq = gibbs_energy_density(run, scenario.t_cold)
     diff = diffusion_constant(run)
-    s_value = 2.0 * lam * u_eq
-
-    # Step the continuum field exactly onto the chain sample times.
-    dt_pde = scenario.pde_dt_factor * _stability_bound(a, diff, lam)
-    u = u_disc[0].copy()
-    u_pde = [u.copy()]
-    for t_prev, t_next in zip(times[:-1], times[1:]):
-        span = t_next - t_prev
-        steps = max(1, int(np.ceil(span / dt_pde - 1e-12)))
-        h = span / steps
-        for _ in range(steps):
-            u = _heat_step(u, a, diff, lam, s_value, h)
-        u_pde.append(u.copy())
-    u_pde = np.array(u_pde)
+    fields = solve_heat(ContinuumField(u_disc[0], a, times[0]), run, 2.0 * lam * u_eq, times,
+                        dt=PDE_DT_FACTOR * _stability_bound(a, diff, lam))
+    u_pde = np.array([f.values for f in fields])
 
     delta = u_disc - u_pde
     norm_field = np.linalg.norm(u_pde, axis=1)
@@ -423,14 +387,8 @@ def kinetic_prediction(
     n = params.n_sites
     a = params.lattice_const
     lam = params.lambda_fric
-    m = params.mass
-    center = scenario.center if scenario.center is not None else n / 2.0
 
-    def mode_energy(temp: float) -> Array:
-        _, w, c_x, c_p = mode_thermal_variances(params, temp)
-        return c_p / (2.0 * m) + 0.5 * m * w**2 * c_x
-
-    d_eps = mode_energy(scenario.t_hot) - mode_energy(scenario.t_cold)
+    d_eps = mode_energies(params, scenario.t_hot) - mode_energies(params, scenario.t_cold)
     v = np.asarray(group_velocity(params, mode_grid(params)), dtype=float)
     u_eq = gibbs_energy_density(params, scenario.t_cold)
 
@@ -438,7 +396,7 @@ def kinetic_prediction(
     u = np.empty((len(times), n))
     j = np.empty((len(times), n))
     for i, t in enumerate(times):
-        centers = (center + v * t / a) % n
+        centers = (n / 2.0 + v * t / a) % n
         env = gaussian_site_weights(n, centers[:, None], scenario.width_sites)  # (mode, site)
         scale = np.exp(-2.0 * lam * t) / (n * a)
         u[i] = u_eq + scale * (d_eps @ env)

@@ -78,15 +78,46 @@ def mode_thermal_variances(params: ChainParams, temp: float):
     pos = w > 0.0
     c_x = np.zeros_like(w)
     c_p = np.zeros_like(w)
-    if temp == 0.0:
-        fac = np.ones_like(w)
-    else:
-        fac = np.ones_like(w)
-        fac[pos] = coth(params.hbar * w[pos] / (2.0 * params.k_boltz * temp))
+    fac = np.ones_like(w)
+    if temp > 0.0:
+        # a subnormal temperature overflows the ratio to inf, whose coth is 1
+        with np.errstate(over="ignore"):
+            fac[pos] = coth(params.hbar * w[pos] / (2.0 * params.k_boltz * temp))
     c_x[pos] = params.hbar / (2.0 * params.mass * w[pos]) * fac[pos]
     c_p[pos] = params.hbar * params.mass * w[pos] / 2.0 * fac[pos]
     c_p[~pos] = params.mass * params.k_boltz * temp
     return q, w, c_x, c_p
+
+
+def mode_energies(params: ChainParams, temp: float):
+    """Per-mode Gibbs energies c_p/2m + (m omega_q^2 / 2) c_x on the mode grid."""
+    _, w, c_x, c_p = mode_thermal_variances(params, temp)
+    return c_p / (2.0 * params.mass) + 0.5 * params.mass * w**2 * c_x
+
+
+def mode_heat_capacities(params: ChainParams, temp: float):
+    """Per-mode heat capacities d(eps_q)/dT on the mode grid.
+
+    Each mode with omega > 0 contributes k_B * x^2 / sinh(x)^2 with
+    x = hbar omega / (2 k_B T), and 0 at T = 0; a zero mode (omega0 = 0)
+    contributes its classical kinetic k_B / 2 at every temperature.
+    """
+    _require_some_restoring_force(params)
+    if temp < 0:
+        raise ValueError(f"temperature must be >= 0, got {temp}")
+    w = np.asarray(dispersion(params, mode_grid(params)), dtype=float)
+    per_mode = np.zeros_like(w)
+    per_mode[w == 0.0] = 0.5 * params.k_boltz
+    pos = w > 0.0
+    if temp > 0.0:
+        # a subnormal temperature overflows x to inf, whose contribution is 0
+        with np.errstate(over="ignore"):
+            x = params.hbar * w[pos] / (2.0 * params.k_boltz * temp)
+        small = x < 350.0
+        contrib = np.zeros_like(x)
+        contrib[small] = params.k_boltz * (x[small] / np.sinh(x[small])) ** 2
+        per_mode[pos] = contrib
+    return per_mode
 
 
 def quad_diffusion(
@@ -232,33 +263,16 @@ def gibbs_energy_density(params: ChainParams, temp: float) -> float:
     potential (m omega_q^2 / 2) c_x summed over modes, which collapses to
     the mode energies (hbar omega / 2) coth(hbar omega / 2 k_B T).
     """
-    _, w, c_x, c_p = mode_thermal_variances(params, temp)
-    e_site = float(np.mean(c_p / (2.0 * params.mass) + 0.5 * params.mass * w**2 * c_x))
-    return e_site / params.lattice_const
+    return float(np.mean(mode_energies(params, temp))) / params.lattice_const
 
 
 def heat_capacity_density(params: ChainParams, temp: float) -> float:
     """Heat capacity per unit length, C(T) = d u_eq / dT in closed form.
 
-    Each mode with omega > 0 contributes k_B * x^2 / sinh(x)^2 with
-    x = hbar omega / (2 k_B T); a zero mode (omega0 = 0) contributes its
-    classical kinetic k_B / 2.  C(0) = 0 when every mode has omega > 0.
+    The mean of `mode_heat_capacities` per unit length; C(0) = 0 when every
+    mode has omega > 0.
     """
-    _require_some_restoring_force(params)
-    if temp < 0:
-        raise ValueError(f"temperature must be >= 0, got {temp}")
-    q = mode_grid(params)
-    w = np.asarray(dispersion(params, q), dtype=float)
-    per_mode = np.zeros_like(w)
-    per_mode[w == 0.0] = 0.5 * params.k_boltz
-    pos = w > 0.0
-    if temp > 0.0:
-        x = params.hbar * w[pos] / (2.0 * params.k_boltz * temp)
-        small = x < 350.0
-        contrib = np.zeros_like(x)
-        contrib[small] = params.k_boltz * (x[small] / np.sinh(x[small])) ** 2
-        per_mode[pos] = contrib
-    return float(np.mean(per_mode)) / params.lattice_const
+    return float(np.mean(mode_heat_capacities(params, temp))) / params.lattice_const
 
 
 def thermal_matrices(params: ChainParams, temp: float | None = None) -> ModelMatrices:

@@ -23,7 +23,6 @@ from .chain import ModelMatrices, block_circulant, circulant_row_from_symbol, ci
 from .covariance import (
     Array,
     CovarianceState,
-    PSDViolationError,
     check_psd,
     symmetrize,
     uncertainty_defect,
@@ -91,8 +90,6 @@ def evolve(
     dt_max: float | None = None,
     sample_stride: int = 10,
     observer: "Callable[[CovarianceState], object] | None" = None,
-    check: bool = True,
-    psd_tol: float = 1e-10,
     uncertainty_hbar: float | None = None,
 ) -> Trajectory:
     """Integrate the moment equation from `state.time` to `t_final`.
@@ -103,7 +100,7 @@ def evolve(
     states, or handed to `observer` whose return values are collected
     instead (use an observer for large N to avoid storing full matrices).
 
-    Raises PSDViolationError if a sampled state drops below -psd_tol times
+    Raises PSDViolationError if a sampled state drops below -covariance.PSD_TOL times
     its spectral scale.  With `uncertainty_hbar` set, Robertson-Schroedinger
     defects at samples are logged against that hbar (never fatal).
     """
@@ -135,8 +132,7 @@ def evolve(
 
     def take_sample(t: float) -> None:
         times.append(t)
-        if check:
-            ratios.append(check_psd(sigma, tol=psd_tol, context=f"t = {t:.6g}"))
+        ratios.append(check_psd(sigma, context=f"t = {t:.6g}"))
         if uncertainty_hbar is not None:
             defect = uncertainty_defect(sigma, hbar=uncertainty_hbar)
             scale = float(np.max(np.abs(sigma))) or 1.0

@@ -93,7 +93,7 @@ def test_criterion_7_pde_correctness():
     u0 = u_eq + amp * np.exp(-0.5 * ((x - length / 2) / width) ** 2)
     s = 2 * p.lambda_fric * u_eq
     t_end = 1.0 / p.lambda_fric
-    fields = solve_heat(ContinuumField(u0, dx), p, s, t_end, dt=0.004, sample_stride=10**6)
+    fields = solve_heat(ContinuumField(u0, dx), p, s, [0.0, t_end], dt=0.004)
     diff = diffusion_constant(p)
     k = 2 * np.pi * np.fft.fftfreq(m_cells, d=dx)
     w_hat = np.fft.fft(u0 - u_eq)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from heatchain import (
     gibbs_energy_density,
     heat_capacity_density,
     high_temp_diffusion,
+    klemens_conductivity,
     mode_grid,
     mode_sum_diffusion,
     quad_diffusion,
@@ -266,6 +269,19 @@ class TestEnergyAndHeatCapacity:
 
     def test_frozen_at_zero_temperature(self):
         assert heat_capacity_density(params(), 0.0) == 0.0
+
+    def test_subnormal_temperature_is_the_zero_limit(self):
+        # hbar omega / (2 k_B T) overflows to inf at T = 5e-310: no warning,
+        # and every quantity takes its T = 0 value
+        p = params(n_sites=16, mass=0.01, xi=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (heat_capacity_density, klemens_conductivity):
+                assert f(p, 5e-310) == f(p, 0.0)
+            assert np.array_equal(gibbs_covariance(p, 5e-310).sigma, gibbs_covariance(p, 0.0).sigma)
+            hot, cold = thermal_matrices(p, 5e-310), thermal_matrices(p, 0.0)
+            assert np.array_equal(hot.diffusion_xx, cold.diffusion_xx)
+            assert np.array_equal(hot.diffusion_pp, cold.diffusion_pp)
 
     def test_energy_density_monotone_in_temperature(self):
         p = params(n_sites=16)

@@ -147,15 +147,6 @@ class TestEvolve:
 
 
 class TestStationary:
-    @pytest.mark.parametrize("gamma", [0.0, 0.02])
-    def test_equals_gibbs_covariance(self, gamma):
-        for n in (8, 64):
-            p = params(n_sites=n, gamma_fric=gamma)
-            st = stationary_covariance(thermal_matrices(p), "fourier")
-            gb = gibbs_covariance(p, p.bath_temp)
-            rel = np.linalg.norm(st.sigma - gb.sigma) / np.linalg.norm(gb.sigma)
-            assert rel <= 1e-9
-
     def test_fourier_and_dense_paths_agree(self):
         for n in (4, 8, 16):
             p = params(n_sites=n, gamma_fric=0.04)
