@@ -12,7 +12,6 @@ from .chain import (
     circulant,
     circulant_symbol,
     dispersion,
-    friction_row,
     group_velocity,
     mode_grid,
     stiffness_row,
@@ -40,6 +39,7 @@ from .dynamics import (
     gaussian_site_weights,
     hotspot_state,
     moment_rhs,
+    propagator,
     site_observables,
     stationary_covariance,
     step_bound,
@@ -63,57 +63,3 @@ from .continuum import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChainParams",
-    "ModelMatrices",
-    "CovarianceState",
-    "PSDViolationError",
-    "DiffusionSet",
-    "SiteObservables",
-    "Trajectory",
-    "EnergyBalanceReport",
-    "ContinuumField",
-    "TransportCoefficients",
-    "CompareScenario",
-    "ComparisonReport",
-    "KineticPrediction",
-    "CFLError",
-    "build_matrices",
-    "check_psd",
-    "circulant",
-    "circulant_symbol",
-    "compare_discrete_continuum",
-    "coth",
-    "diffusion_constant",
-    "dispersion",
-    "energy_balance_residual",
-    "energy_balance_rhs",
-    "evolve",
-    "fourier_current",
-    "friction_row",
-    "gaussian_site_weights",
-    "gibbs_covariance",
-    "gibbs_energy_density",
-    "group_velocity",
-    "heat_capacity_density",
-    "high_temp_diffusion",
-    "hotspot_state",
-    "kinetic_prediction",
-    "klemens_conductivity",
-    "mode_grid",
-    "mode_sum_diffusion",
-    "moment_rhs",
-    "quad_diffusion",
-    "site_observables",
-    "solve_heat",
-    "source_density",
-    "stationary_covariance",
-    "step_bound",
-    "stiffness_row",
-    "symmetrize",
-    "thermal_matrices",
-    "total_energy",
-    "transport_coefficients",
-    "uniform_state",
-]

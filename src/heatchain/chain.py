@@ -1,11 +1,11 @@
 """Dispersion relation and the circulant model of the moment dynamics.
 
 The ring is translation invariant, so every N x N block of the drift and of
-the bath diffusion is a circulant fixed by its first row.  `ModelMatrices`
-holds those rows (stiffness K: diagonal m*omega0^2 + 2*xi, off-diagonal
--xi; friction Lambda: diagonal lambda, off-diagonal gamma; the x-x and p-p
-diffusion blocks) together with the mass.  In the coordinate ordering
-(x_1..x_N, p_1..p_N) the dense drift and diffusion are derived views:
+the bath diffusion is a circulant.  `ModelMatrices` holds the mass, the
+stiffness K (diagonal m*omega0^2 + 2*xi, off-diagonal -xi) and friction
+Lambda (diagonal lambda, off-diagonal gamma) by their parameters, and the
+x-x and p-p diffusion blocks by their first rows.  In the coordinate
+ordering (x_1..x_N, p_1..p_N) the dense drift and diffusion are derived views:
 
     A = [[-Lambda, I/m], [-K, -Lambda]],    D = [[D^xx, 0], [0, D^pp]].
 
@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg import block_diag
 
 from .params import ChainParams
 
@@ -54,7 +55,7 @@ def group_velocity(params: ChainParams, q) -> "float | Array":
     return float(v) if v.ndim == 0 else v
 
 
-def mode_grid(params: ChainParams) -> Array:
+def mode_grid(params: "ChainParams | ModelMatrices") -> Array:
     """The N wavenumbers q_n = 2 pi n / N of the ring, mapped to (-pi, pi]."""
     n = params.n_sites
     q = 2.0 * np.pi * np.arange(n) / n
@@ -78,13 +79,10 @@ def circulant_symbol(row: Array) -> Array:
     return np.fft.fft(row).real
 
 
-def block_circulant(row_xx: Array, row_pp: Array, row_xp: "Array | None" = None) -> Array:
-    """The 2N x 2N matrix [[C_xx, C_xp], [C_xp^T, C_pp]] of circulant blocks.
-
-    Each block is given by its first row; the cross block defaults to zero.
-    """
-    xp = circulant(np.zeros(len(row_xx)) if row_xp is None else row_xp)
-    return np.block([[circulant(row_xx), xp], [xp.T, circulant(row_pp)]])
+def circulant_blocks(symbols) -> Array:
+    """The 2N x 2N matrix [[C_xx, C_xp], [C_px, C_pp]] of circulant blocks given
+    by their Fourier symbols, a 2 x 2 nesting of length-N arrays."""
+    return np.block([[circulant(circulant_row_from_symbol(s)) for s in row] for row in symbols])
 
 
 def _neighbour_row(n_sites: int, on_site: float, neighbour: float) -> Array:
@@ -101,46 +99,59 @@ def stiffness_row(params: ChainParams) -> Array:
     return _neighbour_row(params.n_sites, params.mass * params.omega0**2 + 2.0 * params.xi, -params.xi)
 
 
-def friction_row(params: ChainParams) -> Array:
-    """First row of the friction Lambda: lambda on site, gamma to each neighbour."""
-    return _neighbour_row(params.n_sites, params.lambda_fric, params.gamma_fric)
-
-
 @dataclass(frozen=True)
 class ModelMatrices:
     """The linear moment equation d(Sigma)/dt = A Sigma + Sigma A^T + 2 D: the
-    mass and the first rows of the four circulant blocks, with the dense
-    2N x 2N `drift` A and `diffusion` D built on first use."""
+    mass, the stiffness and friction parameters and the first rows of the two
+    diffusion blocks, with the mode symbols and the dense 2N x 2N `drift` A
+    and `diffusion` D built on first use."""
 
     mass: float
-    stiffness: Array
-    friction: Array
+    pinning: float  # m omega0^2
+    coupling: float  # xi
+    friction_on_site: float  # lambda
+    friction_neighbour: float  # gamma
     diffusion_xx: Array
     diffusion_pp: Array
 
     @classmethod
     def of_chain(cls, params: ChainParams, diffusion_xx: Array, diffusion_pp: Array) -> "ModelMatrices":
-        """The ring's stiffness and friction rows with the given diffusion rows."""
-        return cls(params.mass, stiffness_row(params), friction_row(params), diffusion_xx, diffusion_pp)
+        """The ring's stiffness and friction with the given diffusion rows."""
+        return cls(params.mass, params.mass * params.omega0**2, params.xi,
+                   params.lambda_fric, params.gamma_fric, diffusion_xx, diffusion_pp)
 
     @property
     def n_sites(self) -> int:
-        return len(self.stiffness)
+        return len(self.diffusion_xx)
+
+    @cached_property
+    def mode_symbols(self) -> "tuple[Array, Array, Array, Array]":
+        """Fourier symbols (K_q, lambda_q, D^xx_q, D^pp_q) over the mode grid.
+
+        K_q = m omega0^2 + 4 xi sin^2(q/2) = m omega(q)^2 has no q = 0
+        cancellation, and lambda_q = lambda + 2 gamma cos q is exactly 0 at
+        q = pi when 2 gamma = lambda.
+        """
+        q = mode_grid(self)
+        return (self.pinning + 4.0 * self.coupling * np.sin(q / 2.0) ** 2,
+                self.friction_on_site + 2.0 * self.friction_neighbour * np.cos(q),
+                circulant_symbol(self.diffusion_xx), circulant_symbol(self.diffusion_pp))
 
     @property
     def omega_max(self) -> float:
-        """Fastest mode frequency, sqrt(max K-symbol / m) (0 for a static chain)."""
-        return float(np.sqrt(max(float(np.max(circulant_symbol(self.stiffness))), 0.0) / self.mass))
+        """Fastest mode frequency, sqrt(max K_q / m) (0 for a static chain)."""
+        return float(np.sqrt(max(float(np.max(self.mode_symbols[0])), 0.0) / self.mass))
 
     @cached_property
     def drift(self) -> Array:
-        lam = circulant(self.friction)
-        eye = np.eye(self.n_sites)
-        return np.block([[-lam, eye / self.mass], [-circulant(self.stiffness), -lam]])
+        n = self.n_sites
+        lam = circulant(_neighbour_row(n, self.friction_on_site, self.friction_neighbour))
+        stiff = circulant(_neighbour_row(n, self.pinning + 2.0 * self.coupling, -self.coupling))
+        return np.block([[-lam, np.eye(n) / self.mass], [-stiff, -lam]])
 
     @cached_property
     def diffusion(self) -> Array:
-        return block_circulant(self.diffusion_xx, self.diffusion_pp)
+        return block_diag(circulant(self.diffusion_xx), circulant(self.diffusion_pp))
 
 
 def build_matrices(params: ChainParams, diff: "DiffusionSet") -> ModelMatrices:

@@ -272,7 +272,7 @@ def compare_discrete_continuum(
     lam = run.lambda_fric
 
     warnings: "list[str]" = []
-    b = transport_coefficients(run, scenario.t_cold).range_b
+    b = run.sound_speed / (2.0 * lam)  # propagation range, as in transport_coefficients
     if scenario.width_sites * a < b:
         warnings.append(
             f"hotspot width {scenario.width_sites * a:.3g} below the propagation range b = {b:.3g}"

@@ -55,18 +55,12 @@ def symmetrize(sigma: Array) -> Array:
     return 0.5 * (sigma + sigma.T)
 
 
-def min_eig_ratio(sigma: Array) -> float:
-    """min eigenvalue divided by max |eigenvalue| (0 for a zero matrix)."""
+def check_psd(sigma: Array, tol: float = PSD_TOL, context: str = "") -> float:
+    """Min eigenvalue over max |eigenvalue| (0 for a zero matrix); raise
+    PSDViolationError if below -tol."""
     eig = np.linalg.eigvalsh(sigma)
     scale = np.max(np.abs(eig))
-    if scale == 0.0:
-        return 0.0
-    return float(eig[0] / scale)
-
-
-def check_psd(sigma: Array, tol: float = PSD_TOL, context: str = "") -> float:
-    """Return min-eig ratio; raise PSDViolationError if below -tol."""
-    ratio = min_eig_ratio(sigma)
+    ratio = float(eig[0] / scale) if scale != 0.0 else 0.0
     if ratio < -tol:
         where = f" ({context})" if context else ""
         raise PSDViolationError(

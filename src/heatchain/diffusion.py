@@ -25,7 +25,7 @@ from scipy.integrate import quad
 
 from .chain import (
     ModelMatrices,
-    block_circulant,
+    circulant_blocks,
     circulant_row_from_symbol,
     dispersion,
     mode_grid,
@@ -252,7 +252,7 @@ def gibbs_covariance(params: ChainParams, temp: float) -> CovarianceState:
     a PSD circulant-blocked matrix.
     """
     _, _, c_x, c_p = mode_thermal_variances(params, temp)
-    sigma = block_circulant(circulant_row_from_symbol(c_x), circulant_row_from_symbol(c_p))
+    sigma = circulant_blocks([[c_x, np.zeros_like(c_x)], [np.zeros_like(c_p), c_p]])
     return CovarianceState(symmetrize(sigma), time=0.0)
 
 

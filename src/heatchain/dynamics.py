@@ -2,24 +2,27 @@
 
 The second moments obey the closed linear equation
 
-    d(Sigma)/dt = A Sigma + Sigma A^T + 2 D,
+    d(Sigma)/dt = A Sigma + Sigma A^T + 2 D
 
-integrated with a fixed-step classical 4th-order scheme on the dense views
-A and D of `ModelMatrices`.  The stationary state solves the continuous
-Lyapunov equation, either mode-by-mode from the Fourier symbols of the
-model's circulant rows or densely for validation.
+with constant coefficients, so between samples the state follows the exact
+map Sigma(t + h) = P Sigma(t) P^T + Q(h), P = e^{A h}.  The ring is
+translation invariant: P and Q are block circulant, assembled from the 2 x 2
+closed forms of each Fourier mode (`propagator`).  The stationary state
+solves the continuous Lyapunov equation, either mode by mode or densely for
+validation.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov
 
-from .chain import ModelMatrices, block_circulant, circulant_row_from_symbol, circulant_symbol
+from .chain import ModelMatrices, circulant_blocks
 from .covariance import (
     Array,
     CovarianceState,
@@ -32,7 +35,7 @@ from .params import ChainParams
 
 logger = logging.getLogger("heatchain")
 
-STEP_SAFETY = 0.05  # dt <= 0.05 / (fastest rate)
+GRID_FRACTION = 0.05  # sample-grid step dt <= 0.05 / (fastest rate)
 
 
 @dataclass(frozen=True)
@@ -55,13 +58,9 @@ class Trajectory:
     min_eig_ratios: Array = field(default_factory=lambda: np.array([]))
 
 
-def _sigma_of(state) -> Array:
-    return state.sigma if isinstance(state, CovarianceState) else np.asarray(state, dtype=float)
-
-
-def moment_rhs(state, matrices: ModelMatrices) -> Array:
+def moment_rhs(state: CovarianceState, matrices: ModelMatrices) -> Array:
     """Right-hand side A Sigma + Sigma A^T + 2 D of the moment equation."""
-    sigma = _sigma_of(state)
+    sigma = state.sigma
     a = matrices.drift
     if sigma.shape != a.shape:
         raise ValueError(f"state/matrix size mismatch: {sigma.shape} vs {a.shape}")
@@ -69,18 +68,52 @@ def moment_rhs(state, matrices: ModelMatrices) -> Array:
 
 
 def step_bound(matrices: ModelMatrices, dt_max: float | None = None) -> float:
-    """RK4 step min(dt_max, 0.05/omega_max, 0.05/lambda); ValueError if none is finite."""
+    """Grid step min(dt_max, 0.05/omega_max, 0.05/lambda); ValueError if none is finite."""
     bound = np.inf
     if matrices.omega_max > 0.0:
-        bound = min(bound, STEP_SAFETY / matrices.omega_max)
-    lam = float(matrices.friction[0])
-    if lam > 0.0:
-        bound = min(bound, STEP_SAFETY / lam)
+        bound = min(bound, GRID_FRACTION / matrices.omega_max)
+    if matrices.friction_on_site > 0.0:
+        bound = min(bound, GRID_FRACTION / matrices.friction_on_site)
     if dt_max is not None:
         bound = min(bound, dt_max)
     if not np.isfinite(bound):
         raise ValueError("no finite step bound: supply dt_max for an undamped static chain")
     return bound
+
+
+def propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
+    """Dense P and Q of the exact map Sigma(t + h) = P Sigma(t) P^T + Q.
+
+    Per mode q, with w = sqrt(K_q / m),
+
+        P_q = e^{-lambda_q h} [[cos wh, sin(wh)/(m w)], [-m w sin wh, cos wh]],
+
+    and sin(wh)/(m w) -> h/m at w = 0.  The noise term of a damped mode is
+    Q_q = S_q - P_q S_q P_q^T with S_q its stationary block.  A mode with
+    lambda_q = 0 has Q_q = 0 without noise, and otherwise Q_q = F_12 F_11^T
+    from the Van Loan block F = expm([[A_q, 2 D_q], [0, -A_q^T]] h)
+    (C. Van Loan, IEEE TAC 23:395, 1978).
+    """
+    m = matrices.mass
+    k, lam, dxx, dpp = matrices.mode_symbols
+    w = np.sqrt(k / m)
+    decay, cos, sin = np.exp(-lam * h), np.cos(w * h), np.sin(w * h)
+    sin_over = np.divide(sin, m * w, out=np.full_like(w, h / m), where=w > 0.0)
+    p = np.moveaxis(decay * np.array([[cos, sin_over], [-m * w * sin, cos]]), -1, 0)
+
+    q = np.zeros_like(p)
+    damped = lam > 0.0
+    s = _stationary_blocks(m, k[damped], lam[damped], dxx[damped], dpp[damped])
+    q[damped] = s - p[damped] @ s @ np.swapaxes(p[damped], 1, 2)
+    noisy = ~damped & ((dxx != 0.0) | (dpp != 0.0))
+    if noisy.any():
+        block = np.zeros((np.count_nonzero(noisy), 4, 4))
+        block[:, 0, 1], block[:, 2, 3] = 1.0 / m, k[noisy]  # A_q and -A_q^T at lambda_q = 0
+        block[:, 1, 0], block[:, 3, 2] = -k[noisy], -1.0 / m
+        block[:, 0, 2], block[:, 1, 3] = 2.0 * dxx[noisy], 2.0 * dpp[noisy]
+        f = expm(block * h)
+        q[noisy] = f[:, :2, 2:] @ np.swapaxes(f[:, :2, :2], 1, 2)
+    return circulant_blocks(np.moveaxis(p, 0, -1)), circulant_blocks(np.moveaxis(q, 0, -1))
 
 
 def evolve(
@@ -92,13 +125,16 @@ def evolve(
     observer: "Callable[[CovarianceState], object] | None" = None,
     uncertainty_hbar: float | None = None,
 ) -> Trajectory:
-    """Integrate the moment equation from `state.time` to `t_final`.
+    """Propagate the moment equation exactly from `state.time` to `t_final`.
 
-    Fixed-step RK4 with dt = min(dt_max, 0.05/omega(pi), 0.05/lambda); the
-    state is symmetrized every step.  Samples (the initial state, every
-    `sample_stride`-th step, and the final step) are retained as covariance
-    states, or handed to `observer` whose return values are collected
-    instead (use an observer for large N to avoid storing full matrices).
+    The span is cut into n equal grid steps dt no longer than
+    `step_bound(matrices, dt_max)` = min(dt_max, 0.05/omega(pi), 0.05/lambda).
+    The grid only places the samples: the initial state, every
+    `sample_stride`-th grid point and the final one.  Each interval between
+    samples is one exact `propagator` map, built once per distinct interval
+    length.  Samples are retained as covariance states, or handed to
+    `observer` whose return values are collected instead (use an observer
+    for large N to avoid storing full matrices).
 
     Raises PSDViolationError if a sampled state drops below -covariance.PSD_TOL times
     its spectral scale.  With `uncertainty_hbar` set, Robertson-Schroedinger
@@ -115,20 +151,17 @@ def evolve(
     span = t_final - state.time
     n_steps = max(1, int(np.ceil(span / dt - 1e-12))) if span > 0 else 0
     dt = span / n_steps if n_steps else 0.0
+    sample_steps = list(range(sample_stride, n_steps + 1, sample_stride))
+    if n_steps % sample_stride:
+        sample_steps.append(n_steps)
 
-    a = matrices.drift
-    two_d = 2.0 * matrices.diffusion
-    sigma = symmetrize(_sigma_of(state)).copy()
+    sigma = symmetrize(state.sigma)
     t0 = state.time
 
     times = []
     states: "list[CovarianceState] | None" = None if observer else []
     observations: "list | None" = [] if observer else None
     ratios = []
-
-    def rhs(s: Array) -> Array:
-        a_s = a @ s
-        return a_s + a_s.T + two_d
 
     def take_sample(t: float) -> None:
         times.append(t)
@@ -144,14 +177,11 @@ def evolve(
             states.append(CovarianceState(sigma.copy(), t))
 
     take_sample(t0)
-    for i in range(1, n_steps + 1):
-        k1 = rhs(sigma)
-        k2 = rhs(sigma + 0.5 * dt * k1)
-        k3 = rhs(sigma + 0.5 * dt * k2)
-        k4 = rhs(sigma + dt * k3)
-        sigma = symmetrize(sigma + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if i % sample_stride == 0 or i == n_steps:
-            take_sample(t0 + i * dt)
+    maps = functools.cache(lambda steps: propagator(matrices, steps * dt))
+    for prev, i in zip([0] + sample_steps, sample_steps):
+        p, q = maps(i - prev)
+        sigma = p @ sigma @ p.T + q
+        take_sample(t0 + i * dt)
 
     return Trajectory(
         times=np.array(times),
@@ -159,6 +189,15 @@ def evolve(
         observations=observations,
         min_eig_ratios=np.array(ratios),
     )
+
+
+def _stationary_blocks(m: float, k: Array, lam: Array, dxx: Array, dpp: Array) -> Array:
+    """Per-mode stationary blocks [[s_x, s_c], [s_c, s_p]], shape (N, 2, 2), that
+    solve A_q S + S A_q^T + 2 D_q = 0 for damped modes (lambda_q > 0)."""
+    s_c = (dpp - m * k * dxx) / (2.0 * (k + m * lam**2))
+    s_x = (dxx + s_c / m) / lam
+    s_p = (dpp - k * s_c) / lam
+    return np.moveaxis(np.array([[s_x, s_c], [s_c, s_p]]), -1, 0)
 
 
 def stationary_covariance(matrices: ModelMatrices, method: str = "fourier") -> CovarianceState:
@@ -178,31 +217,14 @@ def stationary_covariance(matrices: ModelMatrices, method: str = "fourier") -> C
     if method != "fourier":
         raise ValueError(f"unknown method {method!r}")
 
-    n = matrices.n_sites
-    mass = matrices.mass
-    lam_q = circulant_symbol(matrices.friction)
-    k_q = circulant_symbol(matrices.stiffness)
-
-    if np.min(lam_q) <= 0.0:
+    k, lam, dxx, dpp = matrices.mode_symbols
+    if np.min(lam) <= 0.0:
         raise ValueError(
             f"drift is not Hurwitz: mode damping lambda + 2 gamma cos(q) reaches "
-            f"{np.min(lam_q):.3e}"
+            f"{np.min(lam):.3e}"
         )
-
-    # Per mode: unknowns (sx, sp, sc) of the 2x2 stationary block.
-    lhs = np.zeros((n, 3, 3))
-    lhs[:, 0, 0] = -2.0 * lam_q
-    lhs[:, 0, 2] = 2.0 / mass
-    lhs[:, 1, 1] = -2.0 * lam_q
-    lhs[:, 1, 2] = -2.0 * k_q
-    lhs[:, 2, 0] = -k_q
-    lhs[:, 2, 1] = 1.0 / mass
-    lhs[:, 2, 2] = -2.0 * lam_q
-    rhs = np.stack([-2.0 * circulant_symbol(matrices.diffusion_xx),
-                    -2.0 * circulant_symbol(matrices.diffusion_pp), np.zeros(n)], axis=1)
-    sol = np.linalg.solve(lhs, rhs[..., None])[..., 0]
-
-    sigma = block_circulant(*(circulant_row_from_symbol(sol[:, i]) for i in range(3)))
+    s = _stationary_blocks(matrices.mass, k, lam, dxx, dpp)
+    sigma = circulant_blocks(np.moveaxis(s, 0, -1))
     return CovarianceState(symmetrize(sigma), time=0.0)
 
 

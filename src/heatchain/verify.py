@@ -1,10 +1,11 @@
 """Built-in oracle suite: the `verify` subcommand and acceptance criteria 1-5, 9.
 
 Each check recomputes its target through an independent route (literal
-per-site transcription of the moment equations, closed forms, finite
-differences) and compares at a fixed tolerance.  The acceptance suite runs
-these same checks on `DEFAULT_PARAMS`; each `CheckResult.detail` is the text
-its ACCEPTANCE line prints.
+per-site transcription of the moment equations, the dense Van Loan
+exponential, closed forms, finite differences) and compares at a fixed
+tolerance.  The acceptance suite runs these same checks on
+`DEFAULT_PARAMS`; each `CheckResult.detail` is the text its ACCEPTANCE line
+prints.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import expm
 
-from .chain import ModelMatrices, stiffness_row
+from .chain import ModelMatrices
 from .covariance import CovarianceState, symmetrize
 from .diffusion import (
     DiffusionSet,
@@ -31,6 +33,7 @@ from .dynamics import (
     gaussian_site_weights,
     hotspot_state,
     moment_rhs,
+    propagator,
     stationary_covariance,
     total_energy,
     uniform_state,
@@ -77,7 +80,21 @@ class CheckResult:
 def undamped_matrices(params: ChainParams) -> ModelMatrices:
     """Closed chain: lambda = gamma = 0 and no bath noise (D = 0)."""
     zero = np.zeros(params.n_sites)
-    return ModelMatrices(params.mass, stiffness_row(params), zero, zero, zero)
+    return ModelMatrices(params.mass, params.mass * params.omega0**2, params.xi, 0.0, 0.0, zero, zero)
+
+
+def van_loan_map(matrices: ModelMatrices, h: float):
+    """Dense (P, Q) of Sigma(t + h) = P Sigma(t) P^T + Q from the Van Loan block.
+
+    expm([[A, 2 D], [0, -A^T]] h) = [[F_11, F_12], [0, F_22]] gives P = F_11 and
+    Q = F_12 F_11^T (C. Van Loan, IEEE TAC 23:395, 1978); one dense 4N x 4N
+    exponential, independent of the per-mode closed forms of `propagator`.
+    """
+    a = matrices.drift
+    dim = len(a)
+    f = expm(np.block([[a, 2.0 * matrices.diffusion], [np.zeros_like(a), -a.T]]) * h)
+    p = f[:dim, :dim]
+    return p, f[:dim, dim:] @ p.T
 
 
 def transcribed_moment_rhs(sigma, params: ChainParams, matrices: ModelMatrices):
@@ -111,14 +128,19 @@ def transcribed_moment_rhs(sigma, params: ChainParams, matrices: ModelMatrices):
 
 
 def check_moment_fidelity(params: ChainParams, seed: int = 1234, trials: int = 100) -> CheckResult:
-    """Matrix RHS against the literal transcription on random states (N = 4)."""
+    """Matrix RHS against the literal transcription, and one exact propagation step
+    against the dense Van Loan map, on random states (N = 4).  The step
+    h = 1/max(omega(pi), lambda) keeps the oracle well conditioned."""
     gam = min(params.gamma_fric if params.gamma_fric > 0 else 0.02, 0.5 * params.lambda_fric)
     small = replace(params, n_sites=4, gamma_fric=gam)
     mats = thermal_matrices(small)
+    h = 1.0 / max(small.omega_max, small.lambda_fric)
+    p_exact, q_exact = propagator(mats, h)
+    p_vl, q_vl = van_loan_map(mats, h)
     rng = np.random.default_rng(seed)
     n = small.n_sites
     idx = np.arange(n)
-    worst = 0.0
+    worst = step_err = 0.0
     for _ in range(trials):
         raw = rng.normal(size=(2 * n, 2 * n))
         sigma = symmetrize(raw @ raw.T) / (2 * n)
@@ -128,8 +150,12 @@ def check_moment_fidelity(params: ChainParams, seed: int = 1234, trials: int = 1
                     float(np.max(np.abs(np.diag(rhs[:n, :n]) - dx2))),
                     float(np.max(np.abs(np.diag(rhs[n:, n:]) - dp2))),
                     float(np.max(np.abs(rhs[idx, (idx + 1) % n] - dxnext))))
-    return CheckResult.from_clauses("moment-equation-fidelity", [(worst, 1e-13)],
-                                    f"max |delta| {worst:.2e} (tol 1e-13)")
+        want = p_vl @ sigma @ p_vl.T + q_vl
+        got = p_exact @ sigma @ p_exact.T + q_exact
+        step_err = max(step_err, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    return CheckResult.from_clauses("moment-equation-fidelity", [(worst, 1e-13), (step_err, 1e-13)],
+                                    f"max |delta| {worst:.2e} (tol 1e-13), exact step vs Van Loan "
+                                    f"{step_err:.2e} (tol 1e-13)")
 
 
 def check_gibbs_stationarity(params: ChainParams) -> CheckResult:

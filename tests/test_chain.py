@@ -7,7 +7,6 @@ from heatchain import (
     build_matrices,
     circulant,
     dispersion,
-    friction_row,
     group_velocity,
     mode_grid,
     stiffness_row,
@@ -89,7 +88,8 @@ class TestModeGrid:
 class TestMatrices:
     def test_gamma_zero_friction_is_scalar(self):
         p = params(lambda_fric=0.3)
-        assert np.array_equal(circulant(friction_row(p)), 0.3 * np.eye(p.n_sites))
+        n = p.n_sites
+        assert np.array_equal(-thermal_matrices(p).drift[:n, :n], 0.3 * np.eye(n))
 
     def test_stiffness_row_entries(self):
         # row k of -K: -(m w0^2 + 2 xi) on the diagonal, +xi at k +- 1

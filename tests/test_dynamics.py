@@ -15,6 +15,7 @@ from heatchain import (
     gibbs_energy_density,
     hotspot_state,
     moment_rhs,
+    propagator,
     site_observables,
     stationary_covariance,
     symmetrize,
@@ -22,7 +23,7 @@ from heatchain import (
     total_energy,
     uniform_state,
 )
-from heatchain.verify import transcribed_moment_rhs, undamped_matrices
+from heatchain.verify import transcribed_moment_rhs, undamped_matrices, van_loan_map
 
 
 def params(**kw):
@@ -74,6 +75,15 @@ class TestMomentRhs:
         p = params()
         with pytest.raises(ValueError, match="mismatch"):
             moment_rhs(CovarianceState(np.eye(4)), thermal_matrices(p))
+
+
+class TestPropagator:
+    def test_noiseless_chain_has_no_noise_term(self):
+        # D = 0 (criterion 9's closed chain): Q vanishes exactly, not to rounding
+        mats = undamped_matrices(params())
+        p_exact, q_exact = propagator(mats, 0.3)
+        assert not q_exact.any()
+        assert np.max(np.abs(p_exact - van_loan_map(mats, 0.3)[0])) <= 1e-14
 
 
 class TestEvolve:
@@ -154,6 +164,15 @@ class TestStationary:
             sf = stationary_covariance(mats, "fourier").sigma
             sd = stationary_covariance(mats, "dense").sigma
             assert np.max(np.abs(sf - sd)) <= 1e-12 * max(1.0, np.max(np.abs(sd)))
+
+    def test_fourier_solve_matches_gibbs_at_extreme_scales(self):
+        # soft pinning against stiff coupling: the q = 0 stiffness m omega0^2 is
+        # 1e-8 against 4 xi = 275; a row-built symbol lost 2e-7 here
+        p = ChainParams(n_sites=23, mass=0.01, omega0=1e-3, xi=68.8, lambda_fric=1e-3,
+                        bath_temp=27.8)
+        st = stationary_covariance(thermal_matrices(p)).sigma
+        gb = gibbs_covariance(p, p.bath_temp).sigma
+        assert np.linalg.norm(st - gb) / np.linalg.norm(gb) <= 1e-9
 
     def test_non_hurwitz_rejected(self):
         # 2 gamma = lambda leaves the zone-edge mode undamped
