@@ -27,13 +27,10 @@ p = ChainParams(n_sites=64, omega0=1.0, xi=1.0, lambda_fric=0.1, gamma_fric=0.02
                 bath_temp=1.0)
 
 print("    T        D_xx        D_pp        D_ex      s a/(2 lam kB T)    C a/kB")
-for temp in np.geomspace(0.2, 200.0, 8):
-    ds = DiffusionSet(
-        d_xx=quad_diffusion(p, temp, 0, "position"),
-        d_pp=quad_diffusion(p, temp, 0, "momentum"),
-        d_ex=quad_diffusion(p, temp, 1, "position"),
-        temp=temp,
-    )
+temps = np.geomspace(0.2, 200.0, 8)
+sweep = quad_diffusion(p, temps)
+for i, temp in enumerate(temps):
+    ds = DiffusionSet(sweep.d_xx[i], sweep.d_pp[i], sweep.d_ex[i], temp)
     newton = source_density(p, ds) * p.lattice_const / (2 * p.lambda_fric * p.k_boltz * temp)
     cap = heat_capacity_density(p, temp) * p.lattice_const / p.k_boltz
     print(f"{temp:8.3f}  {ds.d_xx:10.5f}  {ds.d_pp:10.5f}  {ds.d_ex:10.5f}"
@@ -43,9 +40,10 @@ for temp in np.geomspace(0.2, 200.0, 8):
 # well above the phonon band.
 temp = 50.0 * p.omega_max
 closed = high_temp_diffusion(p, temp)
+quad = quad_diffusion(p, temp)
 print()
 print(f"at k_B T = 50 hbar omega(pi) = {temp:.2f}:")
-print("  D_xx quad/closed:", quad_diffusion(p, temp, 0) / closed.d_xx)
-print("  D_pp quad/closed:", quad_diffusion(p, temp, 0, "momentum") / closed.d_pp)
-print("  D_ex quad/closed:", quad_diffusion(p, temp, 1) / closed.d_ex)
+print("  D_xx quad/closed:", quad.d_xx / closed.d_xx)
+print("  D_pp quad/closed:", quad.d_pp / closed.d_pp)
+print("  D_ex quad/closed:", quad.d_ex / closed.d_ex)
 print("  u_eq vs k_B T/a: ", gibbs_energy_density(p, temp) * p.lattice_const / (p.k_boltz * temp))

@@ -94,29 +94,13 @@ def cmd_coefficients(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     method = str(cfg.run.get("method", "quad"))
     if method not in ("quad", "mode_sum"):
         raise ConfigError([f"run.method: expected 'quad' or 'mode_sum', got {method!r}"])
+    diff = quad_diffusion(p, temps) if method == "quad" else mode_sum_diffusion(p, temps)
     rows = []
-    for t in temps:
-        t = float(t)
-        if method == "quad":
-            dset = DiffusionSet(
-                d_xx=quad_diffusion(p, t, 0, "position"),
-                d_pp=quad_diffusion(p, t, 0, "momentum"),
-                d_ex=quad_diffusion(p, t, 1, "position"),
-                temp=t,
-            )
-        else:
-            dset = mode_sum_diffusion(p, t)
-        rows.append(
-            (
-                t,
-                dset.d_xx,
-                dset.d_pp,
-                dset.d_ex,
-                source_density(p, dset),
-                gibbs_energy_density(p, t),
-                heat_capacity_density(p, t),
-            )
-        )
+    for t, d_xx, d_pp, d_ex in zip(temps.tolist(), diff.d_xx.tolist(), diff.d_pp.tolist(),
+                                   diff.d_ex.tolist()):
+        dset = DiffusionSet(d_xx, d_pp, d_ex, t)
+        rows.append((t, d_xx, d_pp, d_ex, source_density(p, dset),
+                     gibbs_energy_density(p, t), heat_capacity_density(p, t)))
     path = write_csv(outdir / "coefficients.csv", ["T", "D_xx", "D_pp", "D_ex", "s", "u_eq", "C"], rows)
     last = rows[-1]
     summary = {

@@ -1,18 +1,21 @@
 """Bath-induced diffusion coefficients and thermal-equilibrium quantities.
 
 The bath drives each phonon mode with spectral weight lambda + 2*gamma*cos(q)
-and a coth(hbar*omega / 2 k_B T) occupation kernel.  Coefficients are exposed
-in three consistent forms:
+and a coth(hbar*omega / 2 k_B T) occupation kernel.  The coefficients D_xx,
+D_pp and D_ex are Brillouin-zone means of that kernel.  One vectorised kernel
+evaluates them on a q grid for a whole array of temperatures, in two forms:
 
-* Brillouin-zone quadrature (`quad_diffusion`) - the continuum integrals,
-* high-temperature closed forms (`high_temp_diffusion`),
-* finite-N mode sums (`mode_sum_diffusion`) matching the simulated ring.
+* `quad_diffusion` - the continuum integrals, by the periodic trapezoid rule
+  in a conformally mapped variable, doubled until two estimates agree;
+* `mode_sum_diffusion` - the N-point trapezoid on the ring's mode grid,
+  matching the simulated ring.
 
-The same kernels give the Gibbs covariance of the ring, its energy density
-and heat capacity density, and the model (`thermal_matrices`) whose full
-circulant diffusion rows make the finite-N Gibbs state exactly stationary
-(the fluctuation-dissipation pairing D = friction-weighted thermal
-covariance).
+`high_temp_diffusion` gives their closed high-temperature forms.  The same
+per-mode variances give the Gibbs covariance of the ring, its energy
+density and heat capacity density, and the model (`thermal_matrices`) whose
+full circulant diffusion rows make the finite-N Gibbs state exactly
+stationary (the fluctuation-dissipation pairing D = friction-weighted
+thermal covariance).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .chain import (
     ModelMatrices,
@@ -35,11 +37,19 @@ from .params import ChainParams
 
 QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-10
+QUAD_MIN_POINTS = 8
+QUAD_MAX_POINTS = 2**17
+# temperatures and quadrature points per kernel call: a fixed working set
+TEMP_BLOCK = 64
+QUAD_CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class DiffusionSet:
-    """On-site and nearest-neighbour diffusion coefficients at one temperature."""
+    """On-site and nearest-neighbour diffusion coefficients.
+
+    Floats at one temperature; arrays, field by field, along a sweep.
+    """
 
     d_xx: float
     d_pp: float
@@ -62,31 +72,34 @@ def _require_some_restoring_force(params: ChainParams) -> None:
                          "thermal state undefined")
 
 
-def mode_thermal_variances(params: ChainParams, temp: float):
-    """Per-mode thermal variances (q, omega, c_x, c_p) on the ring's mode grid.
+def _variances(params: ChainParams, w, temps):
+    """Thermal variances (c_x, c_p) of modes of frequency `w` at `temps`.
 
-    c_x(q) = (hbar / 2 m omega) coth(hbar omega / 2 k_B T) and
-    c_p(q) = (hbar m omega / 2) coth(...).  For omega0 = 0 the q = 0 zero
-    mode has no restoring force: its position variance is excluded (set to
-    zero) while its momentum variance takes the free-particle limit m k_B T.
+    `w` and `temps` broadcast against each other.  c_x = (hbar / 2 m omega)
+    coth(hbar omega / 2 k_B T) and c_p = (hbar m omega / 2) coth(...).  A zero
+    mode (omega0 = 0, q = 0) has no restoring force: its position variance
+    is excluded (set to zero) while its momentum variance takes the
+    free-particle limit m k_B T.
     """
+    pos = w > 0.0
+    w_pos = np.where(pos, w, 1.0)
+    # T = 0 and subnormal T overflow the ratio to inf, whose coth is 1
+    with np.errstate(over="ignore", divide="ignore"):
+        fac = coth(params.hbar * w_pos / (2.0 * params.k_boltz * temps))
+    c_x = np.where(pos, params.hbar / (2.0 * params.mass * w_pos) * fac, 0.0)
+    c_p = np.where(pos, params.hbar * params.mass * w_pos / 2.0 * fac,
+                   params.mass * params.k_boltz * temps)
+    return c_x, c_p
+
+
+def mode_thermal_variances(params: ChainParams, temp: float):
+    """Per-mode thermal variances (q, omega, c_x, c_p) on the ring's mode grid."""
     _require_some_restoring_force(params)
     if temp < 0:
         raise ValueError(f"temperature must be >= 0, got {temp}")
     q = mode_grid(params)
     w = np.asarray(dispersion(params, q), dtype=float)
-    pos = w > 0.0
-    c_x = np.zeros_like(w)
-    c_p = np.zeros_like(w)
-    fac = np.ones_like(w)
-    if temp > 0.0:
-        # a subnormal temperature overflows the ratio to inf, whose coth is 1
-        with np.errstate(over="ignore"):
-            fac[pos] = coth(params.hbar * w[pos] / (2.0 * params.k_boltz * temp))
-    c_x[pos] = params.hbar / (2.0 * params.mass * w[pos]) * fac[pos]
-    c_p[pos] = params.hbar * params.mass * w[pos] / 2.0 * fac[pos]
-    c_p[~pos] = params.mass * params.k_boltz * temp
-    return q, w, c_x, c_p
+    return (q, w, *_variances(params, w, temp))
 
 
 def mode_energies(params: ChainParams, temp: float):
@@ -120,75 +133,86 @@ def mode_heat_capacities(params: ChainParams, temp: float):
     return per_mode
 
 
-def quad_diffusion(
-    params: ChainParams,
-    temp: float,
-    displacement: int = 0,
-    kind: str = "position",
-) -> float:
-    """Brillouin-zone quadrature for one diffusion coefficient.
+def _zone_means(params: ChainParams, temps, q, dq):
+    """Grid means of dq * (lambda + 2 gamma cos q) * (c_x, c_p, cos(q) c_x).
 
-    Parameters
-    ----------
-    temp:
-        Bath temperature, >= 0 (coth kernel frozen at 1 for temp = 0).
-    displacement:
-        Site offset r >= 0 of the cos(q r) kernel; r = 0 gives the on-site
-        coefficient, r = 1 the nearest-neighbour one.  Momentum kind
-        requires r = 0.
-    kind:
-        "position" for D_{x x+r}, "momentum" for D_pp.
-
-    Returns the integral
-
-        position: (hbar / 4 pi m) Int coth(.)/omega * cos(q r) * (lambda + 2 gamma cos q) dq
-        momentum: (hbar m / 4 pi) Int coth(.)*omega * (lambda + 2 gamma cos q) dq
-
-    over [-pi, pi], evaluated adaptively on [0, pi] and doubled (even
-    integrand).  Raises for omega0 = 0 position kind: the zero mode makes
-    the integral divergent (1/q^2 at T > 0, logarithmic at T = 0); use
-    `mode_sum_diffusion` for a finite ring instead.
+    Rows D_xx, D_pp, D_ex; one column per entry of the 1-d `temps`.  With
+    dq = 1 on the ring's mode grid these are the mode sums; with the
+    Jacobian of a mapped periodic grid, the zone integrals over 2 pi.
     """
-    if temp < 0:
-        raise ValueError(f"temperature must be >= 0, got {temp}")
-    if kind not in ("position", "momentum"):
-        raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
-    if displacement < 0 or int(displacement) != displacement:
-        raise ValueError(f"displacement must be a nonnegative integer, got {displacement}")
-    if kind == "momentum" and displacement != 0:
-        raise ValueError("momentum-type coefficient is defined for displacement 0 only")
-    if kind == "position" and params.omega0 == 0.0:
-        raise ValueError("position diffusion integral diverges for omega0 = 0 "
-                         "(acoustic zero mode); use mode_sum_diffusion")
+    w = np.asarray(dispersion(params, q), dtype=float)
+    c_x, c_p = _variances(params, w, temps[:, None])
+    weight = dq * (params.lambda_fric + 2.0 * params.gamma_fric * np.cos(q))
+    return np.stack([np.mean(weight * c_x, axis=1), np.mean(weight * c_p, axis=1),
+                     np.mean(np.cos(q) * weight * c_x, axis=1)])
+
+
+def _diffusion_set(params: ChainParams, temp, means) -> DiffusionSet:
+    """The set of `means(block)` rows, evaluated TEMP_BLOCK temperatures at a
+    time; floats for a scalar `temp`, arrays of its shape otherwise."""
+    t = np.asarray(temp, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"temperature must be >= 0, got {np.min(t)}")
     _require_some_restoring_force(params)
+    flat = t.reshape(-1)
+    rows = np.concatenate([means(flat[i:i + TEMP_BLOCK])
+                           for i in range(0, flat.size, TEMP_BLOCK)], axis=1)
+    if t.ndim == 0:
+        return DiffusionSet(*(float(r[0]) for r in rows), temp=float(t))
+    return DiffusionSet(*(r.reshape(t.shape) for r in rows), temp=t)
 
-    m = params.mass
-    hbar = params.hbar
-    lam = params.lambda_fric
-    gam = params.gamma_fric
-    r = int(displacement)
-    inv_2kt = None if temp == 0.0 else hbar / (2.0 * params.k_boltz * temp)
 
-    def integrand(q: float) -> float:
-        w = math.sqrt(params.omega0**2 + 4.0 * params.xi / m * math.sin(q / 2.0) ** 2)
-        weight = lam + 2.0 * gam * math.cos(q)
-        if kind == "momentum":
-            if w == 0.0:
-                # coth(x)*x -> 1 limit: kernel tends to 2 k_B T / hbar
-                kern = 0.0 if temp == 0.0 else 2.0 * params.k_boltz * temp / hbar
-            else:
-                kern = w if inv_2kt is None else float(coth(inv_2kt * w)) * w
-            return hbar * m / (4.0 * math.pi) * kern * weight
-        kern = 1.0 / w if inv_2kt is None else float(coth(inv_2kt * w)) / w
-        return hbar / (4.0 * math.pi * m) * kern * math.cos(q * r) * weight
+def quad_diffusion(params: ChainParams, temp) -> DiffusionSet:
+    """Brillouin-zone integrals of the diffusion coefficients.
 
-    value, abserr, info, *rest = quad(
-        integrand, 0.0, math.pi,
-        epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200, full_output=True,
-    )
-    if rest:
-        raise RuntimeError(f"diffusion quadrature did not converge: {rest[0]}")
-    return 2.0 * value
+    `temp` is one temperature >= 0 or an array of them (coth frozen at 1
+    for T = 0).  The coefficients are
+
+        D_xx = (1 / 2 pi) Int (lambda + 2 gamma cos q) c_x(q) dq
+        D_pp = (1 / 2 pi) Int (lambda + 2 gamma cos q) c_p(q) dq
+        D_ex = (1 / 2 pi) Int (lambda + 2 gamma cos q) cos(q) c_x(q) dq
+
+    over one period, with c_x = (hbar / 2 m omega) coth(hbar omega / 2 k_B T)
+    and c_p = (hbar m omega / 2) coth(...).  The integrands are analytic and
+    2 pi-periodic, so the periodic trapezoid rule converges geometrically,
+    at a rate set by the nearest complex zero of omega(q): tan(q/2) =
+    i omega0 / omega(pi), about 2 omega0 / omega(pi) from the real axis.  The
+    rule runs in the variable s of tan(q/2) = eps tan(s/2) with eps =
+    sqrt(omega0 / omega(pi)), which moves that zero (and puts the map's own
+    pole) 2 atanh(eps) from the axis; the map is the identity for xi = 0.
+    The point count doubles from QUAD_MIN_POINTS, reusing every point, until
+    successive estimates agree to QUAD_EPSREL or QUAD_EPSABS for every
+    coefficient and temperature of a block; RuntimeError past
+    QUAD_MAX_POINTS.  Raises for omega0 = 0: the zero mode makes the
+    position integrals divergent (1/q^2 at T > 0, logarithmic at T = 0);
+    use `mode_sum_diffusion` for a finite ring instead.
+    """
+    if params.omega0 == 0.0:
+        raise ValueError("diffusion integrals diverge for omega0 = 0 "
+                         "(acoustic zero mode); use mode_sum_diffusion")
+    eps = math.sqrt(params.omega0 / params.omega_max)
+
+    def mapped(s):
+        cos, sin = np.cos(s / 2.0), eps * np.sin(s / 2.0)
+        return 2.0 * np.arctan2(sin, cos), eps / (cos**2 + sin**2)
+
+    def means(temps, s):
+        # equal chunks of at most QUAD_CHUNK points: grid sizes are powers of 2
+        chunks = s.reshape(-1, min(s.size, QUAD_CHUNK))
+        return np.mean([_zone_means(params, temps, *mapped(c)) for c in chunks], axis=0)
+
+    def trapezoid(temps):
+        m = QUAD_MIN_POINTS
+        est = means(temps, 2.0 * np.pi * np.arange(m) / m)
+        while m < QUAD_MAX_POINTS:
+            # the doubled grid adds the midpoints of the current one
+            prev, est = est, 0.5 * (est + means(temps, 2.0 * np.pi * (np.arange(m) + 0.5) / m))
+            m *= 2
+            if np.all(np.abs(est - prev) <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(est))):
+                return est
+        raise RuntimeError(f"diffusion quadrature did not converge with {m} points")
+
+    return _diffusion_set(params, temp, trapezoid)
 
 
 def high_temp_diffusion(params: ChainParams, temp: float) -> DiffusionSet:
@@ -220,22 +244,16 @@ def high_temp_diffusion(params: ChainParams, temp: float) -> DiffusionSet:
     return DiffusionSet(d_xx=d_xx, d_pp=d_pp, d_ex=d_ex, temp=temp)
 
 
-def mode_sum_diffusion(params: ChainParams, temp: float) -> DiffusionSet:
+def mode_sum_diffusion(params: ChainParams, temp) -> DiffusionSet:
     """Diffusion coefficients as finite-N mode sums over the ring's grid.
 
-    The N-point trapezoid form of the quadrature kernels; consistent with
-    `gibbs_covariance` of the same ring (D = friction-weighted thermal
-    covariance), and the form under which the finite chain relaxes exactly
-    to its Gibbs state.
+    The N-point trapezoid form of the `quad_diffusion` integrals, for one
+    temperature or an array of them; consistent with `gibbs_covariance` of
+    the same ring (D = friction-weighted thermal covariance), and the form
+    under which the finite chain relaxes exactly to its Gibbs state.
     """
-    q, _, c_x, c_p = mode_thermal_variances(params, temp)
-    weight = params.lambda_fric + 2.0 * params.gamma_fric * np.cos(q)
-    return DiffusionSet(
-        d_xx=float(np.mean(weight * c_x)),
-        d_pp=float(np.mean(weight * c_p)),
-        d_ex=float(np.mean(np.cos(q) * weight * c_x)),
-        temp=temp,
-    )
+    q = mode_grid(params)
+    return _diffusion_set(params, temp, lambda temps: _zone_means(params, temps, q, 1.0))
 
 
 def source_density(params: ChainParams, diff: DiffusionSet) -> float:

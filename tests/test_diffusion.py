@@ -1,12 +1,13 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from heatchain import (
     ChainParams,
-    DiffusionSet,
-    coth,
     gibbs_covariance,
     gibbs_energy_density,
     heat_capacity_density,
@@ -20,6 +21,7 @@ from heatchain import (
     stiffness_row,
     thermal_matrices,
 )
+from heatchain.diffusion import mode_thermal_variances
 
 
 def params(**kw):
@@ -29,22 +31,43 @@ def params(**kw):
     return ChainParams(**base)
 
 
-def trapezoid_oracle(p, temp, r, kind, n=2_000_001):
-    """Dense-grid trapezoid evaluation of the diffusion integrals."""
-    q = np.linspace(-np.pi, np.pi, n)
-    w = np.sqrt(p.omega0**2 + 4 * p.xi / p.mass * np.sin(q / 2) ** 2)
-    weight = p.lambda_fric + 2 * p.gamma_fric * np.cos(q)
-    if kind == "momentum":
-        # coth(x)*x limit: the w = 0 entry tends to 2 k_B T / hbar
-        kern = np.where(w > 0,
-                        w if temp == 0 else coth(p.hbar * np.where(w > 0, w, 1.0)
-                                                 / (2 * p.k_boltz * temp)) * w,
-                        0.0 if temp == 0 else 2 * p.k_boltz * temp / p.hbar)
-        f = p.hbar * p.mass / (4 * np.pi) * kern * weight
-    else:
-        fac = np.ones_like(w) if temp == 0 else coth(p.hbar * w / (2 * p.k_boltz * temp))
-        f = p.hbar / (4 * np.pi * p.mass) * fac / w * np.cos(q * r) * weight
-    return float(np.trapezoid(f, q))
+def quad_oracle(p, temp):
+    """(D_xx, D_pp, D_ex) by adaptive scipy quadrature of the zone integrals.
+
+    Independent of the library's trapezoid kernel: a scalar integrand on
+    [0, pi] (the integrands are even), with break points at 1, 10 and 100 times
+    q0 = omega0 sqrt(m / xi), the width of the zone-centre peak, so that
+    small omega0 stays resolved.  Non-convergence raises.
+    """
+    def integrand(q, k):
+        w = math.sqrt(p.omega0**2 + 4 * p.xi / p.mass * math.sin(q / 2) ** 2)
+        fac = 1.0 if temp == 0 else 1.0 / math.tanh(p.hbar * w / (2 * p.k_boltz * temp))
+        c_x = p.hbar / (2 * p.mass * w) * fac
+        c = (c_x, p.hbar * p.mass * w / 2 * fac, math.cos(q) * c_x)[k]
+        return (p.lambda_fric + 2 * p.gamma_fric * math.cos(q)) * c
+
+    q0 = p.omega0 * math.sqrt(p.mass / p.xi) if p.xi > 0 else math.inf
+    points = [b for b in (q0, 10 * q0, 100 * q0) if b < math.pi] or None
+
+    def mean(k, epsabs):
+        return quad(integrand, 0.0, math.pi, args=(k,), points=points, epsabs=epsabs,
+                    epsrel=1e-12, limit=500)[0] / math.pi
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        d_xx = mean(0, 0.0)
+        # |D_ex| <= D_xx and D_ex can vanish: its scale is D_xx
+        return [d_xx, mean(1, 0.0), mean(2, 1e-13 * d_xx)]
+
+
+def assert_matches_oracle(got, want, rel):
+    """rel on D_xx and D_pp; on D_ex rel or rel * D_xx, its scale."""
+    assert [got.d_xx, got.d_pp] == pytest.approx(want[:2], rel=rel)
+    assert got.d_ex == pytest.approx(want[2], rel=rel, abs=rel * want[0])
+
+
+def as_triple(ds):
+    return [ds.d_xx, ds.d_pp, ds.d_ex]
 
 
 class TestQuadDiffusion:
@@ -52,53 +75,82 @@ class TestQuadDiffusion:
         # xi = 0 makes the integrand q-independent; cos(q) averages to zero
         p = params(xi=0.0)
         for temp in (0.0, 1.0, 37.0):
-            assert abs(quad_diffusion(p, temp, 1)) < 1e-14
+            assert abs(quad_diffusion(p, temp).d_ex) < 1e-14
 
-    def test_against_dense_trapezoid(self):
-        p = params(gamma_fric=0.02)
-        got = quad_diffusion(p, 2.0, 0)
-        want = trapezoid_oracle(p, 2.0, 0, "position")
-        assert got == pytest.approx(want, rel=1e-8)
-        got_p = quad_diffusion(p, 2.0, 0, "momentum")
-        assert got_p == pytest.approx(trapezoid_oracle(p, 2.0, 0, "momentum"), rel=1e-8)
-        got_e = quad_diffusion(p, 2.0, 1)
-        assert got_e == pytest.approx(trapezoid_oracle(p, 2.0, 1, "position"), rel=1e-8)
+    @pytest.mark.parametrize("kw, temp", [
+        (dict(gamma_fric=0.02), 2.0),
+        (dict(gamma_fric=0.02), 0.0),
+        (dict(gamma_fric=0.05), 1e4),
+        (dict(omega0=1e-3, gamma_fric=0.02), 2.0),
+        (dict(xi=100.0, gamma_fric=0.02), 2.0),
+    ], ids=["gamma", "zero_temp", "high_temp", "small_omega0", "stiff_xi"])
+    def test_against_scipy_quad(self, kw, temp):
+        p = params(**kw)
+        assert_matches_oracle(quad_diffusion(p, temp), quad_oracle(p, temp), rel=1e-10)
 
     def test_flat_band_high_temperature_value(self):
         # lambda k T / (m omega0^2) when xi = 0
         p = params(xi=0.0, omega0=1.0)
         temp = 1e4
         want = p.lambda_fric * p.k_boltz * temp / (p.mass * p.omega0**2)
-        assert quad_diffusion(p, temp, 0) == pytest.approx(want, rel=1e-7)
-
-    def test_second_neighbour_kernel_supported(self):
-        p = params(gamma_fric=0.02)
-        got = quad_diffusion(p, 2.0, 2)
-        assert got == pytest.approx(trapezoid_oracle(p, 2.0, 2, "position"), rel=1e-8)
+        assert quad_diffusion(p, temp).d_xx == pytest.approx(want, rel=1e-7)
 
     def test_zero_temperature_ground_state_value(self):
         # coth -> 1: D_xx = lambda <x^2>_ground (continuum integral form)
         p = params()
-        got = quad_diffusion(p, 0.0, 0)
-        want = trapezoid_oracle(p, 0.0, 0, "position")
-        assert got == pytest.approx(want, rel=1e-9)
+        got = quad_diffusion(p, 0.0).d_xx
+        assert got == pytest.approx(quad_oracle(p, 0.0)[0], rel=1e-10)
         assert got > 0.0
 
-    def test_rejections(self):
-        p = params()
-        with pytest.raises(ValueError, match="temperature"):
-            quad_diffusion(p, -1.0, 0)
-        with pytest.raises(ValueError, match="momentum"):
-            quad_diffusion(p, 1.0, 1, "momentum")
-        with pytest.raises(ValueError, match="zero mode|mode_sum"):
-            quad_diffusion(params(omega0=0.0), 1.0, 0)
-        with pytest.raises(ValueError, match="kind"):
-            quad_diffusion(p, 1.0, 0, "nope")
+    def test_sweep_equals_single_temperatures(self):
+        p = params(gamma_fric=0.03)
+        temps = np.geomspace(1e-2, 1e3, 150)  # three temperature blocks
+        sweep = quad_diffusion(p, temps)
+        assert sweep.d_xx.shape == temps.shape
+        for i in (0, 77, 149):
+            assert [v[i] for v in as_triple(sweep)] == pytest.approx(
+                as_triple(quad_diffusion(p, temps[i])), rel=1e-12)
 
-    def test_momentum_kind_fine_at_zero_pinning(self):
-        p = params(omega0=0.0)
-        got = quad_diffusion(p, 2.0, 0, "momentum")
-        assert got == pytest.approx(trapezoid_oracle(p, 2.0, 0, "momentum"), rel=1e-8)
+    def test_rejections(self):
+        with pytest.raises(ValueError, match="temperature"):
+            quad_diffusion(params(), -1.0)
+        with pytest.raises(ValueError, match="temperature"):
+            quad_diffusion(params(), np.array([1.0, -1.0]))
+
+    def test_zero_pinning_rejected(self):
+        # the position integrals diverge with the acoustic zero mode
+        with pytest.raises(ValueError, match="zero mode|mode_sum"):
+            quad_diffusion(params(omega0=0.0), 2.0)
+
+    def test_point_cap_raises_without_large_allocation(self):
+        # omega0 = 1e-12 puts the zeros of omega(q) within ~1e-6 of the real
+        # axis even after the map; the point cap must stop the doubling with
+        # a working set of TEMP_BLOCK x QUAD_CHUNK, not TEMP_BLOCK x the cap
+        p = params(omega0=1e-12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="did not converge"):
+                quad_diffusion(p, np.linspace(0.5, 5.0, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+class TestModeSumDiffusion:
+    @pytest.mark.parametrize("kw", [dict(gamma_fric=0.03), dict(omega0=0.0, gamma_fric=0.05)])
+    def test_equals_per_mode_means(self, kw):
+        # one call over a sweep (with T = 0, and the zero mode at omega0 = 0)
+        # against the per-mode variances, one temperature at a time
+        p = params(n_sites=24, **kw)
+        temps = np.array([0.0, 0.3, 2.0, 150.0])
+        sums = mode_sum_diffusion(p, temps)
+        for i, temp in enumerate(temps):
+            q, _, c_x, c_p = mode_thermal_variances(p, temp)
+            weight = p.lambda_fric + 2 * p.gamma_fric * np.cos(q)
+            want = [np.mean(weight * c_x), np.mean(weight * c_p), np.mean(np.cos(q) * weight * c_x)]
+            assert [v[i] for v in as_triple(sums)] == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert as_triple(mode_sum_diffusion(p, temp)) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestHighTemperature:
@@ -117,9 +169,7 @@ class TestHighTemperature:
         p = params(gamma_fric=gamma)
         temp = 50.0 * p.hbar * p.omega_max / p.k_boltz
         closed = high_temp_diffusion(p, temp)
-        assert quad_diffusion(p, temp, 0) == pytest.approx(closed.d_xx, rel=0.01)
-        assert quad_diffusion(p, temp, 0, "momentum") == pytest.approx(closed.d_pp, rel=0.01)
-        assert quad_diffusion(p, temp, 1) == pytest.approx(closed.d_ex, rel=0.01)
+        assert as_triple(quad_diffusion(p, temp)) == pytest.approx(as_triple(closed), rel=0.01)
 
     def test_rejects_zero_pinning(self):
         with pytest.raises(ValueError, match="omega0"):
@@ -246,12 +296,7 @@ class TestThermalDiffusionMatrix:
         # continuum integrals against the N = 64 ring sums (0.1% budget)
         p = params(gamma_fric=0.02)
         for temp in (0.5, 2.0, 50.0):
-            ds_int = DiffusionSet(
-                d_xx=quad_diffusion(p, temp, 0),
-                d_pp=quad_diffusion(p, temp, 0, "momentum"),
-                d_ex=quad_diffusion(p, temp, 1),
-                temp=temp,
-            )
+            ds_int = quad_diffusion(p, temp)
             ds_sum = mode_sum_diffusion(p, temp)
             assert ds_int.d_xx == pytest.approx(ds_sum.d_xx, rel=1e-3)
             assert ds_int.d_pp == pytest.approx(ds_sum.d_pp, rel=1e-3)

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from heatchain import (
     total_energy,
     uniform_state,
 )
-from heatchain.verify import transcribed_moment_rhs, undamped_matrices, van_loan_map
+from heatchain.verify import (
+    check_moment_fidelity,
+    transcribed_moment_rhs,
+    undamped_matrices,
+    van_loan_map,
+)
 
 
 def params(**kw):
@@ -48,6 +54,16 @@ class TestMomentRhs:
             assert np.max(np.abs(np.diag(rhs[:n, :n]) - dx2)) <= 1e-13
             assert np.max(np.abs(np.diag(rhs[n:, n:]) - dp2)) <= 1e-13
             assert np.max(np.abs(rhs[idx, (idx + 1) % n] - dxnext)) <= 1e-13
+
+    def test_verify_transcription_clause_holds_at_extreme_scales(self):
+        # rhs entries reach 2.8e6 on this chain, where an absolute 1e-13 bound
+        # failed at 1.14e-13.  Only the transcription clause is asserted: the
+        # same check's exact-step clause reads 1.2e-12 here, a weak-damping
+        # precision limit of `propagator` with its own fix still open.
+        p = params(n_sites=23, mass=0.01, omega0=1e-3, xi=68.8, lambda_fric=1e-3, bath_temp=27.8)
+        detail = check_moment_fidelity(p).detail
+        rel = re.search(r"max \|delta\| / max \|rhs\| (\S+) \(tol 1e-14\)", detail)
+        assert float(rel.group(1)) <= 1e-14
 
     def test_gibbs_state_is_stationary(self):
         for gam in (0.0, 0.02):

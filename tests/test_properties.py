@@ -1,9 +1,10 @@
-"""Property tests of the circulant model over admissible chains.
+"""Property tests of the circulant model and the bath coefficients over
+admissible chains.
 
 Hypothesis draws rings with N from 3 to 24, varied mass and coupling,
 omega0 > 0, 0 <= gamma <= 0.45 lambda and bath temperatures T >= 0 with
-T = 0 included.  The examples are derandomized and bounded, so every run
-checks the same chains.
+T = 0 included; the coefficient test draws wider scales (see `bath`).  The
+examples are derandomized and bounded, so every run checks the same chains.
 """
 
 from dataclasses import replace
@@ -21,11 +22,13 @@ from heatchain import (
     mode_grid,
     mode_sum_diffusion,
     propagator,
+    quad_diffusion,
     stationary_covariance,
     stiffness_row,
     thermal_matrices,
 )
 from heatchain.verify import undamped_matrices, van_loan_map
+from test_diffusion import assert_matches_oracle, quad_oracle
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 # exact step vs Van Loan: measured 1.4e-13 here and 1.0e-12 on other draws; a
@@ -96,3 +99,26 @@ def test_exact_step_matches_van_loan(p, tau, seed):
         got = p_exact @ sigma @ p_exact.T + q_exact
         want = p_vl @ sigma @ p_vl.T + q_vl
         assert np.max(np.abs(got - want)) <= STEP_RTOL * np.max(np.abs(want))
+
+
+@st.composite
+def bath(draw) -> "tuple[ChainParams, float]":
+    """Chains over four decades of mass and omega0 (log-uniform), xi up to
+    100, and T in {0} and [1e-3, 1e4] (log-uniform)."""
+    lam = draw(st.floats(0.02, 2.0))
+    p = ChainParams(
+        n_sites=3,
+        mass=10 ** draw(st.floats(-2.0, 1.0)),
+        omega0=10 ** draw(st.floats(-3.0, 1.0)),
+        xi=draw(st.floats(0.0, 100.0)),
+        lambda_fric=lam,
+        gamma_fric=draw(st.floats(0.0, 0.5)) * lam,
+    )
+    return p, draw(st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10**e)))
+
+
+@SETTINGS
+@given(bath())
+def test_quadrature_matches_scipy_quad(case):
+    p, temp = case
+    assert_matches_oracle(quad_diffusion(p, temp), quad_oracle(p, temp), rel=1e-9)
