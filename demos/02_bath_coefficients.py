@@ -15,7 +15,6 @@ import numpy as np
 
 from heatchain import (
     ChainParams,
-    DiffusionSet,
     gibbs_energy_density,
     heat_capacity_density,
     high_temp_diffusion,
@@ -28,13 +27,11 @@ p = ChainParams(n_sites=64, omega0=1.0, xi=1.0, lambda_fric=0.1, gamma_fric=0.02
 
 print("    T        D_xx        D_pp        D_ex      s a/(2 lam kB T)    C a/kB")
 temps = np.geomspace(0.2, 200.0, 8)
-sweep = quad_diffusion(p, temps)
-for i, temp in enumerate(temps):
-    ds = DiffusionSet(sweep.d_xx[i], sweep.d_pp[i], sweep.d_ex[i], temp)
-    newton = source_density(p, ds) * p.lattice_const / (2 * p.lambda_fric * p.k_boltz * temp)
-    cap = heat_capacity_density(p, temp) * p.lattice_const / p.k_boltz
-    print(f"{temp:8.3f}  {ds.d_xx:10.5f}  {ds.d_pp:10.5f}  {ds.d_ex:10.5f}"
-          f"  {newton:16.6f}  {cap:10.5f}")
+sweep = quad_diffusion(p, temps)  # every quantity takes the whole sweep at once
+newton = source_density(p, sweep) * p.lattice_const / (2 * p.lambda_fric * p.k_boltz * temps)
+cap = heat_capacity_density(p, temps) * p.lattice_const / p.k_boltz
+for row in zip(temps, sweep.d_xx, sweep.d_pp, sweep.d_ex, newton, cap):
+    print("{:8.3f}  {:10.5f}  {:10.5f}  {:10.5f}  {:16.6f}  {:10.5f}".format(*row))
 
 # The closed high-temperature forms reproduce the integrals once k_B T is
 # well above the phonon band.

@@ -30,7 +30,6 @@ from .continuum import (
 )
 from .covariance import PSDViolationError
 from .diffusion import (
-    DiffusionSet,
     gibbs_covariance,
     gibbs_energy_density,
     heat_capacity_density,
@@ -95,12 +94,9 @@ def cmd_coefficients(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     if method not in ("quad", "mode_sum"):
         raise ConfigError([f"run.method: expected 'quad' or 'mode_sum', got {method!r}"])
     diff = quad_diffusion(p, temps) if method == "quad" else mode_sum_diffusion(p, temps)
-    rows = []
-    for t, d_xx, d_pp, d_ex in zip(temps.tolist(), diff.d_xx.tolist(), diff.d_pp.tolist(),
-                                   diff.d_ex.tolist()):
-        dset = DiffusionSet(d_xx, d_pp, d_ex, t)
-        rows.append((t, d_xx, d_pp, d_ex, source_density(p, dset),
-                     gibbs_energy_density(p, t), heat_capacity_density(p, t)))
+    columns = (temps, diff.d_xx, diff.d_pp, diff.d_ex, source_density(p, diff),
+               gibbs_energy_density(p, temps), heat_capacity_density(p, temps))
+    rows = list(zip(*(c.tolist() for c in columns)))
     path = write_csv(outdir / "coefficients.csv", ["T", "D_xx", "D_pp", "D_ex", "s", "u_eq", "C"], rows)
     last = rows[-1]
     summary = {
@@ -226,14 +222,11 @@ def cmd_conductivity(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     p = cfg.chain
     temps = _temperature_sweep(cfg, "conductivity")
     velocity = str(cfg.run.get("velocity", "sound"))
-    rows = []
-    for t in temps:
-        t = float(t)
-        tc = transport_coefficients(p, t)
-        rows.append((t, heat_capacity_density(p, t), tc.kappa,
-                     klemens_conductivity(p, t, velocity=velocity), tc.diff_const))
+    tc = transport_coefficients(p, temps)
+    columns = (temps, heat_capacity_density(p, temps), tc.kappa,
+               klemens_conductivity(p, temps, velocity=velocity), np.full_like(temps, tc.diff_const))
+    rows = zip(*(c.tolist() for c in columns))
     path = write_csv(outdir / "conductivity.csv", ["T", "C", "kappa_continuum", "kappa_klemens", "sigma"], rows)
-    tc = transport_coefficients(p, float(temps[-1]))
     summary = {
         "range_b": tc.range_b,
         "eff_velocity": p.sound_speed,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .covariance import Array
 from .diffusion import (
+    _over_temps,
     gibbs_energy_density,
     heat_capacity_density,
     mode_energies,
@@ -57,14 +58,14 @@ class ContinuumField:
 
 @dataclass(frozen=True)
 class TransportCoefficients:
-    """Transport quantities of the continuum limit at one temperature.
+    """Transport quantities of the continuum limit at one temperature or a sweep.
 
     diff_const = v_s * range_b up to rounding; kappa = diff_const * C(T).
     """
 
     range_b: float
     diff_const: float
-    kappa: float
+    kappa: "float | Array"
 
 
 def diffusion_constant(params: ChainParams) -> float:
@@ -72,7 +73,7 @@ def diffusion_constant(params: ChainParams) -> float:
     return params.sound_speed**2 / (2.0 * params.lambda_fric)
 
 
-def transport_coefficients(params: ChainParams, temp: float) -> TransportCoefficients:
+def transport_coefficients(params: ChainParams, temp: "float | Array") -> TransportCoefficients:
     """Propagation range b = v_s/(2 lambda), diffusion constant, conductivity."""
     diff = diffusion_constant(params)
     return TransportCoefficients(
@@ -159,11 +160,14 @@ def fourier_current(field: ContinuumField, params: ChainParams) -> Array:
     return -diffusion_constant(params) * grad
 
 
-def klemens_conductivity(params: ChainParams, temp: float, velocity: str = "sound") -> float:
+def klemens_conductivity(params: ChainParams, temp: "float | Array",
+                         velocity: str = "sound") -> "float | Array":
     """Mode-sum conductivity kappa = (1/Na) sum_q v(q) r(q) d(eps)/dT.
 
     d(eps)/dT is `mode_heat_capacities` and r(q) = v(q) tau with the
     uniform relaxation time tau = 1/(2 lambda) of the on-site damping.
+    `temp` is one temperature (a float result) or an array of them (an
+    array of its shape), summed over the modes a block of them at a time.
 
     velocity:
         "sound" uses the long-wavelength constant group velocity
@@ -175,13 +179,9 @@ def klemens_conductivity(params: ChainParams, temp: float, velocity: str = "soun
     """
     if velocity not in ("sound", "dispersion"):
         raise ValueError(f"velocity must be 'sound' or 'dispersion', got {velocity!r}")
-    deps = mode_heat_capacities(params, temp)
-    if velocity == "sound":
-        v2 = np.full_like(deps, params.sound_speed**2)
-    else:
-        v2 = np.asarray(group_velocity(params, mode_grid(params)), dtype=float) ** 2
+    v2 = params.sound_speed**2 if velocity == "sound" else group_velocity(params, mode_grid(params)) ** 2
     tau = 1.0 / (2.0 * params.lambda_fric)
-    total = float(np.sum(v2 * tau * deps))
+    total = _over_temps(params, temp, lambda t: [np.sum(v2 * tau * mode_heat_capacities(params, t), axis=-1)])[0]
     return total / (params.n_sites * params.lattice_const)
 
 

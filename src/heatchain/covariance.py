@@ -69,17 +69,3 @@ def check_psd(sigma: Array, tol: float = PSD_TOL, context: str = "") -> float:
         )
     return ratio
 
-
-def uncertainty_defect(sigma: Array, hbar: float) -> float:
-    """Most negative eigenvalue of Sigma + i*hbar*Omega/2 (Robertson-Schroedinger).
-
-    Nonnegative (up to roundoff) for a physical quantum state.  Used for
-    diagnostics only; the dynamics enforces plain PSD.
-    """
-    n = sigma.shape[0] // 2
-    omega = np.block(
-        [[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]]
-    )
-    m = sigma.astype(complex) + 0.5j * hbar * omega
-    eig = np.linalg.eigvalsh(m)
-    return float(eig[0])

@@ -16,6 +16,10 @@ density and heat capacity density, and the model (`thermal_matrices`) whose
 full circulant diffusion rows make the finite-N Gibbs state exactly
 stationary (the fluctuation-dissipation pairing D = friction-weighted
 thermal covariance).
+
+Every thermal function takes one temperature (float results) or an array
+of them (arrays of its shape), checked once and evaluated TEMP_BLOCK
+temperatures at a time by `_over_temps`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .chain import (
     dispersion,
     mode_grid,
 )
-from .covariance import CovarianceState, symmetrize
+from .covariance import Array, CovarianceState, symmetrize
 from .params import ChainParams
 
 QUAD_EPSABS = 1e-12
@@ -72,6 +76,22 @@ def _require_some_restoring_force(params: ChainParams) -> None:
                          "thermal state undefined")
 
 
+def _over_temps(params: ChainParams, temp, rows):
+    """Check `temp` (one temperature >= 0 or an array) and evaluate `rows`
+    over it TEMP_BLOCK temperatures at a time.  `rows` maps a 1-d block to k
+    rows with the block along their first axis; each row comes back as a
+    float for a scalar `temp` where it holds one number per temperature, else
+    as an array of shape temp.shape + its trailing shape."""
+    t = np.asarray(temp, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"temperature must be >= 0, got {np.min(t)}")
+    _require_some_restoring_force(params)
+    flat = t.reshape(-1)
+    out = np.concatenate([rows(flat[i:i + TEMP_BLOCK]) for i in range(0, flat.size, TEMP_BLOCK)], 1)
+    out = out.reshape(out.shape[:1] + t.shape + out.shape[2:])
+    return [float(r) if r.ndim == 0 else r for r in out]
+
+
 def _variances(params: ChainParams, w, temps):
     """Thermal variances (c_x, c_p) of modes of frequency `w` at `temps`.
 
@@ -92,45 +112,50 @@ def _variances(params: ChainParams, w, temps):
     return c_x, c_p
 
 
-def mode_thermal_variances(params: ChainParams, temp: float):
+def _mode_mean(params: ChainParams, temp, per_mode):
+    """Mode mean of `per_mode(params, T)` per unit length over `temp`, one
+    block of temperatures' modes at a time."""
+    return _over_temps(params, temp, lambda t: [np.mean(per_mode(params, t), axis=-1)])[0] / params.lattice_const
+
+
+def mode_thermal_variances(params: ChainParams, temp: "float | Array"):
     """Per-mode thermal variances (q, omega, c_x, c_p) on the ring's mode grid."""
-    _require_some_restoring_force(params)
-    if temp < 0:
-        raise ValueError(f"temperature must be >= 0, got {temp}")
     q = mode_grid(params)
     w = np.asarray(dispersion(params, q), dtype=float)
-    return (q, w, *_variances(params, w, temp))
+    return (q, w, *_over_temps(params, temp, lambda temps: _variances(params, w, temps[:, None])))
 
 
-def mode_energies(params: ChainParams, temp: float):
+def mode_energies(params: ChainParams, temp: "float | Array") -> Array:
     """Per-mode Gibbs energies c_p/2m + (m omega_q^2 / 2) c_x on the mode grid."""
-    _, w, c_x, c_p = mode_thermal_variances(params, temp)
-    return c_p / (2.0 * params.mass) + 0.5 * params.mass * w**2 * c_x
+    w = np.asarray(dispersion(params, mode_grid(params)), dtype=float)
+
+    def energies(temps):
+        c_x, c_p = _variances(params, w, temps[:, None])
+        return [c_p / (2.0 * params.mass) + 0.5 * params.mass * w**2 * c_x]
+
+    return _over_temps(params, temp, energies)[0]
 
 
-def mode_heat_capacities(params: ChainParams, temp: float):
+def mode_heat_capacities(params: ChainParams, temp: "float | Array") -> Array:
     """Per-mode heat capacities d(eps_q)/dT on the mode grid.
 
     Each mode with omega > 0 contributes k_B * x^2 / sinh(x)^2 with
     x = hbar omega / (2 k_B T), and 0 at T = 0; a zero mode (omega0 = 0)
-    contributes its classical kinetic k_B / 2 at every temperature.
+    contributes its classical kinetic k_B / 2 at every temperature.  For an
+    array of temperatures the modes run along the last axis.
     """
-    _require_some_restoring_force(params)
-    if temp < 0:
-        raise ValueError(f"temperature must be >= 0, got {temp}")
     w = np.asarray(dispersion(params, mode_grid(params)), dtype=float)
-    per_mode = np.zeros_like(w)
-    per_mode[w == 0.0] = 0.5 * params.k_boltz
-    pos = w > 0.0
-    if temp > 0.0:
-        # a subnormal temperature overflows x to inf, whose contribution is 0
-        with np.errstate(over="ignore"):
-            x = params.hbar * w[pos] / (2.0 * params.k_boltz * temp)
+
+    def capacities(temps):
+        # T = 0 and subnormal T overflow x to inf, whose contribution is 0
+        with np.errstate(over="ignore", divide="ignore"):
+            x = params.hbar * np.where(w > 0.0, w, 1.0) / (2.0 * params.k_boltz * temps[:, None])
         small = x < 350.0
-        contrib = np.zeros_like(x)
-        contrib[small] = params.k_boltz * (x[small] / np.sinh(x[small])) ** 2
-        per_mode[pos] = contrib
-    return per_mode
+        x = np.where(small, x, 1.0)
+        cap = np.where(small, params.k_boltz * (x / np.sinh(x)) ** 2, 0.0)
+        return [np.where(w > 0.0, cap, 0.5 * params.k_boltz)]
+
+    return _over_temps(params, temp, capacities)[0]
 
 
 def _zone_means(params: ChainParams, temps, q, dq):
@@ -145,21 +170,6 @@ def _zone_means(params: ChainParams, temps, q, dq):
     weight = dq * (params.lambda_fric + 2.0 * params.gamma_fric * np.cos(q))
     return np.stack([np.mean(weight * c_x, axis=1), np.mean(weight * c_p, axis=1),
                      np.mean(np.cos(q) * weight * c_x, axis=1)])
-
-
-def _diffusion_set(params: ChainParams, temp, means) -> DiffusionSet:
-    """The set of `means(block)` rows, evaluated TEMP_BLOCK temperatures at a
-    time; floats for a scalar `temp`, arrays of its shape otherwise."""
-    t = np.asarray(temp, dtype=float)
-    if np.any(t < 0):
-        raise ValueError(f"temperature must be >= 0, got {np.min(t)}")
-    _require_some_restoring_force(params)
-    flat = t.reshape(-1)
-    rows = np.concatenate([means(flat[i:i + TEMP_BLOCK])
-                           for i in range(0, flat.size, TEMP_BLOCK)], axis=1)
-    if t.ndim == 0:
-        return DiffusionSet(*(float(r[0]) for r in rows), temp=float(t))
-    return DiffusionSet(*(r.reshape(t.shape) for r in rows), temp=t)
 
 
 def quad_diffusion(params: ChainParams, temp) -> DiffusionSet:
@@ -212,7 +222,7 @@ def quad_diffusion(params: ChainParams, temp) -> DiffusionSet:
                 return est
         raise RuntimeError(f"diffusion quadrature did not converge with {m} points")
 
-    return _diffusion_set(params, temp, trapezoid)
+    return DiffusionSet(*_over_temps(params, temp, lambda temps: [*trapezoid(temps), temps]))
 
 
 def high_temp_diffusion(params: ChainParams, temp: float) -> DiffusionSet:
@@ -253,10 +263,10 @@ def mode_sum_diffusion(params: ChainParams, temp) -> DiffusionSet:
     under which the finite chain relaxes exactly to its Gibbs state.
     """
     q = mode_grid(params)
-    return _diffusion_set(params, temp, lambda temps: _zone_means(params, temps, q, 1.0))
+    return DiffusionSet(*_over_temps(params, temp, lambda t: [*_zone_means(params, t, q, 1.0), t]))
 
 
-def source_density(params: ChainParams, diff: DiffusionSet) -> float:
+def source_density(params: ChainParams, diff: DiffusionSet) -> "float | Array":
     """Continuum source density s = (D_pp/m + (m w0^2 + 2 xi) D_xx - 2 xi D_ex)/a."""
     m, om0, xi = params.mass, params.omega0, params.xi
     return (diff.d_pp / m + (m * om0**2 + 2.0 * xi) * diff.d_xx - 2.0 * xi * diff.d_ex) / params.lattice_const
@@ -274,23 +284,23 @@ def gibbs_covariance(params: ChainParams, temp: float) -> CovarianceState:
     return CovarianceState(symmetrize(sigma), time=0.0)
 
 
-def gibbs_energy_density(params: ChainParams, temp: float) -> float:
+def gibbs_energy_density(params: ChainParams, temp: "float | Array") -> "float | Array":
     """Equilibrium energy per unit length, u_eq = E_site / a.
 
     E_site is the per-site energy of the Gibbs state: kinetic c_p/2m plus
     potential (m omega_q^2 / 2) c_x summed over modes, which collapses to
     the mode energies (hbar omega / 2) coth(hbar omega / 2 k_B T).
     """
-    return float(np.mean(mode_energies(params, temp))) / params.lattice_const
+    return _mode_mean(params, temp, mode_energies)
 
 
-def heat_capacity_density(params: ChainParams, temp: float) -> float:
+def heat_capacity_density(params: ChainParams, temp: "float | Array") -> "float | Array":
     """Heat capacity per unit length, C(T) = d u_eq / dT in closed form.
 
     The mean of `mode_heat_capacities` per unit length; C(0) = 0 when every
     mode has omega > 0.
     """
-    return float(np.mean(mode_heat_capacities(params, temp))) / params.lattice_const
+    return _mode_mean(params, temp, mode_heat_capacities)
 
 
 def thermal_matrices(params: ChainParams, temp: float | None = None) -> ModelMatrices:
@@ -309,8 +319,7 @@ def thermal_matrices(params: ChainParams, temp: float | None = None) -> ModelMat
     if params.omega0 == 0.0:
         raise ValueError("thermal_matrices needs omega0 > 0: the acoustic zero mode "
                          "has no stationary Gibbs state")
-    t = params.bath_temp if temp is None else temp
-    q, _, c_x, c_p = mode_thermal_variances(params, t)
+    q, _, c_x, c_p = mode_thermal_variances(params, params.bath_temp if temp is None else temp)
     weight = params.lambda_fric + 2.0 * params.gamma_fric * np.cos(q)
     return ModelMatrices.of_chain(
         params, circulant_row_from_symbol(weight * c_x), circulant_row_from_symbol(weight * c_p))

@@ -15,7 +15,6 @@ validation.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -23,17 +22,9 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .chain import ModelMatrices, circulant_blocks
-from .covariance import (
-    Array,
-    CovarianceState,
-    check_psd,
-    symmetrize,
-    uncertainty_defect,
-)
+from .covariance import Array, CovarianceState, check_psd, symmetrize
 from .diffusion import gibbs_covariance
 from .params import ChainParams
-
-logger = logging.getLogger("heatchain")
 
 GRID_FRACTION = 0.05  # sample-grid step dt <= 0.05 / (fastest rate)
 
@@ -123,7 +114,6 @@ def evolve(
     dt_max: float | None = None,
     sample_stride: int = 10,
     observer: "Callable[[CovarianceState], object] | None" = None,
-    uncertainty_hbar: float | None = None,
 ) -> Trajectory:
     """Propagate the moment equation exactly from `state.time` to `t_final`.
 
@@ -137,8 +127,7 @@ def evolve(
     for large N to avoid storing full matrices).
 
     Raises PSDViolationError if a sampled state drops below -covariance.PSD_TOL times
-    its spectral scale.  With `uncertainty_hbar` set, Robertson-Schroedinger
-    defects at samples are logged against that hbar (never fatal).
+    its spectral scale.
     """
     if dt_max is not None and dt_max <= 0:
         raise ValueError(f"dt_max must be > 0, got {dt_max}")
@@ -166,11 +155,6 @@ def evolve(
     def take_sample(t: float) -> None:
         times.append(t)
         ratios.append(check_psd(sigma, context=f"t = {t:.6g}"))
-        if uncertainty_hbar is not None:
-            defect = uncertainty_defect(sigma, hbar=uncertainty_hbar)
-            scale = float(np.max(np.abs(sigma))) or 1.0
-            if defect < -1e-8 * scale:
-                logger.warning("uncertainty-relation defect %.3e at t = %.6g", defect, t)
         if observer is not None:
             observations.append(observer(CovarianceState(sigma, t)))
         else:

@@ -211,10 +211,8 @@ def check_high_temp_forms(params: ChainParams) -> CheckResult:
 
 def check_heat_capacity(params: ChainParams) -> CheckResult:
     """C(T) a / k_B in [0.99, 1] on the classical plateau; C(0) = 0."""
-    ratios = []
-    for mult in (50.0, 120.0, 500.0):
-        temp = mult * params.hbar * params.omega_max / params.k_boltz
-        ratios.append(heat_capacity_density(params, temp) * params.lattice_const / params.k_boltz)
+    temps = np.array([50.0, 120.0, 500.0]) * params.hbar * params.omega_max / params.k_boltz
+    ratios = heat_capacity_density(params, temps) * params.lattice_const / params.k_boltz
     czero = heat_capacity_density(params, 0.0)
     # the band [0.99, 1] is two clauses, 1 - r <= 0.01 and r - 1 <= 0
     clauses = [(1.0 - min(ratios), 0.01), (max(ratios) - 1.0, 0.0), (abs(czero), 0.0)]

@@ -3,6 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from heatchain import (
+    gibbs_energy_density,
+    heat_capacity_density,
+    klemens_conductivity,
+    transport_coefficients,
+)
 from heatchain.cli import main
 from heatchain.config import ConfigError, load_config
 from heatchain.report import RunReport, fmt_number, validate_report, write_csv
@@ -25,6 +31,11 @@ def write_config(tmp_path, body, name="run.ini"):
     path = tmp_path / name
     path.write_text(body)
     return path
+
+
+def read_csv_columns(path):
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), map(list, zip(*(map(float, r.split(",")) for r in rows)))))
 
 
 class TestConfig:
@@ -160,14 +171,27 @@ class TestCli:
         assert "acoustic zero mode" in record["detail"]
 
     def test_conductivity_sweep(self, tmp_path):
-        body = BASE_CONFIG + "\n[run]\nt_min = 1.0\nt_max = 100.0\nt_steps = 3\nscale = log\n"
+        # a 12-temperature log sweep through `conductivity` and `coefficients`:
+        # every row equals the scalar library calls at its T
+        body = BASE_CONFIG + "\n[run]\nt_min = 1.0\nt_max = 100.0\nt_steps = 12\nscale = log\n"
         cfg = write_config(tmp_path, body)
         out = tmp_path / "out"
         assert main(["conductivity", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["coefficients", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "conductivity.csv").read_text().splitlines()
         assert lines[0] == "T,C,kappa_continuum,kappa_klemens,sigma"
         last = list(map(float, lines[-1].split(",")))
         assert last[2] == pytest.approx(last[3], rel=0.02)  # high-T row
+        p = load_config(cfg).chain
+        tables = [read_csv_columns(out / name) for name in ("conductivity.csv", "coefficients.csv")]
+        assert all(len(t["T"]) == 12 for t in tables)
+        cond, coef = tables
+        assert coef["T"] == cond["T"]
+        for i, temp in enumerate(cond["T"]):
+            assert cond["C"][i] == coef["C"][i] == heat_capacity_density(p, temp)
+            assert coef["u_eq"][i] == gibbs_energy_density(p, temp)
+            assert cond["kappa_continuum"][i] == transport_coefficients(p, temp).kappa
+            assert cond["kappa_klemens"][i] == klemens_conductivity(p, temp)
 
     def test_compare_small_scale(self, tmp_path):
         body = (BASE_CONFIG

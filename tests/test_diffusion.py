@@ -110,12 +110,23 @@ class TestQuadDiffusion:
         for i in (0, 77, 149):
             assert [v[i] for v in as_triple(sweep)] == pytest.approx(
                 as_triple(quad_diffusion(p, temps[i])), rel=1e-12)
+        # the thermal mode sums: every entry exactly the scalar call, also
+        # with the acoustic zero mode (omega0 = 0)
+        thermal = (gibbs_energy_density, heat_capacity_density,
+                   lambda p, t: klemens_conductivity(p, t, velocity="sound"),
+                   lambda p, t: klemens_conductivity(p, t, velocity="dispersion"))
+        for p in (params(gamma_fric=0.03), params(omega0=0.0)):
+            for f in thermal:
+                values = f(p, temps)
+                assert values.shape == temps.shape
+                assert values.tolist() == [f(p, t) for t in temps.tolist()]
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="temperature"):
             quad_diffusion(params(), -1.0)
-        with pytest.raises(ValueError, match="temperature"):
-            quad_diffusion(params(), np.array([1.0, -1.0]))
+        for f in (quad_diffusion, gibbs_energy_density, heat_capacity_density, klemens_conductivity):
+            with pytest.raises(ValueError, match="temperature"):
+                f(params(), np.array([1.0, -1.0, 2.0]))
 
     def test_zero_pinning_rejected(self):
         # the position integrals diverge with the acoustic zero mode
@@ -323,6 +334,9 @@ class TestEnergyAndHeatCapacity:
             warnings.simplefilter("error")
             for f in (heat_capacity_density, klemens_conductivity):
                 assert f(p, 5e-310) == f(p, 0.0)
+            for f in (gibbs_energy_density, heat_capacity_density, klemens_conductivity):
+                swept = f(p, np.array([0.0, 5e-310, 1.0])).tolist()
+                assert swept == [f(p, 0.0), f(p, 0.0), f(p, 1.0)]
             assert np.array_equal(gibbs_covariance(p, 5e-310).sigma, gibbs_covariance(p, 0.0).sigma)
             hot, cold = thermal_matrices(p, 5e-310), thermal_matrices(p, 0.0)
             assert np.array_equal(hot.diffusion_xx, cold.diffusion_xx)

@@ -1,4 +1,3 @@
-import logging
 import re
 
 import numpy as np
@@ -161,15 +160,6 @@ class TestEvolve:
             evolve(CovarianceState(state.sigma, time=2.0), mats, 1.0)
         with pytest.raises(ValueError, match="sample_stride"):
             evolve(state, mats, 1.0, sample_stride=0)
-
-    def test_uncertainty_defect_logged_not_fatal(self, caplog):
-        p = params()
-        mats = thermal_matrices(p)
-        # squeeze far below the vacuum floor: classically PSD, quantum-illegal
-        tiny = CovarianceState(1e-6 * np.eye(2 * p.n_sites))
-        with caplog.at_level(logging.WARNING, logger="heatchain"):
-            evolve(tiny, mats, t_final=0.05, uncertainty_hbar=p.hbar)
-        assert any("uncertainty" in rec.message for rec in caplog.records)
 
 
 class TestStationary:
