@@ -40,7 +40,7 @@ print()
 print("max |J_k| in the final state:", np.max(np.abs(final_obs.currents)))
 
 # Lyapunov route to the same stationary state
-st = stationary_covariance(mats, "fourier")
+st = stationary_covariance(mats)
 gb = gibbs_covariance(p, p.bath_temp)
 rel = np.linalg.norm(st.sigma - gb.sigma) / np.linalg.norm(gb.sigma)
 print("stationary vs Gibbs covariance, relative deviation:", rel)

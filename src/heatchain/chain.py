@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import block_diag
 
 from .params import ChainParams
 
@@ -151,7 +150,8 @@ class ModelMatrices:
 
     @cached_property
     def diffusion(self) -> Array:
-        return block_diag(circulant(self.diffusion_xx), circulant(self.diffusion_pp))
+        zero = np.zeros((self.n_sites, self.n_sites))
+        return np.block([[circulant(self.diffusion_xx), zero], [zero, circulant(self.diffusion_pp)]])
 
 
 def build_matrices(params: ChainParams, diff: "DiffusionSet") -> ModelMatrices:

@@ -63,13 +63,17 @@ def _temperature_sweep(cfg: ScenarioConfig, subcommand: str) -> np.ndarray:
     scale = str(cfg.run.get("scale", "linear"))
     if steps < 1:
         raise ConfigError(["run.t_steps: must be >= 1"])
+    bounds = {"t_min": t_min} if steps == 1 else {"t_min": t_min, "t_max": t_max}
+    log = steps > 1 and scale == "log"
+    bad = [f"run.{key}: must be {'> 0 for log scale' if log else '>= 0'}, got {value}"
+           for key, value in bounds.items() if value < 0 or (log and value == 0)]
+    if bad:
+        raise ConfigError(bad)
     if steps == 1:
         return np.array([t_min])
     if scale == "linear":
         return np.linspace(t_min, t_max, steps)
     if scale == "log":
-        if t_min <= 0:
-            raise ConfigError(["run.t_min: must be > 0 for log scale"])
         return np.geomspace(t_min, t_max, steps)
     raise ConfigError([f"run.scale: expected 'linear' or 'log', got {scale!r}"])
 

@@ -8,8 +8,7 @@ with constant coefficients, so between samples the state follows the exact
 map Sigma(t + h) = P Sigma(t) P^T + Q(h), P = e^{A h}.  The ring is
 translation invariant: P and Q are block circulant, assembled from the 2 x 2
 closed forms of each Fourier mode (`propagator`).  The stationary state
-solves the continuous Lyapunov equation, either mode by mode or densely for
-validation.
+solves the continuous Lyapunov equation mode by mode.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .chain import ModelMatrices, circulant_blocks
 from .covariance import Array, CovarianceState, check_psd, symmetrize
@@ -81,9 +79,8 @@ def propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
 
     and sin(wh)/(m w) -> h/m at w = 0.  The noise term of a damped mode is
     Q_q = S_q - P_q S_q P_q^T with S_q its stationary block.  A mode with
-    lambda_q = 0 has Q_q = 0 without noise, and otherwise Q_q = F_12 F_11^T
-    from the Van Loan block F = expm([[A_q, 2 D_q], [0, -A_q^T]] h)
-    (C. Van Loan, IEEE TAC 23:395, 1978).
+    lambda_q = 0 has Q_q = 0 without noise, and otherwise the closed form of
+    Q_q = int_0^h P_q(s) 2 D_q P_q(s)^T ds (`_undamped_noise_blocks`).
     """
     m = matrices.mass
     k, lam, dxx, dpp = matrices.mode_symbols
@@ -97,14 +94,32 @@ def propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
     s = _stationary_blocks(m, k[damped], lam[damped], dxx[damped], dpp[damped])
     q[damped] = s - p[damped] @ s @ np.swapaxes(p[damped], 1, 2)
     noisy = ~damped & ((dxx != 0.0) | (dpp != 0.0))
-    if noisy.any():
-        block = np.zeros((np.count_nonzero(noisy), 4, 4))
-        block[:, 0, 1], block[:, 2, 3] = 1.0 / m, k[noisy]  # A_q and -A_q^T at lambda_q = 0
-        block[:, 1, 0], block[:, 3, 2] = -k[noisy], -1.0 / m
-        block[:, 0, 2], block[:, 1, 3] = 2.0 * dxx[noisy], 2.0 * dpp[noisy]
-        f = expm(block * h)
-        q[noisy] = f[:, :2, 2:] @ np.swapaxes(f[:, :2, :2], 1, 2)
+    q[noisy] = _undamped_noise_blocks(m, w[noisy], h, dxx[noisy], dpp[noisy])
     return circulant_blocks(np.moveaxis(p, 0, -1)), circulant_blocks(np.moveaxis(q, 0, -1))
+
+
+def _undamped_noise_blocks(m: float, w: Array, h: float, dxx: Array, dpp: Array) -> Array:
+    """Noise blocks Q_q, shape (n, 2, 2), of undamped modes with w > 0.  With
+    x = 2 w h and M = (x - sin x) / (2 w), the integral of 2 sin^2(w s) over [0, h],
+
+        Q_xx = dxx (2h - M) + dpp M / (m w)^2,
+        Q_pp = dxx (m w)^2 M + dpp (2h - M),
+        Q_xp = (dpp / (m w) - dxx m w) sin^2(w h) / w.
+
+    Below x = 1, x - sin x is summed as its Taylor series in Horner form
+    (through x^19): the direct difference loses digits as x^2 shrinks.
+    """
+    x = 2.0 * w * h
+    x2 = x * x
+    series = 1.0
+    for k in range(9, 1, -1):  # x - sin x = (x^3/6)(1 - x^2/(4*5) (1 - x^2/(6*7) (...)))
+        series = 1.0 - x2 / (2 * k * (2 * k + 1)) * series
+    big_m = np.where(x < 1.0, x * x2 / 6.0 * series, x - np.sin(x)) / (2.0 * w)
+    mw = m * w
+    q_xx = dxx * (2.0 * h - big_m) + dpp * big_m / mw**2
+    q_pp = dxx * mw**2 * big_m + dpp * (2.0 * h - big_m)
+    q_xp = (dpp / mw - dxx * mw) * np.sin(w * h) ** 2 / w
+    return np.moveaxis(np.array([[q_xx, q_xp], [q_xp, q_pp]]), -1, 0)
 
 
 def evolve(
@@ -184,23 +199,13 @@ def _stationary_blocks(m: float, k: Array, lam: Array, dxx: Array, dpp: Array) -
     return np.moveaxis(np.array([[s_x, s_c], [s_c, s_p]]), -1, 0)
 
 
-def stationary_covariance(matrices: ModelMatrices, method: str = "fourier") -> CovarianceState:
+def stationary_covariance(matrices: ModelMatrices) -> CovarianceState:
     """Solve A Sigma + Sigma A^T + 2 D = 0 for the stationary covariance.
 
-    method "fourier" exploits the block-circulant structure: the site index
-    is Fourier transformed and N independent 2x2 Lyapunov problems are
-    solved; "dense" delegates to the dense Lyapunov solver for validation.
-    Rejects a non-Hurwitz drift.
+    The drift is block circulant, so the site index is Fourier transformed
+    and N independent 2x2 Lyapunov problems are solved.  Rejects a
+    non-Hurwitz drift.
     """
-    if method == "dense":
-        eig_real = np.linalg.eigvals(matrices.drift).real
-        if eig_real.max() >= 0.0:
-            raise ValueError(f"drift is not Hurwitz (max Re eig = {eig_real.max():.3e})")
-        sigma = solve_continuous_lyapunov(matrices.drift, -2.0 * matrices.diffusion)
-        return CovarianceState(symmetrize(sigma), time=0.0)
-    if method != "fourier":
-        raise ValueError(f"unknown method {method!r}")
-
     k, lam, dxx, dpp = matrices.mode_symbols
     if np.min(lam) <= 0.0:
         raise ValueError(
@@ -244,20 +249,14 @@ def total_energy(state: CovarianceState, params: ChainParams) -> float:
     return site_observables(state, params).total_energy
 
 
-def energy_balance_rhs(
-    state: CovarianceState,
-    params: ChainParams,
-    matrices: ModelMatrices,
-    literal: bool = False,
-) -> Array:
+def energy_balance_rhs(state: CovarianceState, params: ChainParams, matrices: ModelMatrices) -> Array:
     """Analytic dE_k/dt from the current state.
 
     The grouped per-site balance: decay -2 lambda E_k, diffusion injection,
     minus the discrete current gradient J_{k+1} - J_k, plus the
-    gamma-proportional neighbour terms.  With `literal=True` the
-    next-nearest-neighbour correlation terms (gamma * xi / 2 weighted) that
-    complete the exact balance are dropped, leaving the shorter grouped
-    form; both agree when gamma = 0.
+    gamma-proportional neighbour terms.  When gamma != 0 the exact balance
+    needs the next-nearest-neighbour correlation terms weighted by
+    gamma * xi / 2 as well.
     """
     n = params.n_sites
     sxx, spp = state.xx, state.pp
@@ -282,11 +281,8 @@ def energy_balance_rhs(
         out = out - (gam / m) * (spp[idx, up] + spp[idx, dn])
         out = out - gam * (m * om0**2 + 2.0 * xi) * (sxx[idx, up] + sxx[idx, dn])
         diag = np.diag(sxx)
-        out = out + (gam * xi / 2.0) * (2.0 * diag + diag[up] + diag[dn])
-        if not literal:
-            out = out + (gam * xi / 2.0) * (
-                2.0 * sxx[up, dn] + sxx[idx, up2] + sxx[idx, dn2]
-            )
+        out = out + (gam * xi / 2.0) * (2.0 * diag + diag[up] + diag[dn]
+                                        + 2.0 * sxx[up, dn] + sxx[idx, up2] + sxx[idx, dn2])
     return out
 
 
@@ -298,12 +294,8 @@ class EnergyBalanceReport:
     sampling_flagged: bool
 
 
-def energy_balance_residual(
-    trajectory: Trajectory,
-    params: ChainParams,
-    matrices: ModelMatrices,
-    literal: bool = False,
-) -> EnergyBalanceReport:
+def energy_balance_residual(trajectory: Trajectory, params: ChainParams,
+                            matrices: ModelMatrices) -> EnergyBalanceReport:
     """Central-difference dE_k/dt along a trajectory minus the analytic balance.
 
     Needs a trajectory with retained states sampled on a uniform grid fine
@@ -327,9 +319,7 @@ def energy_balance_residual(
 
     energies = np.array([site_observables(s, params).energies for s in states])
     dedt = (energies[2:] - energies[:-2]) / (2.0 * ds)
-    rhs = np.array(
-        [energy_balance_rhs(s, params, matrices, literal=literal) for s in states[1:-1]]
-    )
+    rhs = np.array([energy_balance_rhs(s, params, matrices) for s in states[1:-1]])
     residual = dedt - rhs
     scale = float(np.max(np.abs(dedt)))
     normalized = float(np.max(np.abs(residual)) / scale) if scale > 0 else float(np.max(np.abs(residual)))

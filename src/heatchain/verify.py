@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chain import ModelMatrices
 from .covariance import CovarianceState, symmetrize
@@ -89,6 +88,8 @@ def van_loan_map(matrices: ModelMatrices, h: float):
     Q = F_12 F_11^T (C. Van Loan, IEEE TAC 23:395, 1978); one dense 4N x 4N
     exponential, independent of the per-mode closed forms of `propagator`.
     """
+    from scipy.linalg import expm  # the only scipy use: simulation paths run on numpy alone
+
     a = matrices.drift
     dim = len(a)
     f = expm(np.block([[a, 2.0 * matrices.diffusion], [np.zeros_like(a), -a.T]]) * h)
@@ -165,7 +166,7 @@ def check_gibbs_stationarity(params: ChainParams) -> CheckResult:
         for gam in (0.0, 0.02):
             for temp in (0.5, 2.0, 50.0):
                 p = replace(params, n_sites=n, lambda_fric=0.1, gamma_fric=gam, bath_temp=temp)
-                st = stationary_covariance(thermal_matrices(p), "fourier")
+                st = stationary_covariance(thermal_matrices(p))
                 gb = gibbs_covariance(p, temp)
                 rel = float(np.linalg.norm(st.sigma - gb.sigma) / np.linalg.norm(gb.sigma))
                 worst = max(worst, rel)

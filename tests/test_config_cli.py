@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heatchain
 from heatchain import (
     gibbs_energy_density,
     heat_capacity_density,
@@ -239,6 +244,51 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "config", "detail": [problem]}
+
+    @pytest.mark.parametrize("command", ["coefficients", "conductivity"])
+    @pytest.mark.parametrize("run, problems", [
+        ("t_min = -1.0\nt_max = 2.0\nt_steps = 4\n", ["run.t_min: must be >= 0, got -1.0"]),
+        ("t_min = 1.0\nt_max = -2.0\nt_steps = 4\n", ["run.t_max: must be >= 0, got -2.0"]),
+        ("t_min = -1.0\nt_max = -2.0\nt_steps = 4\n",
+         ["run.t_min: must be >= 0, got -1.0", "run.t_max: must be >= 0, got -2.0"]),
+        ("t_min = -1.0\nt_max = 2.0\nt_steps = 1\n", ["run.t_min: must be >= 0, got -1.0"]),
+        ("t_min = 1.0\nt_max = 0.0\nt_steps = 4\nscale = log\n",
+         ["run.t_max: must be > 0 for log scale, got 0.0"]),
+        ("t_min = -1.0\nt_max = 2.0\nt_steps = 4\nscale = log\n",
+         ["run.t_min: must be > 0 for log scale, got -1.0"]),
+    ], ids=["t_min", "t_max", "both", "single_row", "log_t_max", "log_t_min"])
+    def test_sweep_temperature_out_of_range_is_config_error(self, tmp_path, capsys, command, run,
+                                                        problems):
+        cfg = write_config(tmp_path, BASE_CONFIG + "\n[run]\n" + run)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "config", "detail": problems}
+
+    def test_simulation_subcommands_run_without_scipy(self, tmp_path):
+        # a fresh interpreter in which every import of scipy fails
+        runs = {
+            "dispersion": "",
+            "coefficients": "t_min = 0.5\nt_max = 8.0\nt_steps = 4\n",
+            "relax": "scenario = hotspot\nt_hot = 4.0\nt_cold = 2.0\nhot_sites = 4\nt_final = 2.0\n",
+            "compare": "hotspot_width = 2.0\nt_hot = 4.0\nt_cold = 2.0\nt_final = 2.0\n",
+            "conductivity": "t_min = 0.5\nt_max = 8.0\nt_steps = 4\n",
+        }
+        for command, run in runs.items():
+            write_config(tmp_path, BASE_CONFIG + "\n[run]\n" + run, name=f"{command}.ini")
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from heatchain.cli import main\n"
+            "root = sys.argv[1]\n"
+            "print(json.dumps({c: main([c, '--config', f'{root}/{c}.ini', '--out', f'{root}/{c}'])"
+            " for c in sys.argv[2:]}))\n"
+        )
+        src = str(Path(heatchain.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), *runs],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == dict.fromkeys(runs, 0)
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE_CONFIG)

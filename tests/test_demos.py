@@ -1,8 +1,4 @@
-"""Smoke test: demos 01-04 run to completion against the installed package.
-
-Demo 05 (a N = 128 chain-versus-continuum run) is left out; acceptance
-criterion 8 and `TestCompare` cover the same path.
-"""
+"""Smoke test: demos 01-05 run to completion against the installed package."""
 
 import runpy
 from pathlib import Path
@@ -17,6 +13,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "02_bath_coefficients.py",
     "03_relaxation_to_equilibrium.py",
     "04_continuum_heat_equation.py",
+    "05_chain_versus_continuum.py",
 ])
 def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -10,25 +10,32 @@ examples are derandomized and bounded, so every run checks the same chains.
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heatchain import (
     ChainParams,
+    CovarianceState,
     build_matrices,
     circulant_symbol,
     dispersion,
+    evolve,
+    gaussian_site_weights,
     gibbs_covariance,
+    hotspot_state,
     mode_grid,
     mode_sum_diffusion,
     propagator,
     quad_diffusion,
     stationary_covariance,
+    step_bound,
     stiffness_row,
     thermal_matrices,
 )
+from heatchain.covariance import PSD_TOL
 from heatchain.verify import undamped_matrices, van_loan_map
 from test_diffusion import assert_matches_oracle, quad_oracle
+from test_dynamics import lyapunov_oracle
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 # exact step vs Van Loan: measured 1.4e-13 here and 1.0e-12 on other draws; a
@@ -56,8 +63,8 @@ def chains(draw) -> ChainParams:
 def test_fourier_stationary_solve_matches_dense_and_gibbs(p):
     # same tolerances as TestStationary in test_dynamics
     mats = thermal_matrices(p)
-    sf = stationary_covariance(mats, "fourier").sigma
-    sd = stationary_covariance(mats, "dense").sigma
+    sf = stationary_covariance(mats).sigma
+    sd = lyapunov_oracle(mats)
     assert np.max(np.abs(sf - sd)) <= 1e-12 * max(1.0, np.max(np.abs(sd)))
     gb = gibbs_covariance(p, p.bath_temp).sigma
     assert np.linalg.norm(sf - gb) / np.linalg.norm(gb) <= 1e-9
@@ -99,6 +106,33 @@ def test_exact_step_matches_van_loan(p, tau, seed):
         got = p_exact @ sigma @ p_exact.T + q_exact
         want = p_vl @ sigma @ p_vl.T + q_vl
         assert np.max(np.abs(got - want)) <= STEP_RTOL * np.max(np.abs(want))
+
+
+@SETTINGS
+@given(chains())
+def test_evolution_stays_psd(p):
+    # a hotspot relaxing for 1/lambda, sampled about 20 times, under each of
+    # `_models`; the zone-edge model only where its truncated diffusion
+    # symbol is nonnegative.  The zero covariance sits on the PSD boundary
+    # and evolves into Q alone, so it also tests that every noise block Q_q
+    # is PSD
+    n = p.n_sites
+    t_final = 1.0 / p.lambda_fric
+    states = (hotspot_state(p, p.bath_temp, 2.0 * p.bath_temp + 1.0,
+                            gaussian_site_weights(n, n / 2, n / 6)),
+              CovarianceState(np.zeros((2 * n, 2 * n))))
+
+    def assert_psd_along(mats):
+        stride = max(1, int(t_final / step_bound(mats, t_final)) // 20)
+        for state0 in states:
+            traj = evolve(state0, mats, t_final=t_final, dt_max=t_final, sample_stride=stride)
+            assert np.min(traj.min_eig_ratios) >= -PSD_TOL
+
+    thermal, closed, edge = _models(p)
+    assert_psd_along(thermal)
+    assert_psd_along(closed)
+    assume(min(np.min(edge.mode_symbols[2]), np.min(edge.mode_symbols[3])) >= 0.0)
+    assert_psd_along(edge)
 
 
 @st.composite
