@@ -25,8 +25,8 @@ from .config import ConfigError, ScenarioConfig, load_config, require_run_keys, 
 from .continuum import (
     CompareScenario,
     compare_discrete_continuum,
+    diffusion_constant,
     klemens_conductivity,
-    transport_coefficients,
 )
 from .covariance import PSDViolationError
 from .diffusion import (
@@ -45,10 +45,25 @@ from .dynamics import (
     site_observables,
     uniform_state,
 )
+from .params import ChainParams
 from .report import RunReport, write_csv
 from .verify import DEFAULT_PARAMS, run_verify
 
 OUT_ENV = "HEATCHAIN_OUT"
+# the fewest 2N x 2N float64 matrices a dense run holds at once: the
+# covariance, P, Q and the two products of P Sigma P^T
+DENSE_MATRICES = 5
+DENSE_COMMANDS = ("relax", "compare", "verify")
+
+
+def _require_dense_fits(p: ChainParams) -> None:
+    """Config error, before any allocation, when the dense matrices alone exceed physical memory."""
+    need = DENSE_MATRICES * 8 * (2 * p.n_sites) ** 2
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > total:
+        raise ConfigError([f"chain.n_sites: {p.n_sites} sites need at least {need / 2**30:.3g} GiB "
+                           f"for {DENSE_MATRICES} dense 2N x 2N matrices, above the "
+                           f"{total / 2**30:.3g} GiB of physical memory"])
 
 
 def _config_echo(cfg: ScenarioConfig) -> dict:
@@ -82,7 +97,7 @@ def cmd_dispersion(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     p = cfg.chain
     q = np.sort(mode_grid(p))
     w = dispersion(p, q)
-    path = write_csv(outdir / "dispersion.csv", ["q", "omega"], zip(q.tolist(), np.asarray(w).tolist()))
+    path = write_csv(outdir / "dispersion.csv", ["q", "omega"], [q, w])
     summary = {
         "omega_zone_edge": float(dispersion(p, np.pi)),
         "omega_zone_center": float(dispersion(p, 0.0)),
@@ -100,13 +115,12 @@ def cmd_coefficients(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     diff = quad_diffusion(p, temps) if method == "quad" else mode_sum_diffusion(p, temps)
     columns = (temps, diff.d_xx, diff.d_pp, diff.d_ex, source_density(p, diff),
                gibbs_energy_density(p, temps), heat_capacity_density(p, temps))
-    rows = list(zip(*(c.tolist() for c in columns)))
-    path = write_csv(outdir / "coefficients.csv", ["T", "D_xx", "D_pp", "D_ex", "s", "u_eq", "C"], rows)
-    last = rows[-1]
+    path = write_csv(outdir / "coefficients.csv", ["T", "D_xx", "D_pp", "D_ex", "s", "u_eq", "C"], columns)
+    t_max, s_max = float(temps[-1]), float(columns[4][-1])
     summary = {
-        "temperatures": len(rows),
+        "temperatures": len(temps),
         "method": method,
-        "source_over_newton_limit_at_t_max": last[4] * p.lattice_const / (2.0 * p.lambda_fric * p.k_boltz * last[0]),
+        "source_over_newton_limit_at_t_max": s_max * p.lattice_const / (2.0 * p.lambda_fric * p.k_boltz * t_max),
     }
     return RunReport("coefficients", _config_echo(cfg), summary, artifacts=[str(path)])
 
@@ -144,16 +158,12 @@ def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     mats = thermal_matrices(p)
     traj = evolve(state0, mats, t_final=t_final, dt_max=dt_max, sample_stride=stride)
 
-    rows = []
-    energies = []
-    for state in traj.states:
-        obs = site_observables(state, p)
-        energies.append(obs.total_energy)
-        for k in range(p.n_sites):
-            rows.append((state.time, k, obs.energies[k], obs.currents[k], obs.densities[k]))
-    path = write_csv(outdir / "relax_sites.csv", ["t", "k", "E_k", "J_k", "u_k"], rows)
+    obs = [site_observables(state, p) for state in traj.states]
+    sites = np.array([(o.energies, o.currents, o.densities) for o in obs]).swapaxes(0, 1)
+    path = write_csv(outdir / "relax_sites.csv", ["t", "k", "E_k", "J_k", "u_k"],
+                     [traj.times[:, None], np.arange(p.n_sites), *sites])
 
-    u = np.array(energies)
+    u = np.array([o.total_energy for o in obs])
     u_eq = p.n_sites * p.lattice_const * gibbs_energy_density(p, p.bath_temp)
     mask = np.abs(u - u_eq) > 1e-300
     slope = np.nan
@@ -188,22 +198,11 @@ def cmd_compare(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     )
     rep = compare_discrete_continuum(p, scenario)
 
-    chain_rows = []
-    for i, t in enumerate(rep.times):
-        for k in range(p.n_sites):
-            chain_rows.append((float(t), k, rep.u_disc[i, k], rep.j_disc[i, k]))
-    chain_path = write_csv(outdir / "compare_chain.csv", ["t", "k", "u_k", "J_k"], chain_rows)
-    pde_rows = []
-    for i, t in enumerate(rep.times):
-        for k in range(rep.u_pde.shape[1]):
-            pde_rows.append((float(t), k * p.lattice_const, rep.u_pde[i, k]))
-    pde_path = write_csv(outdir / "compare_pde.csv", ["t", "x", "u"], pde_rows)
-    dev_path = write_csv(
-        outdir / "compare_deviation.csv",
-        ["t", "dev_field", "dev_transient", "slope_per_time"],
-        zip(rep.times.tolist(), rep.dev_field.tolist(), rep.dev_transient.tolist(),
-            rep.slope_per_time.tolist()),
-    )
+    t, k = rep.times[:, None], np.arange(p.n_sites)
+    chain_path = write_csv(outdir / "compare_chain.csv", ["t", "k", "u_k", "J_k"], [t, k, rep.u_disc, rep.j_disc])
+    pde_path = write_csv(outdir / "compare_pde.csv", ["t", "x", "u"], [t, k * p.lattice_const, rep.u_pde])
+    dev_path = write_csv(outdir / "compare_deviation.csv", ["t", "dev_field", "dev_transient", "slope_per_time"],
+                         [rep.times, rep.dev_field, rep.dev_transient, rep.slope_per_time])
 
     summary = {
         "max_dev_field": rep.max_dev_field,
@@ -226,15 +225,14 @@ def cmd_conductivity(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     p = cfg.chain
     temps = _temperature_sweep(cfg, "conductivity")
     velocity = str(cfg.run.get("velocity", "sound"))
-    tc = transport_coefficients(p, temps)
-    columns = (temps, heat_capacity_density(p, temps), tc.kappa,
-               klemens_conductivity(p, temps, velocity=velocity), np.full_like(temps, tc.diff_const))
-    rows = zip(*(c.tolist() for c in columns))
-    path = write_csv(outdir / "conductivity.csv", ["T", "C", "kappa_continuum", "kappa_klemens", "sigma"], rows)
+    c = heat_capacity_density(p, temps)
+    diff = diffusion_constant(p)
+    columns = (temps, c, diff * c, klemens_conductivity(p, temps, velocity=velocity), np.full_like(temps, diff))
+    path = write_csv(outdir / "conductivity.csv", ["T", "C", "kappa_continuum", "kappa_klemens", "sigma"], columns)
     summary = {
-        "range_b": tc.range_b,
+        "range_b": p.propagation_range,
         "eff_velocity": p.sound_speed,
-        "diff_const": tc.diff_const,
+        "diff_const": diff,
         "velocity_convention": velocity,
     }
     return RunReport("conductivity", _config_echo(cfg), summary, artifacts=[str(path)])
@@ -303,6 +301,8 @@ def main(argv: "list[str] | None" = None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     try:
+        if cfg is not None and args.subcommand in DENSE_COMMANDS:
+            _require_dense_fits(cfg.chain)
         if args.subcommand == "verify":
             report = cmd_verify(cfg, outdir)
         else:

@@ -71,13 +71,13 @@ def _parse_value(raw: str):
 
 def _cast(section: str, key: str, raw, kind: type):
     """A config value (string or already parsed) as `kind`; ConfigError naming the key when it
-    does not parse, or when an int would drop a fraction or an infinity."""
+    does not parse, is a yes/no word, or when an int would drop a fraction or an infinity."""
     value = _parse_value(raw) if isinstance(raw, str) else raw
     try:
         cast = kind(value)
     except (TypeError, ValueError, OverflowError):
         cast = None
-    if cast is None or (kind is int and cast != value):
+    if cast is None or isinstance(value, bool) or (kind is int and cast != value):
         raise ConfigError([f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}"])
     return cast
 

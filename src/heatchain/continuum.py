@@ -77,36 +77,15 @@ def transport_coefficients(params: ChainParams, temp: "float | Array") -> Transp
     """Propagation range b = v_s/(2 lambda), diffusion constant, conductivity."""
     diff = diffusion_constant(params)
     return TransportCoefficients(
-        range_b=params.sound_speed / (2.0 * params.lambda_fric),
+        range_b=params.propagation_range,
         diff_const=diff,
         kappa=diff * heat_capacity_density(params, temp),
     )
 
 
-def _laplacian(u: Array, dx: float) -> Array:
-    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (dx * dx)
-
-
 def _stability_bound(dx: float, diff: float, lam: float) -> float:
     """Explicit heat-step bound min(0.4 dx^2 / diff_const, 0.1 / (2 lambda))."""
     return min(0.4 * dx * dx / diff if diff > 0 else np.inf, 0.1 / (2.0 * lam))
-
-
-def _heat_step(u: Array, dx: float, diff: float, lam: float, s: float, dt: float) -> Array:
-    """One explicit step; the linear decay toward s/(2 lambda) is exact.
-
-    u' = u_eq + e^{-2 lam dt} (u - u_eq) + phi * diff * Laplacian(u), with
-    phi = (1 - e^{-2 lam dt}) / (2 lam) -> dt as lam dt -> 0.  First order in
-    the diffusion term like plain forward stepping, but uniform fields decay
-    exactly and the fixed point s/(2 lambda) is preserved to roundoff.
-    """
-    decay = np.exp(-2.0 * lam * dt)
-    phi = -np.expm1(-2.0 * lam * dt) / (2.0 * lam) if lam > 0 else dt
-    u_eq = s / (2.0 * lam) if lam > 0 else 0.0
-    out = u_eq + decay * (u - u_eq) + phi * diff * _laplacian(u, dx)
-    if lam == 0.0:
-        out = out + dt * s
-    return out
 
 
 def solve_heat(
@@ -116,16 +95,18 @@ def solve_heat(
     times: "Array | Sequence[float]",
     dt: float | None = None,
 ) -> "list[ContinuumField]":
-    """Explicit integration of du/dt = diff * u_xx - 2 lambda u + s.
+    """Explicit scheme for du/dt = diff * u_xx - 2 lambda u + s, mode by mode.
 
-    Explicit stepping with a second-order central Laplacian on the periodic
-    grid; the decay/source part is advanced with its exact exponential
-    factor.  `dt` defaults to the stability bound min(0.4 dx^2/diff,
-    0.1/(2 lambda)); a larger request is rejected at configuration time.
-    Returns one field per sample time; `times` starts at `field0.time` and
-    does not decrease.  Each interval is cut into
-    max(1, ceil(span/dt - 1e-12)) equal steps, so every sample time is hit
-    exactly.
+    A step of length h, u <- u_eq + e^{-2 lambda h} (u - u_eq) + phi diff L u
+    (L the central Laplacian of the periodic grid of M points, phi =
+    (1 - e^{-2 lambda h}) / (2 lambda), u_eq = s / (2 lambda)), multiplies
+    Fourier mode k of u - u_eq by g_k = e^{-2 lambda h} - phi diff
+    4 sin^2(pi k / M) / dx^2; n steps by g_k^n.  `dt` defaults to the
+    stability bound min(0.4 dx^2/diff, 0.1/(2 lambda)); a larger request is
+    rejected at configuration time.  Returns one field per sample time;
+    `times` starts at `field0.time` and does not decrease.  Each interval is
+    cut into max(1, ceil(span/dt - 1e-12)) equal steps, so every sample
+    time is hit exactly.
     """
     if s_value < 0:
         raise ValueError(f"source density must be >= 0, got {s_value}")
@@ -142,15 +123,18 @@ def solve_heat(
         raise CFLError(f"dt = {dt:.3e} exceeds the explicit stability bound {bound:.3e} "
                        f"(dx = {field0.dx}, diff_const = {diff:.3e}, lambda = {lam})")
 
-    u = field0.values
-    out = [ContinuumField(u.copy(), field0.dx, field0.time)]
+    u_eq = s_value / (2.0 * lam)
+    m = field0.values.size
+    symbol = diff * (2.0 * np.sin(np.pi * np.arange(m // 2 + 1) / m) / field0.dx) ** 2
+    coeffs = np.fft.rfft(field0.values - u_eq)
+    out = [ContinuumField(field0.values.copy(), field0.dx, field0.time)]
     for t_prev, t_next in zip(times[:-1], times[1:]):
         span = t_next - t_prev
         steps = max(1, int(np.ceil(span / dt - 1e-12)))
         h = span / steps
-        for _ in range(steps):
-            u = _heat_step(u, field0.dx, diff, lam, s_value, h)
-        out.append(ContinuumField(u, field0.dx, float(t_next)))
+        phi = -np.expm1(-2.0 * lam * h) / (2.0 * lam)
+        coeffs = coeffs * (np.exp(-2.0 * lam * h) - phi * symbol) ** steps
+        out.append(ContinuumField(u_eq + np.fft.irfft(coeffs, m), field0.dx, float(t_next)))
     return out
 
 
@@ -272,7 +256,7 @@ def compare_discrete_continuum(
     lam = run.lambda_fric
 
     warnings: "list[str]" = []
-    b = run.sound_speed / (2.0 * lam)  # propagation range, as in transport_coefficients
+    b = run.propagation_range
     if scenario.width_sites * a < b:
         warnings.append(
             f"hotspot width {scenario.width_sites * a:.3g} below the propagation range b = {b:.3g}"

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,9 @@ class ChainParams:
     bath_temp: float = 1.0
 
     def __post_init__(self) -> None:
-        problems = []
-        if int(self.n_sites) != self.n_sites or self.n_sites < 3:
+        problems = [f"{f.name} must be finite, got {v}" for f in fields(self)
+                    if not math.isfinite(v := getattr(self, f.name))]
+        if self.n_sites % 1 != 0 or self.n_sites < 3:
             problems.append(f"n_sites must be an integer >= 3, got {self.n_sites}")
         if not self.mass > 0:
             problems.append(f"mass must be > 0, got {self.mass}")
@@ -84,6 +86,11 @@ class ChainParams:
     def sound_speed(self) -> float:
         """Long-wavelength group velocity a*sqrt(xi/m)."""
         return self.lattice_const * (self.xi / self.mass) ** 0.5
+
+    @property
+    def propagation_range(self) -> float:
+        """Distance b = v_s / (2 lambda) sound covers in one relaxation time."""
+        return self.sound_speed / (2.0 * self.lambda_fric)
 
     def with_bath_temp(self, temp: float) -> "ChainParams":
         return replace(self, bath_temp=temp)

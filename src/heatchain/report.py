@@ -8,27 +8,34 @@ from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__ as _version
 
 SCHEMA_VERSION = "1"
 
 
-def fmt_number(x) -> str:
-    """Shortest decimal representation that round-trips the value."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
+def write_csv(path: "str | Path", header: "list[str]", columns) -> Path:
+    """Write numeric columns under a header; byte-deterministic.
 
-
-def write_csv(path: "str | Path", header: "list[str]", rows) -> Path:
-    """Write rows of numbers/strings with a header; byte-deterministic."""
+    The columns broadcast against each other (numpy rules) and are written
+    in C order, one line per element, so a per-sample column of shape
+    (samples, 1) next to a per-site one of shape (sites,) fills a
+    samples x sites table.  Each column is formatted before it is broadcast,
+    so a repeated entry is formatted once: integers by `str`, floats by
+    `repr` (the shortest decimal that round-trips the value).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else fmt_number(v) for v in row))
+    arrays = [np.asarray(c) for c in columns]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    texts = []
+    for a in arrays:
+        text = list(map(str if a.dtype.kind in "iu" else repr, a.ravel().tolist()))
+        if a.shape != shape:
+            text = np.broadcast_to(np.array(text, dtype=object).reshape(a.shape), shape).ravel().tolist()
+        texts.append(text)
+    lines = [",".join(header), *map(",".join, zip(*texts))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 

@@ -173,5 +173,14 @@ class TestParams:
         for word in ("n_sites", "mass", "xi", "lattice_const", "lambda_fric", "bath_temp"):
             assert word in msg
 
+    @pytest.mark.parametrize("field", ["n_sites", "mass", "omega0", "xi", "lattice_const", "lambda_fric",
+                                       "gamma_fric", "hbar", "k_boltz", "bath_temp"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        # NaN passes every ordered comparison's negation, inf the sign checks
+        kw = {"n_sites": 8, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ChainParams(**kw)
+
     def test_omega_max(self):
         assert params().omega_max == pytest.approx(np.sqrt(5.0), rel=1e-15)

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatchain
+import heatchain.continuum
+import heatchain.diffusion
 from heatchain import (
     gibbs_energy_density,
     heat_capacity_density,
@@ -16,7 +23,7 @@ from heatchain import (
 )
 from heatchain.cli import main
 from heatchain.config import ConfigError, load_config
-from heatchain.report import RunReport, fmt_number, validate_report, write_csv
+from heatchain.report import RunReport, validate_report, write_csv
 from heatchain.verify import CheckResult
 
 BASE_CONFIG = """\
@@ -85,16 +92,34 @@ class TestConfig:
 
 
 class TestReport:
-    def test_shortest_roundtrip_formatting(self):
-        assert fmt_number(0.1) == "0.1"
-        assert fmt_number(1.0 / 3.0) == "0.3333333333333333"
-        assert fmt_number(3) == "3"
-        assert float(fmt_number(np.pi)) == np.pi
+    def test_shortest_roundtrip_formatting(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv", ["x", "k"], [[0.1, 1.0 / 3.0, np.pi], np.array([3, 4, 5])])
+        lines = path.read_text().splitlines()
+        assert lines[:3] == ["x,k", "0.1,3", "0.3333333333333333,4"]
+        assert float(lines[3].split(",")[0]) == np.pi
+
+    def test_column_writer_matches_rowwise_formatting(self, tmp_path):
+        # one float column of awkward values, an int column, and a samples x
+        # sites table whose per-sample and per-site columns broadcast
+        floats = np.array([-1.5, 1e-300, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                           3.0, -0.0, 0.0, 0.1, 1.0 / 3.0, -123456789.0, 1e16, 1e22, -7e-7,
+                           np.nan, np.inf, -np.inf])
+        ints = np.arange(floats.size) - 5
+        path = write_csv(tmp_path / "c.csv", ["k", "x", "y"], [ints, floats, floats[::-1]])
+        want = "k,x,y\n" + "".join(f"{str(k)},{repr(x)},{repr(y)}\n" for k, x, y in
+                                    zip(ints.tolist(), floats.tolist(), floats[::-1].tolist()))
+        assert path.read_bytes() == want.encode()
+
+        times, table = floats[:4], np.outer(floats[:4], floats[9:14])
+        path = write_csv(tmp_path / "t.csv", ["t", "k", "u"], [times[:, None], np.arange(5), table])
+        want = "t,k,u\n" + "".join(f"{repr(float(t))},{k},{repr(float(table[i, k]))}\n"
+                                    for i, t in enumerate(times) for k in range(5))
+        assert path.read_bytes() == want.encode()
 
     def test_csv_deterministic_bytes(self, tmp_path):
-        rows = [(0.1, 1 / 3), (2.0, np.pi)]
-        p1 = write_csv(tmp_path / "a.csv", ["x", "y"], rows)
-        p2 = write_csv(tmp_path / "b.csv", ["x", "y"], rows)
+        columns = [[0.1, 2.0], [1 / 3, np.pi]]
+        p1 = write_csv(tmp_path / "a.csv", ["x", "y"], columns)
+        p2 = write_csv(tmp_path / "b.csv", ["x", "y"], columns)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines()[0] == "x,y"
 
@@ -197,6 +222,40 @@ class TestCli:
             assert coef["u_eq"][i] == gibbs_energy_density(p, temp)
             assert cond["kappa_continuum"][i] == transport_coefficients(p, temp).kappa
             assert cond["kappa_klemens"][i] == klemens_conductivity(p, temp)
+
+    def test_conductivity_sweep_sums_heat_capacities_twice(self, tmp_path, monkeypatch):
+        # 300 temperatures are 5 blocks of 64: one pass for C (kappa_continuum
+        # reuses it) and one for the mode-sum conductivity
+        calls = []
+        original = heatchain.diffusion.mode_heat_capacities
+
+        def counted(params, temp):
+            calls.append(np.size(temp))
+            return original(params, temp)
+
+        monkeypatch.setattr(heatchain.diffusion, "mode_heat_capacities", counted)
+        monkeypatch.setattr(heatchain.continuum, "mode_heat_capacities", counted)
+        body = BASE_CONFIG + "\n[run]\nt_min = 0.5\nt_max = 50.0\nt_steps = 300\nscale = log\n"
+        cfg = write_config(tmp_path, body)
+        assert main(["conductivity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 10
+        assert sum(calls) == 600
+
+    @pytest.mark.parametrize("command", ["relax", "compare", "verify"])
+    def test_ring_too_large_for_memory_is_config_error(self, tmp_path, capsys, command):
+        # the estimate alone (5 dense 2N x 2N matrices, 1.5e5 GiB) decides:
+        # nothing of the ring is allocated
+        body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 1000000") + (
+            "\n[run]\nscenario = uniform\nhotspot_width = 4.0\nt_hot = 3.0\nt_cold = 2.0\n"
+            "t_final = 1.0\n")
+        cfg = write_config(tmp_path, body)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "config"
+        assert record["detail"] == [
+            f"chain.n_sites: 1000000 sites need at least {5 * 8 * 4e12 / 2**30:.3g} GiB for 5 dense "
+            f"2N x 2N matrices, above the {os.sysconf('SC_PAGE_SIZE') * os.sysconf('SC_PHYS_PAGES') / 2**30:.3g} "
+            "GiB of physical memory"]
 
     def test_compare_small_scale(self, tmp_path):
         body = (BASE_CONFIG
@@ -315,3 +374,84 @@ class TestCli:
         assert (res.passed, res.value, res.tolerance) == (False, 1e-3, 0.0)
         res = CheckResult.from_clauses("passing", [(2e-5, 1e-2), (2e-5, 5e-3), (-1.0, 0.0)], "")
         assert (res.passed, res.value, res.tolerance) == (True, 2e-5, 5e-3)
+
+
+# Property tests of the CLI's error contract: a malformed config value exits 2
+# with a config record naming the key, a failure inside the library exits 3
+# with a record naming the exception.  Derandomized, so every run draws the
+# same cases; rings of 8 sites keep each failing run short.
+SMALL_CHAIN = BASE_CONFIG.replace("n_sites = 16", "n_sites = 8")
+CHAIN_KEYS = ["n_sites", "mass", "omega0", "xi", "lattice_const", "lambda", "gamma", "bath_temp"]
+VALID_RUNS = {
+    "dispersion": {},
+    "coefficients": {"t_min": "0.5", "t_max": "8.0", "t_steps": "4"},
+    "conductivity": {"t_min": "0.5", "t_max": "8.0", "t_steps": "4"},
+    "relax": {"scenario": "uniform", "t_hot": "4.0", "t_final": "1.0", "dt_max": "0.5",
+              "sample_stride": "2"},
+    "compare": {"hotspot_width": "2.0", "t_hot": "4.0", "t_cold": "2.0", "t_final": "1.0",
+                "dt_max": "0.5", "sample_interval": "0.5"},
+    "verify": {},
+}
+NUMERIC_RUN_KEYS = [(c, k) for c, run in VALID_RUNS.items() for k in run if k != "scenario"]
+words = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8).filter(
+    lambda w: w not in ("nan", "inf", "infinity"))
+bad_chain_values = st.one_of(words, st.sampled_from(["nan", "inf", "-inf", "1e999", "yes", "off"]),
+                             st.floats(max_value=-1e-9, allow_infinity=False).map(repr))
+CLI_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+def run_cli(command, chain, run):
+    """Exit code and the last stderr line, parsed as JSON, of one CLI run."""
+    body = chain + "\n[run]\n" + "".join(f"{k} = {v}\n" for k, v in run.items())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        cfg = write_config(Path(tmp), body)
+        code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+    lines = err.getvalue().strip().splitlines()
+    return code, json.loads(lines[-1]) if lines else None
+
+
+@CLI_SETTINGS
+@given(st.sampled_from(sorted(VALID_RUNS)), st.sampled_from(CHAIN_KEYS), bad_chain_values)
+def test_malformed_chain_value_exits_2(command, key, value):
+    chain = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
+                    for line in SMALL_CHAIN.splitlines())
+    code, record = run_cli(command, chain, VALID_RUNS[command])
+    assert code == 2
+    assert record["error"] == "config" and key in " ".join(record["detail"])
+
+
+@CLI_SETTINGS
+@given(st.sampled_from(NUMERIC_RUN_KEYS), st.one_of(words, st.sampled_from(["yes", "no", "true"])))
+def test_malformed_run_value_exits_2(command_key, value):
+    command, key = command_key
+    code, record = run_cli(command, SMALL_CHAIN, {**VALID_RUNS[command], key: value})
+    assert code == 2
+    assert record["error"] == "config" and any(f"run.{key}" in p for p in record["detail"])
+
+
+RUNTIME_FAULTS = {
+    # (command, chain replacement, run overrides as functions of a drawn magnitude x > 0)
+    "acoustic_relax": ("relax", ("omega0 = 1.0", "omega0 = 0.0"), lambda x: {}),
+    "acoustic_compare": ("compare", ("omega0 = 1.0", "omega0 = 0.0"), lambda x: {}),
+    "cold_hotspot": ("compare", None, lambda x: {"t_hot": repr(2.0 - min(x, 1.9))}),
+    "relax_cold_hotspot": ("relax", None, lambda x: {"scenario": "hotspot", "t_cold": "4.0",
+                                                     "t_hot": repr(4.0 - min(x, 3.9)),
+                                                     "hotspot_width": "2.0"}),
+    "negative_width": ("compare", None, lambda x: {"hotspot_width": repr(-x)}),
+    "negative_dt_max": ("relax", None, lambda x: {"dt_max": repr(-x)}),
+    "negative_t_final": ("relax", None, lambda x: {"t_final": repr(-x)}),
+    "unknown_hotspot_mode": ("compare", None, lambda x: {"hotspot_mode": "tophat"}),
+}
+
+
+@CLI_SETTINGS
+@given(st.sampled_from(sorted(RUNTIME_FAULTS)), st.floats(1e-3, 1e3))
+def test_runtime_failure_exits_3(fault, x):
+    command, replacement, overrides = RUNTIME_FAULTS[fault]
+    chain = SMALL_CHAIN.replace(*replacement) if replacement else SMALL_CHAIN
+    code, record = run_cli(command, chain, {**VALID_RUNS[command], **overrides(x)})
+    assert code == 3
+    assert record["error"] in ("ValueError", "PSDViolationError", "RuntimeError")
+    assert isinstance(record["detail"], str) and record["detail"]

@@ -51,7 +51,46 @@ class TestTransportCoefficients:
         assert p.sound_speed == pytest.approx(p.lattice_const * slope, rel=1e-6)
 
 
+def explicit_heat_oracle(field0, p, s_value, times, dt):
+    """The explicit step loop that `solve_heat` diagonalises, run step by step.
+
+    Each interval is cut into max(1, ceil(span/dt - 1e-12)) steps of
+    u <- u_eq + e^{-2 lambda h} (u - u_eq) + phi diff L u, with L the central
+    periodic Laplacian and phi = (1 - e^{-2 lambda h}) / (2 lambda).
+    """
+    diff, lam, dx = diffusion_constant(p), p.lambda_fric, field0.dx
+    u_eq = s_value / (2 * lam)
+    u = field0.values
+    out = [u]
+    for t_prev, t_next in zip(times[:-1], times[1:]):
+        steps = max(1, int(np.ceil((t_next - t_prev) / dt - 1e-12)))
+        h = (t_next - t_prev) / steps
+        decay, phi = np.exp(-2 * lam * h), -np.expm1(-2 * lam * h) / (2 * lam)
+        for _ in range(steps):
+            u = u_eq + decay * (u - u_eq) + phi * diff * (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / dx**2
+        out.append(u)
+    return np.array(out)
+
+
 class TestSolveHeat:
+    @pytest.mark.parametrize("m", [3, 4, 31, 128])
+    @pytest.mark.parametrize("times, dt", [
+        ([0.0, 0.3, 0.31, 2.0, 2.0, 7.5, 7.55], 0.02),  # uneven, with an empty interval
+        ([0.0, 0.01, 0.025, 0.03, 0.04], 0.02),  # one step per interval
+        (list(np.linspace(0.0, 20.0, 83)), None),  # default dt: the stability bound
+    ], ids=["uneven", "single_step", "default_dt"])
+    def test_matches_explicit_step_loop(self, m, times, dt):
+        p = params(lambda_fric=0.2, xi=0.3)
+        dx = 0.7
+        u0 = 2.0 + np.cos(np.arange(m) * 1.3) ** 3 + np.linspace(0.0, 1.0, m)
+        s = 2 * p.lambda_fric * 2.5
+        fields = solve_heat(ContinuumField(u0, dx), p, s, times, dt=dt)
+        bound = min(0.4 * dx**2 / diffusion_constant(p), 0.1 / (2 * p.lambda_fric))
+        want = explicit_heat_oracle(ContinuumField(u0, dx), p, s, times, bound if dt is None else dt)
+        got = np.array([f.values for f in fields])
+        assert [f.time for f in fields] == list(times)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_fixed_point_is_constant(self):
         p = params()
         s = 0.7
