@@ -53,17 +53,20 @@ OUT_ENV = "HEATCHAIN_OUT"
 # the fewest 2N x 2N float64 matrices a dense run holds at once: the
 # covariance, P, Q and the two products of P Sigma P^T
 DENSE_MATRICES = 5
-DENSE_COMMANDS = ("relax", "compare", "verify")
 
 
-def _require_dense_fits(p: ChainParams) -> None:
-    """Config error, before any allocation, when the dense matrices alone exceed physical memory."""
-    need = DENSE_MATRICES * 8 * (2 * p.n_sites) ** 2
+def _require_fits(command: str, p: ChainParams) -> None:
+    """Config error, before any allocation, when the fewest float64 arrays that
+    `command` holds at once exceed physical memory."""
+    dense = (DENSE_MATRICES * (2 * p.n_sites) ** 2, f"{DENSE_MATRICES} dense 2N x 2N matrices")
+    modes = (2 * p.n_sites, "the mode grid and its frequencies, 2 length-N arrays")
+    floats, what = {"relax": dense, "compare": dense, "verify": dense, "dispersion": modes,
+                    "coefficients": modes, "conductivity": modes}[command]
+    need = 8 * floats
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > total:
         raise ConfigError([f"chain.n_sites: {p.n_sites} sites need at least {need / 2**30:.3g} GiB "
-                           f"for {DENSE_MATRICES} dense 2N x 2N matrices, above the "
-                           f"{total / 2**30:.3g} GiB of physical memory"])
+                           f"for {what}, above the {total / 2**30:.3g} GiB of physical memory"])
 
 
 def _config_echo(cfg: ScenarioConfig) -> dict:
@@ -301,8 +304,8 @@ def main(argv: "list[str] | None" = None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     try:
-        if cfg is not None and args.subcommand in DENSE_COMMANDS:
-            _require_dense_fits(cfg.chain)
+        if cfg is not None:
+            _require_fits(args.subcommand, cfg.chain)
         if args.subcommand == "verify":
             report = cmd_verify(cfg, outdir)
         else:

@@ -7,8 +7,8 @@ The second moments obey the closed linear equation
 with constant coefficients, so between samples the state follows the exact
 map Sigma(t + h) = P Sigma(t) P^T + Q(h), P = e^{A h}.  The ring is
 translation invariant: P and Q are block circulant, assembled from the 2 x 2
-closed forms of each Fourier mode (`propagator`).  The stationary state
-solves the continuous Lyapunov equation mode by mode.
+blocks of each Fourier mode (`propagator`).  The stationary state solves the
+continuous Lyapunov equation mode by mode.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .diffusion import gibbs_covariance
 from .params import ChainParams
 
 GRID_FRACTION = 0.05  # sample-grid step dt <= 0.05 / (fastest rate)
+DOUBLINGS = 30  # propagator: Q starts from its Taylor polynomial at h / 2^30
 
 
 @dataclass(frozen=True)
@@ -75,51 +76,31 @@ def propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
 
     Per mode q, with w = sqrt(K_q / m),
 
-        P_q = e^{-lambda_q h} [[cos wh, sin(wh)/(m w)], [-m w sin wh, cos wh]],
+        P_q(s) = e^{-lambda_q s} [[cos ws, sin(ws)/(m w)], [-m w sin ws, cos ws]],
 
-    and sin(wh)/(m w) -> h/m at w = 0.  The noise term of a damped mode is
-    Q_q = S_q - P_q S_q P_q^T with S_q its stationary block.  A mode with
-    lambda_q = 0 has Q_q = 0 without noise, and otherwise the closed form of
-    Q_q = int_0^h P_q(s) 2 D_q P_q(s)^T ds (`_undamped_noise_blocks`).
+    and sin(ws)/(m w) -> s/m at w = 0.  The noise term
+    Q_q(s) = int_0^s P_q(u) 2 D_q P_q(u)^T du obeys
+    Q_q(2s) = Q_q(s) + P_q(s) Q_q(s) P_q(s)^T.  Every mode starts from the
+    4th-order Taylor polynomial of Q_q at s = h / 2^DOUBLINGS and doubles
+    DOUBLINGS times up to h, so nothing is subtracted whatever the damping.
     """
     m = matrices.mass
     k, lam, dxx, dpp = matrices.mode_symbols
     w = np.sqrt(k / m)
-    decay, cos, sin = np.exp(-lam * h), np.cos(w * h), np.sin(w * h)
-    sin_over = np.divide(sin, m * w, out=np.full_like(w, h / m), where=w > 0.0)
-    p = np.moveaxis(decay * np.array([[cos, sin_over], [-m * w * sin, cos]]), -1, 0)
+    s = np.ldexp(h, np.arange(-DOUBLINGS, 1))[:, None]  # the levels h / 2^DOUBLINGS .. h, exactly
+    decay, cos, sin = np.exp(-lam * s), np.cos(w * s), np.sin(w * s)
+    sin_over = np.divide(sin, m * w, out=np.broadcast_to(s / m, sin.shape).copy(), where=w > 0.0)
+    p = np.moveaxis(decay * np.array([[cos, sin_over], [-m * w * sin, cos]]), (0, 1), (-2, -1))
 
-    q = np.zeros_like(p)
-    damped = lam > 0.0
-    s = _stationary_blocks(m, k[damped], lam[damped], dxx[damped], dpp[damped])
-    q[damped] = s - p[damped] @ s @ np.swapaxes(p[damped], 1, 2)
-    noisy = ~damped & ((dxx != 0.0) | (dpp != 0.0))
-    q[noisy] = _undamped_noise_blocks(m, w[noisy], h, dxx[noisy], dpp[noisy])
-    return circulant_blocks(np.moveaxis(p, 0, -1)), circulant_blocks(np.moveaxis(q, 0, -1))
-
-
-def _undamped_noise_blocks(m: float, w: Array, h: float, dxx: Array, dpp: Array) -> Array:
-    """Noise blocks Q_q, shape (n, 2, 2), of undamped modes with w > 0.  With
-    x = 2 w h and M = (x - sin x) / (2 w), the integral of 2 sin^2(w s) over [0, h],
-
-        Q_xx = dxx (2h - M) + dpp M / (m w)^2,
-        Q_pp = dxx (m w)^2 M + dpp (2h - M),
-        Q_xp = (dpp / (m w) - dxx m w) sin^2(w h) / w.
-
-    Below x = 1, x - sin x is summed as its Taylor series in Horner form
-    (through x^19): the direct difference loses digits as x^2 shrinks.
-    """
-    x = 2.0 * w * h
-    x2 = x * x
-    series = 1.0
-    for k in range(9, 1, -1):  # x - sin x = (x^3/6)(1 - x^2/(4*5) (1 - x^2/(6*7) (...)))
-        series = 1.0 - x2 / (2 * k * (2 * k + 1)) * series
-    big_m = np.where(x < 1.0, x * x2 / 6.0 * series, x - np.sin(x)) / (2.0 * w)
-    mw = m * w
-    q_xx = dxx * (2.0 * h - big_m) + dpp * big_m / mw**2
-    q_pp = dxx * mw**2 * big_m + dpp * (2.0 * h - big_m)
-    q_xp = (dpp / mw - dxx * mw) * np.sin(w * h) ** 2 / w
-    return np.moveaxis(np.array([[q_xx, q_xp], [q_xp, q_pp]]), -1, 0)
+    zero = np.zeros_like(k)
+    a = np.moveaxis(np.array([[-lam, np.full_like(k, 1.0 / m)], [-k, -lam]]), -1, 0)
+    term = q = s[0] * np.moveaxis(np.array([[2.0 * dxx, zero], [zero, 2.0 * dpp]]), -1, 0)
+    for n in range(2, 5):  # term = s^n / n! times (A_q X + X A_q^T) applied n - 1 times to 2 D_q
+        term = s[0] / n * (a @ term + term @ a.transpose(0, 2, 1))
+        q = q + term
+    for p_s in p[:-1]:
+        q = q + p_s @ q @ p_s.transpose(0, 2, 1)
+    return circulant_blocks(np.moveaxis(p[-1], 0, -1)), circulant_blocks(np.moveaxis(q, 0, -1))
 
 
 def evolve(

@@ -81,20 +81,28 @@ def undamped_matrices(params: ChainParams) -> ModelMatrices:
     return ModelMatrices(params.mass, params.mass * params.omega0**2, params.xi, 0.0, 0.0, zero, zero)
 
 
-def van_loan_map(matrices: ModelMatrices, h: float):
+def van_loan_map(matrices: ModelMatrices, h: float, params: ChainParams):
     """Dense (P, Q) of Sigma(t + h) = P Sigma(t) P^T + Q from the Van Loan block.
 
     expm([[A, 2 D], [0, -A^T]] h) = [[F_11, F_12], [0, F_22]] gives P = F_11 and
     Q = F_12 F_11^T (C. Van Loan, IEEE TAC 23:395, 1978); one dense 4N x 4N
     exponential, independent of the per-mode closed forms of `propagator`.
+    The block is built in the thermal units of `params` (omega0 > 0): x in
+    sqrt(e / (m omega0^2)) and p in sqrt(m e), with e the larger of k_B T and
+    the zero-point energy hbar omega0 / 2.  In raw units a hot or soft chain's
+    2 D dwarfs A, and expm loses digits to the block's norm.  The units are
+    rounded to powers of two, so the transform back is exact.
     """
     from scipy.linalg import expm  # the only scipy use: simulation paths run on numpy alone
 
-    a = matrices.drift
+    e = max(params.k_boltz * params.bath_temp, 0.5 * params.hbar * params.omega0)
+    variances = [e / (params.mass * params.omega0**2), params.mass * e]
+    u = np.repeat(np.exp2(np.round(0.5 * np.log2(variances))), params.n_sites)  # x_1..x_N, p_1..p_N
+    a = matrices.drift * u / u[:, None]
+    f = expm(np.block([[a, 2.0 * matrices.diffusion / np.outer(u, u)], [np.zeros_like(a), -a.T]]) * h)
     dim = len(a)
-    f = expm(np.block([[a, 2.0 * matrices.diffusion], [np.zeros_like(a), -a.T]]) * h)
     p = f[:dim, :dim]
-    return p, f[:dim, dim:] @ p.T
+    return p * u[:, None] / u, f[:dim, dim:] @ p.T * np.outer(u, u)
 
 
 def transcribed_moment_rhs(sigma, params: ChainParams, matrices: ModelMatrices):
@@ -137,7 +145,7 @@ def check_moment_fidelity(params: ChainParams, seed: int = 1234, trials: int = 1
     mats = thermal_matrices(small)
     h = 1.0 / max(small.omega_max, small.lambda_fric)
     p_exact, q_exact = propagator(mats, h)
-    p_vl, q_vl = van_loan_map(mats, h)
+    p_vl, q_vl = van_loan_map(mats, h, small)
     rng = np.random.default_rng(seed)
     n = small.n_sites
     idx = np.arange(n)

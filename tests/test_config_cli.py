@@ -241,21 +241,26 @@ class TestCli:
         assert len(calls) == 10
         assert sum(calls) == 600
 
-    @pytest.mark.parametrize("command", ["relax", "compare", "verify"])
+    @pytest.mark.parametrize("command", ["relax", "compare", "verify", "dispersion", "coefficients",
+                                         "conductivity"])
     def test_ring_too_large_for_memory_is_config_error(self, tmp_path, capsys, command):
-        # the estimate alone (5 dense 2N x 2N matrices, 1.5e5 GiB) decides:
-        # nothing of the ring is allocated
-        body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 1000000") + (
+        # the estimate alone decides, so nothing of the ring is allocated: at
+        # N = 1e15 the 5 dense 2N x 2N matrices of the dense subcommands need
+        # 1.5e23 GiB, the mode grid and frequencies of the others 1.5e7 GiB
+        n = 10**15
+        body = BASE_CONFIG.replace("n_sites = 16", f"n_sites = {n}") + (
             "\n[run]\nscenario = uniform\nhotspot_width = 4.0\nt_hot = 3.0\nt_cold = 2.0\n"
-            "t_final = 1.0\n")
+            "t_final = 1.0\nt_min = 0.5\nt_max = 50.0\nt_steps = 3\n")
         cfg = write_config(tmp_path, body)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        need, what = ((5 * 8 * (2 * n) ** 2, "5 dense 2N x 2N matrices")
+                      if command in ("relax", "compare", "verify")
+                      else (2 * 8 * n, "the mode grid and its frequencies, 2 length-N arrays"))
         assert record["error"] == "config"
         assert record["detail"] == [
-            f"chain.n_sites: 1000000 sites need at least {5 * 8 * 4e12 / 2**30:.3g} GiB for 5 dense "
-            f"2N x 2N matrices, above the {os.sysconf('SC_PAGE_SIZE') * os.sysconf('SC_PHYS_PAGES') / 2**30:.3g} "
-            "GiB of physical memory"]
+            f"chain.n_sites: {n} sites need at least {need / 2**30:.3g} GiB for {what}, above the "
+            f"{os.sysconf('SC_PAGE_SIZE') * os.sysconf('SC_PHYS_PAGES') / 2**30:.3g} GiB of physical memory"]
 
     def test_compare_small_scale(self, tmp_path):
         body = (BASE_CONFIG

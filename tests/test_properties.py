@@ -102,7 +102,7 @@ def test_exact_step_matches_van_loan(p, tau, seed):
     sigma = raw @ raw.T / (2 * p.n_sites)
     for mats in _models(p):
         p_exact, q_exact = propagator(mats, h)
-        p_vl, q_vl = van_loan_map(mats, h)
+        p_vl, q_vl = van_loan_map(mats, h, p)
         got = p_exact @ sigma @ p_exact.T + q_exact
         want = p_vl @ sigma @ p_vl.T + q_vl
         assert np.max(np.abs(got - want)) <= STEP_RTOL * np.max(np.abs(want))
