@@ -16,7 +16,7 @@ from .chain import (
     mode_grid,
     stiffness_row,
 )
-from .covariance import CovarianceState, PSDViolationError, check_psd, symmetrize
+from .covariance import CovarianceState, PSDViolationError, check_psd, min_eig_ratio, symmetrize
 from .diffusion import (
     DiffusionSet,
     coth,

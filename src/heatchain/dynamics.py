@@ -14,13 +14,13 @@ continuous Lyapunov equation mode by mode.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .chain import ModelMatrices, circulant_blocks
-from .covariance import Array, CovarianceState, check_psd, symmetrize
+from .covariance import Array, CovarianceState, check_psd, min_eig_ratio, symmetrize
 from .diffusion import gibbs_covariance
 from .params import ChainParams
 
@@ -40,12 +40,21 @@ class SiteObservables:
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: either retained covariance states or observer outputs."""
+    """Sampled evolution: either retained covariance states or observer outputs.
+
+    `min_eig_ratios` is computed when read, by `covariance.min_eig_ratio`
+    (`eigvalsh`) on each retained state; observer runs retain none, so theirs
+    is empty.  `evolve` only checks each sample (`check_psd`) and keeps no
+    ratio.
+    """
 
     times: Array
     states: "list[CovarianceState] | None" = None
     observations: "list | None" = None
-    min_eig_ratios: Array = field(default_factory=lambda: np.array([]))
+
+    @property
+    def min_eig_ratios(self) -> Array:
+        return np.array([min_eig_ratio(s.sigma) for s in self.states or []])
 
 
 def moment_rhs(state: CovarianceState, matrices: ModelMatrices) -> Array:
@@ -122,8 +131,11 @@ def evolve(
     `observer` whose return values are collected instead (use an observer
     for large N to avoid storing full matrices).
 
-    Raises PSDViolationError if a sampled state drops below -covariance.PSD_TOL times
-    its spectral scale.
+    Every sample passes `check_psd` first, which raises PSDViolationError if
+    the state has a non-finite entry or drops below -covariance.PSD_TOL times
+    its spectral scale.  The check computes no ratio for a state it can
+    certify; `Trajectory.min_eig_ratios` computes them from the retained
+    states when read.
     """
     if dt_max is not None and dt_max <= 0:
         raise ValueError(f"dt_max must be > 0, got {dt_max}")
@@ -146,11 +158,10 @@ def evolve(
     times = []
     states: "list[CovarianceState] | None" = None if observer else []
     observations: "list | None" = [] if observer else None
-    ratios = []
 
     def take_sample(t: float) -> None:
         times.append(t)
-        ratios.append(check_psd(sigma, context=f"t = {t:.6g}"))
+        check_psd(sigma, context=f"t = {t:.6g}")
         if observer is not None:
             observations.append(observer(CovarianceState(sigma, t)))
         else:
@@ -163,12 +174,7 @@ def evolve(
         sigma = p @ sigma @ p.T + q
         take_sample(t0 + i * dt)
 
-    return Trajectory(
-        times=np.array(times),
-        states=states,
-        observations=observations,
-        min_eig_ratios=np.array(ratios),
-    )
+    return Trajectory(times=np.array(times), states=states, observations=observations)
 
 
 def _stationary_blocks(m: float, k: Array, lam: Array, dxx: Array, dpp: Array) -> Array:

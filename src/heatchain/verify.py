@@ -81,23 +81,31 @@ def undamped_matrices(params: ChainParams) -> ModelMatrices:
     return ModelMatrices(params.mass, params.mass * params.omega0**2, params.xi, 0.0, 0.0, zero, zero)
 
 
+def thermal_units(params: ChainParams):
+    """Units of the coordinates (x_1..x_N, p_1..p_N) for the dense oracles.
+
+    x in sqrt(e / (m omega0^2)) and p in sqrt(m e), with e the larger of k_B T
+    and the zero-point energy hbar omega0 / 2 (omega0 > 0).  In raw units a hot
+    or soft chain's 2 D dwarfs A, and a dense solver loses digits to the
+    norm.  The units are rounded to powers of two, so scaling by them and
+    back is exact.
+    """
+    e = max(params.k_boltz * params.bath_temp, 0.5 * params.hbar * params.omega0)
+    variances = [e / (params.mass * params.omega0**2), params.mass * e]
+    return np.repeat(np.exp2(np.round(0.5 * np.log2(variances))), params.n_sites)
+
+
 def van_loan_map(matrices: ModelMatrices, h: float, params: ChainParams):
     """Dense (P, Q) of Sigma(t + h) = P Sigma(t) P^T + Q from the Van Loan block.
 
     expm([[A, 2 D], [0, -A^T]] h) = [[F_11, F_12], [0, F_22]] gives P = F_11 and
     Q = F_12 F_11^T (C. Van Loan, IEEE TAC 23:395, 1978); one dense 4N x 4N
     exponential, independent of the per-mode closed forms of `propagator`.
-    The block is built in the thermal units of `params` (omega0 > 0): x in
-    sqrt(e / (m omega0^2)) and p in sqrt(m e), with e the larger of k_B T and
-    the zero-point energy hbar omega0 / 2.  In raw units a hot or soft chain's
-    2 D dwarfs A, and expm loses digits to the block's norm.  The units are
-    rounded to powers of two, so the transform back is exact.
+    The block is built in the `thermal_units` of `params`.
     """
     from scipy.linalg import expm  # the only scipy use: simulation paths run on numpy alone
 
-    e = max(params.k_boltz * params.bath_temp, 0.5 * params.hbar * params.omega0)
-    variances = [e / (params.mass * params.omega0**2), params.mass * e]
-    u = np.repeat(np.exp2(np.round(0.5 * np.log2(variances))), params.n_sites)  # x_1..x_N, p_1..p_N
+    u = thermal_units(params)
     a = matrices.drift * u / u[:, None]
     f = expm(np.block([[a, 2.0 * matrices.diffusion / np.outer(u, u)], [np.zeros_like(a), -a.T]]) * h)
     dim = len(a)

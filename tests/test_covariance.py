@@ -1,0 +1,102 @@
+"""The PSD check: the Cholesky certificate keeps the eigenvalue rule's verdict.
+
+`check_psd` passes a matrix when min eig >= -PSD_TOL * max |eig|.  The
+matrices here have a prescribed spectrum in a random orthogonal basis, with
+max |eig| = 1 and min eig = ratio.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heatchain import ChainParams, PSDViolationError, check_psd, min_eig_ratio, uniform_state
+from heatchain.covariance import PSD_TOL
+
+SIZES = [8, 64, 256]
+
+
+def with_spectrum(n: int, ratio: float, seed: int = 0) -> np.ndarray:
+    """Q diag(eig) Q^T with eig = (ratio, ..., 1), the others uniform in
+    [max(ratio, 0), 1], and Q orthogonal from the QR of a Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    eig = rng.uniform(max(ratio, 0.0), 1.0, n)
+    eig[0], eig[-1] = ratio, 1.0
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    sigma = (q * eig) @ q.T
+    return 0.5 * (sigma + sigma.T)
+
+
+def count_eigvalsh(monkeypatch) -> "list[int]":
+    calls = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls[0] += 1
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("ratio", [-0.5 * PSD_TOL, -0.99 * PSD_TOL, 0.0])
+def test_spectrum_within_tolerance_passes(n, ratio):
+    check_psd(with_spectrum(n, ratio))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_zero_matrix_passes(n):
+    check_psd(np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("ratio", [-1.01 * PSD_TOL, -2.0 * PSD_TOL])
+def test_spectrum_below_tolerance_raises_with_the_ratio(n, ratio):
+    sigma = with_spectrum(n, ratio)
+    with pytest.raises(PSDViolationError) as err:
+        check_psd(sigma, context="t = 1")
+    assert str(err.value) == (f"covariance matrix not PSD (t = 1): min/max eigenvalue ratio "
+                              f"{min_eig_ratio(sigma):.3e} below tolerance -1.0e-10")
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(SIZES), st.floats(-3.0 * PSD_TOL, 1e-3), st.integers(0, 2**32 - 1))
+def test_verdict_is_the_eigenvalue_rule(n, ratio, seed):
+    sigma = with_spectrum(n, ratio, seed)
+    try:
+        check_psd(sigma)
+        raised = False
+    except PSDViolationError:
+        raised = True
+    assert raised == (min_eig_ratio(sigma) < -PSD_TOL)
+
+
+def test_positive_definite_state_is_certified_without_eigenvalues(monkeypatch):
+    p = ChainParams(n_sites=128, mass=1.0, omega0=0.05, xi=1.0, lattice_const=1.0,
+                    lambda_fric=0.2, bath_temp=200.0)
+    sigma = uniform_state(p, 280.0).sigma
+    calls = count_eigvalsh(monkeypatch)
+    check_psd(sigma)
+    assert calls[0] == 0
+    with pytest.raises(PSDViolationError):
+        check_psd(with_spectrum(256, -2.0 * PSD_TOL))
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("scale, tol", [(1.0, 1e-14), (1e-160, PSD_TOL)])
+def test_certificate_not_attempted_outside_its_rounding_bound(monkeypatch, scale, tol):
+    # tol d / 2 below the factorisation's rounding margin at 2N = 256, or d
+    # below sqrt(tiny): eigvalsh decides even a positive-definite matrix
+    calls = count_eigvalsh(monkeypatch)
+    check_psd(scale * with_spectrum(256, 1e-3), tol=tol)
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(1, 0), (0, 1), (2, 2)])
+def test_non_finite_entry_raises(value, entry):
+    sigma = np.eye(4)
+    sigma[entry] = value
+    with pytest.raises(PSDViolationError, match=r"not PSD \(t = 0\): non-finite entries, 1 of 16"):
+        check_psd(sigma, context="t = 0")

@@ -18,6 +18,7 @@ from heatchain import (
     gibbs_covariance,
     gibbs_energy_density,
     hotspot_state,
+    min_eig_ratio,
     mode_sum_diffusion,
     moment_rhs,
     propagator,
@@ -30,16 +31,21 @@ from heatchain import (
 )
 from heatchain.verify import (
     check_moment_fidelity,
+    thermal_units,
     transcribed_moment_rhs,
     undamped_matrices,
     van_loan_map,
 )
 
 
-def lyapunov_oracle(matrices):
-    """Dense solve of A Sigma + Sigma A^T + 2 D = 0 (scipy's Bartels-Stewart), a
-    reference for the per-mode Fourier solve of `stationary_covariance`."""
-    return symmetrize(solve_continuous_lyapunov(matrices.drift, -2.0 * matrices.diffusion))
+def lyapunov_oracle(matrices, params):
+    """Dense solve of A Sigma + Sigma A^T + 2 D = 0 (scipy's Bartels-Stewart) in the
+    `thermal_units` of `params`, a reference for the per-mode Fourier solve of
+    `stationary_covariance`."""
+    u = thermal_units(params)
+    scaled = solve_continuous_lyapunov(matrices.drift * u / u[:, None],
+                                       -2.0 * matrices.diffusion / np.outer(u, u))
+    return symmetrize(scaled * np.outer(u, u))
 
 
 def params(**kw):
@@ -185,6 +191,14 @@ class TestEvolve:
                       observer=lambda s: total_energy(s, p))
         assert traj.states is None
         assert len(traj.observations) == len(traj.times)
+        assert traj.min_eig_ratios.shape == (0,)
+
+    def test_min_eig_ratios_are_those_of_the_retained_states(self):
+        p = params()
+        traj = evolve(hotspot_state(p, 1.0, 3.0, gaussian_site_weights(8, 4.0, 1.5)),
+                      thermal_matrices(p), t_final=2.0, sample_stride=5)
+        assert len(traj.min_eig_ratios) == len(traj.times)
+        assert traj.min_eig_ratios.tolist() == [min_eig_ratio(s.sigma) for s in traj.states]
 
     def test_psd_violation_aborts_with_diagnostic(self):
         p = params()
@@ -212,7 +226,7 @@ class TestStationary:
             p = params(n_sites=n, gamma_fric=0.04)
             mats = thermal_matrices(p)
             sf = stationary_covariance(mats).sigma
-            sd = lyapunov_oracle(mats)
+            sd = lyapunov_oracle(mats, p)
             assert np.max(np.abs(sf - sd)) <= 1e-12 * max(1.0, np.max(np.abs(sd)))
 
     def test_fourier_solve_matches_gibbs_at_extreme_scales(self):

@@ -7,7 +7,9 @@ T = 0 included; the coefficient test draws wider scales (see `bath`).  The
 examples are derandomized and bounded, so every run checks the same chains.
 """
 
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -32,6 +34,7 @@ from heatchain import (
     stiffness_row,
     thermal_matrices,
 )
+from heatchain.config import load_config
 from heatchain.covariance import PSD_TOL
 from heatchain.verify import undamped_matrices, van_loan_map
 from test_diffusion import assert_matches_oracle, quad_oracle
@@ -64,7 +67,7 @@ def test_fourier_stationary_solve_matches_dense_and_gibbs(p):
     # same tolerances as TestStationary in test_dynamics
     mats = thermal_matrices(p)
     sf = stationary_covariance(mats).sigma
-    sd = lyapunov_oracle(mats)
+    sd = lyapunov_oracle(mats, p)
     assert np.max(np.abs(sf - sd)) <= 1e-12 * max(1.0, np.max(np.abs(sd)))
     gb = gibbs_covariance(p, p.bath_temp).sigma
     assert np.linalg.norm(sf - gb) / np.linalg.norm(gb) <= 1e-9
@@ -81,6 +84,19 @@ def test_stiffness_symbol_is_squared_dispersion(p):
     # the model's own symbol has no cancellation: rtol alone
     sym = thermal_matrices(p).mode_symbols[0] / p.mass
     assert np.allclose(sym, w2, rtol=1e-12, atol=0.0)
+
+
+@SETTINGS
+@given(chains())
+def test_config_chain_section_round_trips(p):
+    # every field written as repr, under the config's key names
+    keys = {"lambda_fric": "lambda", "gamma_fric": "gamma"}
+    body = "[chain]\n" + "".join(f"{keys.get(f.name, f.name)} = {getattr(p, f.name)!r}\n"
+                                 for f in fields(p))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.ini"
+        path.write_text(body)
+        assert load_config(path).chain == p
 
 
 def _models(p: ChainParams):
