@@ -30,10 +30,8 @@ from .diffusion import (
     thermal_matrices,
 )
 from .dynamics import (
-    EnergyBalanceReport,
     SiteObservables,
     Trajectory,
-    energy_balance_residual,
     energy_balance_rhs,
     evolve,
     gaussian_site_weights,

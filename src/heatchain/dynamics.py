@@ -237,13 +237,14 @@ def total_energy(state: CovarianceState, params: ChainParams) -> float:
 
 
 def energy_balance_rhs(state: CovarianceState, params: ChainParams, matrices: ModelMatrices) -> Array:
-    """Analytic dE_k/dt from the current state.
+    """Analytic dE_k/dt from the current state: the on-site energy equation.
 
     The grouped per-site balance: decay -2 lambda E_k, diffusion injection,
     minus the discrete current gradient J_{k+1} - J_k, plus the
     gamma-proportional neighbour terms.  When gamma != 0 the exact balance
     needs the next-nearest-neighbour correlation terms weighted by
-    gamma * xi / 2 as well.
+    gamma * xi / 2 as well.  Friction and diffusion are read from `matrices`;
+    the result equals E_k(A Sigma + Sigma A^T + 2 D) (`verify.exact_energy_rate`).
     """
     n = params.n_sites
     sxx, spp = state.xx, state.pp
@@ -254,7 +255,7 @@ def energy_balance_rhs(state: CovarianceState, params: ChainParams, matrices: Mo
     up2, dn2 = (idx + 2) % n, (idx - 2) % n
 
     m, om0, xi = params.mass, params.omega0, params.xi
-    lam, gam = params.lambda_fric, params.gamma_fric
+    lam, gam = matrices.friction_on_site, matrices.friction_neighbour
 
     grad_j = obs.currents[up] - obs.currents[idx]
     out = (
@@ -264,58 +265,11 @@ def energy_balance_rhs(state: CovarianceState, params: ChainParams, matrices: Mo
         - xi * (dxx[1] + dxx[-1])
         - grad_j
     )
-    if gam != 0.0:
-        out = out - (gam / m) * (spp[idx, up] + spp[idx, dn])
-        out = out - gam * (m * om0**2 + 2.0 * xi) * (sxx[idx, up] + sxx[idx, dn])
-        diag = np.diag(sxx)
-        out = out + (gam * xi / 2.0) * (2.0 * diag + diag[up] + diag[dn]
-                                        + 2.0 * sxx[up, dn] + sxx[idx, up2] + sxx[idx, dn2])
-    return out
-
-
-@dataclass(frozen=True)
-class EnergyBalanceReport:
-    times: Array
-    residual: Array  # (n_times, n_sites), central-difference dE/dt minus analytic rhs
-    normalized_max: float
-    sampling_flagged: bool
-
-
-def energy_balance_residual(trajectory: Trajectory, params: ChainParams,
-                            matrices: ModelMatrices) -> EnergyBalanceReport:
-    """Central-difference dE_k/dt along a trajectory minus the analytic balance.
-
-    Needs a trajectory with retained states sampled on a uniform grid fine
-    enough for second-order differences; too-coarse sampling is flagged.
-    """
-    if trajectory.states is None or len(trajectory.states) < 3:
-        raise ValueError("need a trajectory with at least 3 retained states")
-    times = trajectory.times
-    states = trajectory.states
-    spacing = np.diff(times)
-    # evolve always samples the final step; drop it if it breaks uniformity
-    if len(times) > 3 and not np.isclose(spacing[-1], spacing[0], rtol=1e-8):
-        times = times[:-1]
-        states = states[:-1]
-        spacing = spacing[:-1]
-    if not np.allclose(spacing, spacing[0], rtol=1e-8, atol=0.0):
-        raise ValueError("energy balance residual needs uniform sample spacing")
-    ds = float(spacing[0])
-    fastest = max(matrices.omega_max, 2.0 * params.lambda_fric)
-    flagged = bool(ds * fastest > 0.5)
-
-    energies = np.array([site_observables(s, params).energies for s in states])
-    dedt = (energies[2:] - energies[:-2]) / (2.0 * ds)
-    rhs = np.array([energy_balance_rhs(s, params, matrices) for s in states[1:-1]])
-    residual = dedt - rhs
-    scale = float(np.max(np.abs(dedt)))
-    normalized = float(np.max(np.abs(residual)) / scale) if scale > 0 else float(np.max(np.abs(residual)))
-    return EnergyBalanceReport(
-        times=times[1:-1],
-        residual=residual,
-        normalized_max=normalized,
-        sampling_flagged=flagged,
-    )
+    out = out - (gam / m) * (spp[idx, up] + spp[idx, dn])
+    out = out - gam * (m * om0**2 + 2.0 * xi) * (sxx[idx, up] + sxx[idx, dn])
+    diag = np.diag(sxx)
+    return out + (gam * xi / 2.0) * (2.0 * diag + diag[up] + diag[dn]
+                                     + 2.0 * sxx[up, dn] + sxx[idx, up2] + sxx[idx, dn2])
 
 
 def gaussian_site_weights(n_sites: int, center: float, width_sites: float) -> Array:

@@ -1,11 +1,12 @@
-"""Built-in oracle suite: the `verify` subcommand and acceptance criteria 1-5, 9.
+"""Built-in oracle suite: the `verify` subcommand, acceptance criteria 1-5, 9
+and the on-site energy equation.
 
 Each check recomputes its target through an independent route (literal
 per-site transcription of the moment equations, the dense Van Loan
-exponential, closed forms, finite differences) and compares at a fixed
-tolerance.  The acceptance suite runs these same checks on
-`DEFAULT_PARAMS`; each `CheckResult.detail` is the text its ACCEPTANCE line
-prints.
+exponential, closed forms, the site energies of the moment equation's
+right-hand side) and compares at a fixed tolerance.  The acceptance suite
+runs the criterion checks on `DEFAULT_PARAMS`; each `CheckResult.detail` is
+the text its ACCEPTANCE line prints.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .chain import ModelMatrices
 from .covariance import CovarianceState, symmetrize
 from .diffusion import (
+    DiffusionSet,
     gibbs_covariance,
     gibbs_energy_density,
     heat_capacity_density,
@@ -27,11 +29,13 @@ from .diffusion import (
     thermal_matrices,
 )
 from .dynamics import (
+    energy_balance_rhs,
     evolve,
     gaussian_site_weights,
     hotspot_state,
     moment_rhs,
     propagator,
+    site_observables,
     stationary_covariance,
     total_energy,
     uniform_state,
@@ -143,14 +147,19 @@ def transcribed_moment_rhs(sigma, params: ChainParams, matrices: ModelMatrices):
     return dx2, dp2, dxnext
 
 
+def criterion_1_ring(params: ChainParams) -> "tuple[ChainParams, ModelMatrices]":
+    """N = 4 ring of `params`, gamma = min(gamma or 0.02, lambda / 2), and its model."""
+    gam = min(params.gamma_fric if params.gamma_fric > 0 else 0.02, 0.5 * params.lambda_fric)
+    small = replace(params, n_sites=4, gamma_fric=gam)
+    return small, thermal_matrices(small)
+
+
 def check_moment_fidelity(params: ChainParams, seed: int = 1234, trials: int = 100) -> CheckResult:
     """Matrix RHS against the literal transcription, relative to max |rhs| so the
     bound holds at any scale, and one exact propagation step against the
     dense Van Loan map, on random states (N = 4).  The step
     h = 1/max(omega(pi), lambda) keeps the oracle well conditioned."""
-    gam = min(params.gamma_fric if params.gamma_fric > 0 else 0.02, 0.5 * params.lambda_fric)
-    small = replace(params, n_sites=4, gamma_fric=gam)
-    mats = thermal_matrices(small)
+    small, mats = criterion_1_ring(params)
     h = 1.0 / max(small.omega_max, small.lambda_fric)
     p_exact, q_exact = propagator(mats, h)
     p_vl, q_vl = van_loan_map(mats, h, small)
@@ -173,6 +182,42 @@ def check_moment_fidelity(params: ChainParams, seed: int = 1234, trials: int = 1
     return CheckResult.from_clauses("moment-equation-fidelity", [(worst, 1e-14), (step_err, 1e-13)],
                                     f"max |delta| / max |rhs| {worst:.2e} (tol 1e-14), exact step vs "
                                     f"Van Loan {step_err:.2e} (tol 1e-13)")
+
+
+def exact_energy_rate(state: CovarianceState, params: ChainParams, matrices: ModelMatrices):
+    """dE_k/dt exactly: E_k is linear in Sigma with no constant term, so its rate
+    is E_k of the moment equation's right-hand side A Sigma + Sigma A^T + 2 D."""
+    return site_observables(CovarianceState(moment_rhs(state, matrices)), params).energies
+
+
+def injection_error(params: ChainParams, matrices: ModelMatrices, diff: DiffusionSet) -> float:
+    """Bath injection of `energy_balance_rhs` (its value at Sigma = 0) against s a of
+    `diff`, relative to the sum of the magnitudes of the three terms of s a (they
+    cancel on a soft, stiff chain), or absolute where `diff` is zero."""
+    injection = energy_balance_rhs(CovarianceState(np.zeros((2 * params.n_sites,) * 2)), params, matrices)
+    error = np.max(np.abs(injection - source_density(params, diff) * params.lattice_const))
+    # s weighs D_pp, D_xx and -D_ex by nonnegative factors, so s of these is that sum
+    magnitudes = replace(diff, d_xx=abs(diff.d_xx), d_pp=abs(diff.d_pp), d_ex=-abs(diff.d_ex))
+    scale = source_density(params, magnitudes) * params.lattice_const
+    return float(error / (scale if scale > 0 else 1.0))
+
+
+def check_energy_balance(params: ChainParams, seed: int = 1234, trials: int = 100) -> CheckResult:
+    """On criterion 1's ring: `energy_balance_rhs` against `exact_energy_rate`, relative
+    to max |dE_k/dt|, on random states in `thermal_units`, and its bath injection
+    against the mode-sum coefficients (`injection_error`)."""
+    small, mats = criterion_1_ring(params)
+    u = thermal_units(small)
+    worst = 0.0
+    for raw in np.random.default_rng(seed).normal(size=(trials, len(u), len(u))):
+        state = CovarianceState(symmetrize(raw @ raw.T) / len(u) * np.outer(u, u))
+        want = exact_energy_rate(state, small, mats)
+        got = energy_balance_rhs(state, small, mats)
+        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    src_err = injection_error(small, mats, mode_sum_diffusion(small, small.bath_temp))
+    return CheckResult.from_clauses("energy-balance", [(worst, 1e-13), (src_err, 1e-14)],
+                                    f"dE_k/dt vs E_k(moment rhs) {worst:.2e} (tol 1e-13), bath "
+                                    f"injection vs s a {src_err:.2e} (tol 1e-14)")
 
 
 def check_gibbs_stationarity(params: ChainParams) -> CheckResult:
@@ -260,4 +305,5 @@ def run_verify(params: ChainParams | None = None, seed: int = 1234) -> "list[Che
         check_high_temp_forms(p),
         check_heat_capacity(p),
         check_conservation(p),
+        check_energy_balance(p, seed=seed),
     ]

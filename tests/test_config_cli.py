@@ -366,6 +366,11 @@ class TestCli:
         assert main(["verify", "--out", str(out)]) == 0
         rep = json.loads((out / "verify_report.json").read_text())
         assert validate_report(rep) == []
+        # adding or dropping a check is a deliberate change to this list
+        assert [c["name"] for c in rep["criteria"]] == [
+            "moment-equation-fidelity", "gibbs-stationarity", "energy-decay-rate",
+            "high-temperature-forms", "heat-capacity-limits", "energy-conservation",
+            "energy-balance"]
         assert rep["summary"]["checks_passed"] == rep["summary"]["checks_total"]
         assert all(c["passed"] for c in rep["criteria"])
         assert all(c["passed"] == (c["value"] <= c["tolerance"]) for c in rep["criteria"])

@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from heatchain import (
     ChainParams,
     CovarianceState,
+    DiffusionSet,
     build_matrices,
     circulant_symbol,
     dispersion,
+    energy_balance_rhs,
     evolve,
     gaussian_site_weights,
     gibbs_covariance,
@@ -29,6 +31,7 @@ from heatchain import (
     mode_sum_diffusion,
     propagator,
     quad_diffusion,
+    site_observables,
     stationary_covariance,
     step_bound,
     stiffness_row,
@@ -36,9 +39,9 @@ from heatchain import (
 )
 from heatchain.config import load_config
 from heatchain.covariance import PSD_TOL
-from heatchain.verify import undamped_matrices, van_loan_map
+from heatchain.verify import exact_energy_rate, injection_error, undamped_matrices, van_loan_map
 from test_diffusion import assert_matches_oracle, quad_oracle
-from test_dynamics import lyapunov_oracle
+from test_dynamics import lyapunov_oracle, thermal_unit_states
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 # exact step vs Van Loan: measured 1.4e-13 here and 1.0e-12 on other draws; a
@@ -122,6 +125,29 @@ def test_exact_step_matches_van_loan(p, tau, seed):
         got = p_exact @ sigma @ p_exact.T + q_exact
         want = p_vl @ sigma @ p_vl.T + q_vl
         assert np.max(np.abs(got - want)) <= STEP_RTOL * np.max(np.abs(want))
+
+
+@SETTINGS
+@given(chains(), st.integers(0, 2**32 - 1))
+def test_energy_balance_is_the_exact_rate(p, seed):
+    # on a random state in thermal units, the on-site energy equation equals
+    # E_k of the moment rhs, and its bath injection the source density of the
+    # model's own coefficients (none for the closed chain); both read the
+    # friction from the model, so `p` serves all three.  The rate error is
+    # relative to max |dE_k/dt| or, where that is larger, omega_max max |E_k|:
+    # as xi -> 0 the closed chain's sites become free oscillators whose
+    # dE_k/dt -> 0, while the rounding stays that of the on-site terms (at
+    # xi = 1e-12 it read up to 1.2e-3 of max |dE_k/dt|, 8e-17 of omega_max max |E_k|)
+    state = next(thermal_unit_states(p, seed, count=1))
+    energies = site_observables(state, p).energies
+    diffs = (mode_sum_diffusion(p, p.bath_temp), DiffusionSet(0.0, 0.0, 0.0, p.bath_temp),
+             mode_sum_diffusion(replace(p, gamma_fric=0.5 * p.lambda_fric), p.bath_temp))
+    for mats, diff in zip(_models(p), diffs):
+        want = exact_energy_rate(state, p, mats)
+        got = energy_balance_rhs(state, p, mats)
+        scale = max(np.max(np.abs(want)), mats.omega_max * np.max(np.abs(energies)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert injection_error(p, mats, diff) <= 1e-14
 
 
 @SETTINGS
