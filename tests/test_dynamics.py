@@ -87,6 +87,15 @@ class TestMomentRhs:
             rhs = moment_rhs(gibbs_covariance(p, p.bath_temp), mats)
             assert np.max(np.abs(rhs)) <= 1e-10 * np.max(np.abs(mats.diffusion))
 
+    def test_closed_system_conserves_energy_instantaneously(self):
+        p = params()
+        mats = undamped_matrices(p)
+        rng = np.random.default_rng(3)
+        raw = rng.normal(size=(16, 16))
+        sigma = symmetrize(raw @ raw.T)
+        de = exact_energy_rate(CovarianceState(sigma), p, mats)
+        assert abs(de.sum()) < 1e-11 * np.max(np.abs(sigma))
+
     def test_dimension_mismatch_rejected(self):
         p = params()
         with pytest.raises(ValueError, match="mismatch"):
