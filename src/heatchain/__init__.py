@@ -16,7 +16,14 @@ from .chain import (
     mode_grid,
     stiffness_row,
 )
-from .covariance import CovarianceState, PSDViolationError, check_psd, min_eig_ratio, symmetrize
+from .covariance import (
+    CovarianceState,
+    FactoredState,
+    PSDViolationError,
+    check_psd,
+    min_eig_ratio,
+    symmetrize,
+)
 from .diffusion import (
     DiffusionSet,
     coth,
@@ -36,6 +43,7 @@ from .dynamics import (
     evolve,
     gaussian_site_weights,
     hotspot_state,
+    mode_propagator,
     moment_rhs,
     propagator,
     site_observables,

@@ -50,19 +50,31 @@ from .report import RunReport, write_csv
 from .verify import DEFAULT_PARAMS, run_verify
 
 OUT_ENV = "HEATCHAIN_OUT"
-# the fewest 2N x 2N float64 matrices a dense run holds at once: the
-# covariance, P, Q and the two products of P Sigma P^T
+# The fewest bytes a subcommand holds at once, as counted by `_require_fits`.
+# relax and verify: 5 dense 2N x 2N matrices.  relax keeps every sample and
+# compares the last, formed densely, with the dense Gibbs matrix; verify's
+# checks keep their samples too and read each one's eigenvalues densely.
 DENSE_MATRICES = 5
+# compare: 4 arrays of (2N)^2 floats alive together in a map of the factored
+# state, its factor F before and after the map, F's rFFT and the rFFT's
+# row-major copy (tracemalloc read 5.5 and 5.2 such arrays at N = 256 and 512)
+FACTORED_ARRAYS = 4
+# dispersion: q and omega plus the text of its CSV, one row per site
+# (tracemalloc read 343 and 338 B per site at N = 1e4 and 2e5)
+DISPERSION_BYTES_PER_SITE = 336
 
 
 def _require_fits(command: str, p: ChainParams) -> None:
-    """Config error, before any allocation, when the fewest float64 arrays that
+    """Config error, before any allocation, when the fewest bytes that
     `command` holds at once exceed physical memory."""
-    dense = (DENSE_MATRICES * (2 * p.n_sites) ** 2, f"{DENSE_MATRICES} dense 2N x 2N matrices")
-    modes = (2 * p.n_sites, "the mode grid and its frequencies, 2 length-N arrays")
-    floats, what = {"relax": dense, "compare": dense, "verify": dense, "dispersion": modes,
-                    "coefficients": modes, "conductivity": modes}[command]
-    need = 8 * floats
+    square = 8 * (2 * p.n_sites) ** 2
+    dense = (DENSE_MATRICES * square, f"{DENSE_MATRICES} dense 2N x 2N matrices")
+    factored = (FACTORED_ARRAYS * square, f"{FACTORED_ARRAYS} 2N x 2N arrays of the factored state")
+    rows = (DISPERSION_BYTES_PER_SITE * p.n_sites,
+            f"the mode grid, its frequencies and their CSV rows, {DISPERSION_BYTES_PER_SITE} B per site")
+    modes = (8 * 2 * p.n_sites, "the mode grid and its frequencies, 2 length-N arrays")
+    need, what = {"relax": dense, "compare": factored, "verify": dense, "dispersion": rows,
+                  "coefficients": modes, "conductivity": modes}[command]
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > total:
         raise ConfigError([f"chain.n_sites: {p.n_sites} sites need at least {need / 2**30:.3g} GiB "

@@ -6,9 +6,13 @@ The second moments obey the closed linear equation
 
 with constant coefficients, so between samples the state follows the exact
 map Sigma(t + h) = P Sigma(t) P^T + Q(h), P = e^{A h}.  The ring is
-translation invariant: P and Q are block circulant, assembled from the 2 x 2
-blocks of each Fourier mode (`propagator`).  The stationary state solves the
-continuous Lyapunov equation mode by mode.
+translation invariant: P and Q are block circulant, given by the 2 x 2
+blocks P_q and Q_q of each Fourier mode (`mode_propagator`).  A
+`FactoredState` Sigma = B + F^T F keeps that structure: its block-circulant
+background maps mode by mode, B_q <- P_q B_q P_q^T + Q_q, and its factor
+F <- F P^T row by row, one 2 x 2 product per mode of the rFFT over sites.
+A dense `CovarianceState` is mapped with the dense P and Q (`propagator`).
+The stationary state solves the continuous Lyapunov equation mode by mode.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ModelMatrices, circulant_blocks
-from .covariance import Array, CovarianceState, check_psd, min_eig_ratio, symmetrize
-from .diffusion import gibbs_covariance
+from .chain import ModelMatrices, circulant, circulant_blocks, circulant_row_from_symbol
+from .covariance import Array, CovarianceState, FactoredState, check_psd, min_eig_ratio, symmetrize
+# gibbs_covariance is looked up here by the benchmark's tracer (benchmarks/run.py)
+from .diffusion import gibbs_covariance, mode_thermal_variances  # noqa: F401
 from .params import ChainParams
 
 GRID_FRACTION = 0.05  # sample-grid step dt <= 0.05 / (fastest rate)
@@ -40,16 +45,17 @@ class SiteObservables:
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: either retained covariance states or observer outputs.
+    """Sampled evolution: either retained states or observer outputs.
 
-    `min_eig_ratios` is computed when read, by `covariance.min_eig_ratio`
-    (`eigvalsh`) on each retained state; observer runs retain none, so theirs
-    is empty.  `evolve` only checks each sample (`check_psd`) and keeps no
-    ratio.
+    The retained states have the type of the initial state, dense
+    `CovarianceState` or `FactoredState`.  `min_eig_ratios` is computed when
+    read, by `covariance.min_eig_ratio` (`eigvalsh`) on each retained state's
+    dense `sigma`; observer runs retain none, so theirs is empty.  `evolve`
+    only checks each sample (`check_psd`) and keeps no ratio.
     """
 
     times: Array
-    states: "list[CovarianceState] | None" = None
+    states: "list[CovarianceState | FactoredState] | None" = None
     observations: "list | None" = None
 
     @property
@@ -80,8 +86,9 @@ def step_bound(matrices: ModelMatrices, dt_max: float | None = None) -> float:
     return bound
 
 
-def propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
-    """Dense P and Q of the exact map Sigma(t + h) = P Sigma(t) P^T + Q.
+def mode_propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
+    """Per-mode blocks P_q and Q_q, each of shape (N, 2, 2) in `mode_grid`
+    order, of the exact map Sigma(t + h) = P Sigma(t) P^T + Q.
 
     Per mode q, with w = sqrt(K_q / m),
 
@@ -109,16 +116,54 @@ def propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
         q = q + term
     for p_s in p[:-1]:
         q = q + p_s @ q @ p_s.transpose(0, 2, 1)
-    return circulant_blocks(np.moveaxis(p[-1], 0, -1)), circulant_blocks(np.moveaxis(q, 0, -1))
+    return p[-1], q
+
+
+def propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
+    """Dense P and Q of the exact map: the block circulants of `mode_propagator`."""
+    p, q = mode_propagator(matrices, h)
+    return circulant_blocks(np.moveaxis(p, 0, -1)), circulant_blocks(np.moveaxis(q, 0, -1))
+
+
+def _dense_samples(state: CovarianceState, matrices: ModelMatrices, dt: float, sample_steps):
+    """The samples of a dense state: Sigma <- P Sigma P^T + Q with the dense maps."""
+    maps = functools.cache(lambda steps: propagator(matrices, steps * dt))
+    sigma = symmetrize(state.sigma)
+    yield CovarianceState(sigma, state.time)
+    for prev, i in zip([0] + sample_steps, sample_steps):
+        p, q = maps(i - prev)
+        sigma = p @ sigma @ p.T + q
+        yield CovarianceState(sigma, state.time + i * dt)
+
+
+def _factored_samples(state: FactoredState, matrices: ModelMatrices, dt: float, sample_steps):
+    """The samples of a factored state: B_q <- P_q B_q P_q^T + Q_q for every
+    mode, and F <- F P^T on the rFFT of F's rows over sites, modes 0..N/2.
+
+    Each interval costs O(N r); each sample one inverse rFFT, O(N r log N).
+    """
+    n, t0 = state.n_sites, state.time
+    maps = functools.cache(lambda steps: mode_propagator(matrices, steps * dt))
+    # (mode, x or p, row) and contiguous, so that one 2 x 2 real product per
+    # mode maps the real and imaginary parts of every row at once
+    coeffs = np.ascontiguousarray(np.fft.rfft(state.factor.reshape(-1, 2, n), axis=-1).transpose(2, 1, 0))
+    yield state
+    for prev, i in zip([0] + sample_steps, sample_steps):
+        p, q = maps(i - prev)
+        coeffs = (p[: n // 2 + 1] @ coeffs.view(float)).view(complex)
+        rows = np.ascontiguousarray(coeffs.transpose(2, 1, 0))
+        factor = np.fft.irfft(rows, n, axis=-1).reshape(-1, 2 * n)
+        state = FactoredState(p @ state.background @ p.transpose(0, 2, 1) + q, factor, t0 + i * dt)
+        yield state
 
 
 def evolve(
-    state: CovarianceState,
+    state: "CovarianceState | FactoredState",
     matrices: ModelMatrices,
     t_final: float,
     dt_max: float | None = None,
     sample_stride: int = 10,
-    observer: "Callable[[CovarianceState], object] | None" = None,
+    observer: "Callable[[CovarianceState | FactoredState], object] | None" = None,
 ) -> Trajectory:
     """Propagate the moment equation exactly from `state.time` to `t_final`.
 
@@ -126,10 +171,13 @@ def evolve(
     `step_bound(matrices, dt_max)` = min(dt_max, 0.05/omega(pi), 0.05/lambda).
     The grid only places the samples: the initial state, every
     `sample_stride`-th grid point and the final one.  Each interval between
-    samples is one exact `propagator` map, built once per distinct interval
-    length.  Samples are retained as covariance states, or handed to
+    samples is one exact map, built once per distinct interval length.  A
+    `FactoredState` is mapped mode by mode (`mode_propagator`) and stays
+    factored, O(N r log N) per sample with no dense matrix; a dense
+    `CovarianceState` is mapped with the dense P and Q (`propagator`), O(N^3).
+    Samples are retained as states of the input's type, or handed to
     `observer` whose return values are collected instead (use an observer
-    for large N to avoid storing full matrices).
+    for large N to avoid storing every sample).
 
     Every sample passes `check_psd` first, which raises PSDViolationError if
     the state has a non-finite entry or drops below -covariance.PSD_TOL times
@@ -152,29 +200,18 @@ def evolve(
     if n_steps % sample_stride:
         sample_steps.append(n_steps)
 
-    sigma = symmetrize(state.sigma)
-    t0 = state.time
-
+    factored = isinstance(state, FactoredState)
+    samples = (_factored_samples if factored else _dense_samples)(state, matrices, dt, sample_steps)
     times = []
-    states: "list[CovarianceState] | None" = None if observer else []
-    observations: "list | None" = [] if observer else None
+    kept = []
+    for sample in samples:
+        times.append(sample.time)
+        check_psd(sample if factored else sample.sigma, context=f"t = {sample.time:.6g}")
+        kept.append(observer(sample) if observer is not None else sample)
 
-    def take_sample(t: float) -> None:
-        times.append(t)
-        check_psd(sigma, context=f"t = {t:.6g}")
-        if observer is not None:
-            observations.append(observer(CovarianceState(sigma, t)))
-        else:
-            states.append(CovarianceState(sigma.copy(), t))
-
-    take_sample(t0)
-    maps = functools.cache(lambda steps: propagator(matrices, steps * dt))
-    for prev, i in zip([0] + sample_steps, sample_steps):
-        p, q = maps(i - prev)
-        sigma = p @ sigma @ p.T + q
-        take_sample(t0 + i * dt)
-
-    return Trajectory(times=np.array(times), states=states, observations=observations)
+    if observer is not None:
+        return Trajectory(times=np.array(times), observations=kept)
+    return Trajectory(times=np.array(times), states=kept)
 
 
 def _stationary_blocks(m: float, k: Array, lam: Array, dxx: Array, dpp: Array) -> Array:
@@ -204,25 +241,55 @@ def stationary_covariance(matrices: ModelMatrices) -> CovarianceState:
     return CovarianceState(symmetrize(sigma), time=0.0)
 
 
-def site_observables(state: CovarianceState, params: ChainParams) -> SiteObservables:
+def _site_bands(state: "CovarianceState | FactoredState") -> "tuple[Array, ...]":
+    """The six near-diagonal second moments that E_k and J_k read, per site k:
+    <x_k^2>, <p_k^2>, <x_k x_{k+1}>, <x_k x_{k-1}>, <x_{k-1} p_k>, <x_k p_{k-1}>.
+
+    A dense state gives them by index.  A factored state gives them as the
+    background's first rows at offsets 0 and +-1 (one inverse FFT of its
+    blocks) plus dot products of the factor's columns, O(N r).
+    """
+    n = state.n_sites
+    idx = np.arange(n)
+    up, dn = (idx + 1) % n, (idx - 1) % n
+    if isinstance(state, CovarianceState):
+        sxx, spp, sxp = state.xx, state.pp, state.xp
+        return (np.diag(sxx), np.diag(spp), sxx[idx, up], sxx[idx, dn], sxp[dn, idx], sxp[idx, dn])
+    rows = np.fft.ifft(state.background, axis=0).real  # rows[d][i, j]: entry (k, k + d) of block (i, j)
+    f = state.factor.reshape(-1, 2, n)
+    x, p = f[:, 0], f[:, 1]
+
+    def dot(a, b, lag=0):
+        """sum_i a[i, k] b[i, k - lag] for lag 0 or 1, periodic in k."""
+        if not lag:
+            return np.einsum("ik,ik->k", a, b)
+        out = np.empty(n)
+        out[1:] = np.einsum("ik,ik->k", a[:, 1:], b[:, :-1])
+        out[0] = a[:, 0] @ b[:, -1]
+        return out
+
+    xx_dn = dot(x, x, 1)
+    return (rows[0, 0, 0] + dot(x, x), rows[0, 1, 1] + dot(p, p), rows[1, 0, 0] + xx_dn[up],
+            rows[-1, 0, 0] + xx_dn, rows[1, 0, 1] + dot(p, x, 1), rows[-1, 0, 1] + dot(x, p, 1))
+
+
+def site_observables(state: "CovarianceState | FactoredState", params: ChainParams) -> SiteObservables:
     """Per-site energy, current and energy density extracted from the state.
 
     E_k = <p_k^2>/2m + (m omega0^2/2 + xi) <x_k^2>
           - (xi/2)(<x_k x_{k+1}> + <x_k x_{k-1}>)
     J_k = (xi/2m)(<x_{k-1} p_k> - <x_k p_{k-1}>)
-    """
-    n = params.n_sites
-    sxx, spp, sxp = state.xx, state.pp, state.xp
-    idx = np.arange(n)
-    up = (idx + 1) % n
-    dn = (idx - 1) % n
 
+    The six moments come from `_site_bands`, so a factored state is never
+    formed densely.
+    """
+    xx, pp, xx_up, xx_dn, xp_dn_k, xp_k_dn = _site_bands(state)
     energies = (
-        np.diag(spp) / (2.0 * params.mass)
-        + (params.mass * params.omega0**2 / 2.0 + params.xi) * np.diag(sxx)
-        - (params.xi / 2.0) * (sxx[idx, up] + sxx[idx, dn])
+        pp / (2.0 * params.mass)
+        + (params.mass * params.omega0**2 / 2.0 + params.xi) * xx
+        - (params.xi / 2.0) * (xx_up + xx_dn)
     )
-    currents = (params.xi / (2.0 * params.mass)) * (sxp[dn, idx] - sxp[idx, dn])
+    currents = (params.xi / (2.0 * params.mass)) * (xp_dn_k - xp_k_dn)
     densities = energies / params.lattice_const
     return SiteObservables(
         energies=energies,
@@ -282,9 +349,18 @@ def gaussian_site_weights(n_sites: int, center: float, width_sites: float) -> Ar
     return np.exp(-0.5 * (d / width_sites) ** 2)
 
 
-def uniform_state(params: ChainParams, temp: float) -> CovarianceState:
-    """Translation-invariant thermal state at `temp` (uniform heating start)."""
-    return gibbs_covariance(params, temp)
+def _diagonal_blocks(c_x: Array, c_p: Array) -> Array:
+    """Per-mode blocks diag(c_x, c_p), shape (N, 2, 2)."""
+    blocks = np.zeros((len(c_x), 2, 2))
+    blocks[:, 0, 0], blocks[:, 1, 1] = c_x, c_p
+    return blocks
+
+
+def uniform_state(params: ChainParams, temp: float) -> FactoredState:
+    """Translation-invariant thermal state at `temp` (uniform heating start):
+    the Gibbs blocks as background, with an empty factor."""
+    _, _, c_x, c_p = mode_thermal_variances(params, temp)
+    return FactoredState(_diagonal_blocks(c_x, c_p), np.zeros((0, 2 * params.n_sites)))
 
 
 def hotspot_state(
@@ -293,17 +369,22 @@ def hotspot_state(
     t_hot: float,
     weights: "Array | Sequence[float]",
     mode: str = "thermal",
-) -> CovarianceState:
+) -> FactoredState:
     """Cold thermal background with a locally heated region.
+
+    The cold Gibbs state is the background B; the heating is the Gram
+    matrix F^T F of a factor F with r = 2N rows.
 
     weights:
         Per-site envelope w_k in [0, 1] of the hot region.
     mode:
-        "thermal" windows the full covariance difference between the hot
-        and cold Gibbs states (sqrt(w_k) sqrt(w_j) congruence, PSD by
-        construction); the heated region is locally thermal with flat
-        per-mode energy weights.  "diagonal" adds only the single-site
-        variance differences w_k * (dx^2, dp^2) to the diagonals.
+        "thermal" windows the full covariance difference Delta between the
+        hot and cold Gibbs states, S Delta S with S = diag(sqrt(w), sqrt(w)):
+        F = G S, with G the block circulant of the per-mode square roots of
+        Delta (diagonal, nonnegative).  The heated region is locally thermal
+        with flat per-mode energy weights.  "diagonal" adds only the
+        single-site variance differences w_k * (dx^2, dp^2) to the diagonals:
+        F is diagonal.
     """
     if t_hot < t_cold:
         raise ValueError("t_hot must be >= t_cold")
@@ -312,20 +393,19 @@ def hotspot_state(
         raise ValueError(f"weights must have shape ({params.n_sites},)")
     if np.any(w < 0.0) or np.any(w > 1.0):
         raise ValueError("weights must lie in [0, 1]")
-
-    cold = gibbs_covariance(params, t_cold).sigma
-    hot = gibbs_covariance(params, t_hot).sigma
-    delta = hot - cold
-    if mode == "thermal":
-        s = np.concatenate([np.sqrt(w), np.sqrt(w)])
-        sigma = cold + s[:, None] * delta * s[None, :]
-    elif mode == "diagonal":
-        n = params.n_sites
-        sigma = cold.copy()
-        dx2 = delta[0, 0]
-        dp2 = delta[n, n]
-        sigma[np.arange(n), np.arange(n)] += w * dx2
-        sigma[np.arange(n, 2 * n), np.arange(n, 2 * n)] += w * dp2
-    else:
+    if mode not in ("thermal", "diagonal"):
         raise ValueError(f"unknown hotspot mode {mode!r}")
-    return CovarianceState(symmetrize(sigma), time=0.0)
+
+    _, _, c_x, c_p = mode_thermal_variances(params, np.array([t_cold, t_hot]))
+    background = _diagonal_blocks(c_x[0], c_p[0])
+    # the variances grow with T; the clip keeps a last-bit rounding from a sqrt of < 0
+    d_x, d_p = (np.maximum(c[1] - c[0], 0.0) for c in (c_x, c_p))
+    n = params.n_sites
+    if mode == "thermal":
+        factor = np.zeros((2 * n, 2 * n))
+        root = np.sqrt(w)
+        factor[:n, :n] = circulant(circulant_row_from_symbol(np.sqrt(d_x))) * root
+        factor[n:, n:] = circulant(circulant_row_from_symbol(np.sqrt(d_p))) * root
+    else:
+        factor = np.diag(np.sqrt(np.concatenate([w * np.mean(d_x), w * np.mean(d_p)])))
+    return FactoredState(background, factor)

@@ -245,8 +245,10 @@ class TestCli:
                                          "conductivity"])
     def test_ring_too_large_for_memory_is_config_error(self, tmp_path, capsys, command):
         # the estimate alone decides, so nothing of the ring is allocated: at
-        # N = 1e15 the 5 dense 2N x 2N matrices of the dense subcommands need
-        # 1.5e23 GiB, the mode grid and frequencies of the others 1.5e7 GiB
+        # N = 1e15 the 5 dense 2N x 2N matrices of relax and verify need
+        # 1.5e23 GiB, the 4 factored-state arrays of compare 1.2e23 GiB, the
+        # CSV rows of dispersion 3.1e8 GiB and the mode grid and frequencies
+        # of the others 1.5e7 GiB
         n = 10**15
         body = BASE_CONFIG.replace("n_sites = 16", f"n_sites = {n}") + (
             "\n[run]\nscenario = uniform\nhotspot_width = 4.0\nt_hot = 3.0\nt_cold = 2.0\n"
@@ -254,13 +256,29 @@ class TestCli:
         cfg = write_config(tmp_path, body)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        need, what = ((5 * 8 * (2 * n) ** 2, "5 dense 2N x 2N matrices")
-                      if command in ("relax", "compare", "verify")
-                      else (2 * 8 * n, "the mode grid and its frequencies, 2 length-N arrays"))
+        need, what = {
+            "relax": (5 * 8 * (2 * n) ** 2, "5 dense 2N x 2N matrices"),
+            "verify": (5 * 8 * (2 * n) ** 2, "5 dense 2N x 2N matrices"),
+            "compare": (4 * 8 * (2 * n) ** 2, "4 2N x 2N arrays of the factored state"),
+            "dispersion": (336 * n, "the mode grid, its frequencies and their CSV rows, 336 B per site"),
+        }.get(command, (2 * 8 * n, "the mode grid and its frequencies, 2 length-N arrays"))
         assert record["error"] == "config"
         assert record["detail"] == [
             f"chain.n_sites: {n} sites need at least {need / 2**30:.3g} GiB for {what}, above the "
             f"{os.sysconf('SC_PAGE_SIZE') * os.sysconf('SC_PHYS_PAGES') / 2**30:.3g} GiB of physical memory"]
+
+    def test_dispersion_counts_its_csv_rows(self, tmp_path, capsys, monkeypatch):
+        # 1 MiB of memory: N = 1e4 sites fit as two float arrays (160 kB) but
+        # not with the text of their CSV rows (3.4 MB)
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+                            .get(name) or sysconf(name))
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("n_sites = 16", "n_sites = 10000"))
+        assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "config", "detail": [
+            "chain.n_sites: 10000 sites need at least 0.00313 GiB for the mode grid, its frequencies "
+            "and their CSV rows, 336 B per site, above the 0.000977 GiB of physical memory"]}
 
     def test_compare_small_scale(self, tmp_path):
         body = (BASE_CONFIG

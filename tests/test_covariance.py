@@ -1,8 +1,10 @@
-"""The PSD check: the Cholesky certificate keeps the eigenvalue rule's verdict.
+"""The PSD check: the Cholesky and per-mode certificates keep the eigenvalue
+rule's verdict.
 
 `check_psd` passes a matrix when min eig >= -PSD_TOL * max |eig|.  The
 matrices here have a prescribed spectrum in a random orthogonal basis, with
-max |eig| = 1 and min eig = ratio.
+max |eig| = 1 and min eig = ratio.  A `FactoredState` B + F^T F is certified
+by the blocks of B or falls back to the dense rule.
 """
 
 import numpy as np
@@ -10,7 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatchain import ChainParams, PSDViolationError, check_psd, min_eig_ratio, uniform_state
+import heatchain.covariance
+from heatchain import (
+    ChainParams,
+    FactoredState,
+    PSDViolationError,
+    check_psd,
+    gaussian_site_weights,
+    hotspot_state,
+    min_eig_ratio,
+    uniform_state,
+)
 from heatchain.covariance import PSD_TOL
 
 SIZES = [8, 64, 256]
@@ -100,3 +112,62 @@ def test_non_finite_entry_raises(value, entry):
     sigma[entry] = value
     with pytest.raises(PSDViolationError, match=r"not PSD \(t = 0\): non-finite entries, 1 of 16"):
         check_psd(sigma, context="t = 0")
+
+
+def count_cholesky_certificates(monkeypatch) -> "list[int]":
+    calls = [0]
+    certifies = heatchain.covariance._cholesky_certifies
+
+    def counted(sigma, tol):
+        calls[0] += 1
+        return certifies(sigma, tol)
+
+    monkeypatch.setattr(heatchain.covariance, "_cholesky_certifies", counted)
+    return calls
+
+
+def factored(x0: float, rows: "list[float]") -> FactoredState:
+    """Background diag(1, 1) in every mode of an N = 8 ring but diag(x0, 1) at
+    q = 0, whose x-x eigenvector is the uniform x vector u; factor rows c u."""
+    blocks = np.tile(np.eye(2), (8, 1, 1))
+    blocks[0, 0, 0] = x0
+    u = np.concatenate([np.ones(8), np.zeros(8)]) / np.sqrt(8.0)
+    return FactoredState(blocks, np.array([c * u for c in rows]).reshape(-1, 16))
+
+
+def test_factored_state_certified_by_its_blocks(monkeypatch):
+    p = ChainParams(n_sites=128, mass=1.0, omega0=0.05, xi=1.0, lattice_const=1.0,
+                    lambda_fric=0.2, bath_temp=200.0)
+    state = hotspot_state(p, 200.0, 280.0, gaussian_site_weights(128, 64.0, 20.0))
+    eigvalsh, cholesky = count_eigvalsh(monkeypatch), count_cholesky_certificates(monkeypatch)
+    check_psd(state)
+    check_psd(factored(-0.1 * PSD_TOL, [0.0]))
+    assert eigvalsh[0] == cholesky[0] == 0
+
+
+def test_factored_state_covered_by_its_factor_passes_the_dense_rule(monkeypatch):
+    # the q = 0 block is -1e-3 below zero, F^T F lifts that direction by 2e-3
+    state = factored(-1e-3, [np.sqrt(2e-3)])
+    calls = count_cholesky_certificates(monkeypatch)
+    check_psd(state)
+    assert calls[0] == 1
+    assert min_eig_ratio(state.sigma) > 0.0
+
+
+@pytest.mark.parametrize("rows", [[], [0.0], [np.sqrt(0.5e-3)]])
+def test_factored_state_not_covered_raises_with_the_dense_ratio(rows):
+    state = factored(-1e-3, rows)
+    with pytest.raises(PSDViolationError) as err:
+        check_psd(state, context="t = 2")
+    assert str(err.value) == (f"covariance matrix not PSD (t = 2): min/max eigenvalue ratio "
+                              f"{min_eig_ratio(state.sigma):.3e} below tolerance -1.0e-10")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["background", "factor"])
+def test_factored_non_finite_entry_raises(value, part):
+    state = factored(1.0, [1.0])
+    entries = getattr(state, part)
+    entries[(0,) * entries.ndim] = value
+    with pytest.raises(PSDViolationError, match=r"not PSD \(t = 0\): non-finite entries, 1 of 48"):
+        check_psd(state, context="t = 0")

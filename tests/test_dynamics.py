@@ -8,6 +8,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 from heatchain import (
     ChainParams,
     CovarianceState,
+    FactoredState,
     PSDViolationError,
     build_matrices,
     circulant_symbol,
@@ -18,6 +19,7 @@ from heatchain import (
     gibbs_energy_density,
     hotspot_state,
     min_eig_ratio,
+    mode_propagator,
     mode_sum_diffusion,
     moment_rhs,
     propagator,
@@ -28,6 +30,7 @@ from heatchain import (
     total_energy,
     uniform_state,
 )
+from heatchain.chain import circulant_blocks
 from heatchain.verify import (
     check_moment_fidelity,
     exact_energy_rate,
@@ -103,6 +106,11 @@ class TestMomentRhs:
 
 
 class TestPropagator:
+    def test_dense_maps_are_the_circulants_of_the_mode_maps(self):
+        mats = build_matrices(params(gamma_fric=0.03), mode_sum_diffusion(params(), 2.0))
+        for got, want in zip(propagator(mats, 0.7), mode_propagator(mats, 0.7)):
+            assert np.array_equal(got, circulant_blocks(np.moveaxis(want, 0, -1)))
+
     def test_noiseless_chain_has_no_noise_term(self):
         # D = 0 (criterion 9's closed chain): Q vanishes exactly, not to rounding
         mats = undamped_matrices(params())
@@ -194,6 +202,13 @@ class TestEvolve:
                       thermal_matrices(p), t_final=2.0, sample_stride=5)
         assert len(traj.min_eig_ratios) == len(traj.times)
         assert traj.min_eig_ratios.tolist() == [min_eig_ratio(s.sigma) for s in traj.states]
+
+    def test_factored_state_stays_factored(self):
+        p = params()
+        traj = evolve(hotspot_state(p, 1.0, 3.0, gaussian_site_weights(8, 4.0, 1.5)),
+                      thermal_matrices(p), t_final=2.0, sample_stride=5)
+        assert all(isinstance(s, FactoredState) and s.factor.shape == (16, 16) for s in traj.states)
+        assert [s.time for s in traj.states] == traj.times.tolist()
 
     def test_psd_violation_aborts_with_diagnostic(self):
         p = params()
@@ -332,6 +347,31 @@ class TestInitialStates:
             s = hotspot_state(p, 1.0, 4.0, w, mode=mode)
             eig = np.linalg.eigvalsh(s.sigma)
             assert eig.min() >= -1e-12 * eig.max()
+
+    def test_factored_states_are_gibbs_background_plus_gram(self):
+        p = params(n_sites=8)
+        w = gaussian_site_weights(8, 4.0, 1.5)
+        cold = gibbs_covariance(p, 1.0).sigma
+        uniform = uniform_state(p, 1.0)
+        assert uniform.factor.shape == (0, 16)
+        assert np.max(np.abs(uniform.sigma - cold)) <= 1e-14 * np.max(np.abs(cold))
+        for mode in ("thermal", "diagonal"):
+            s = hotspot_state(p, 1.0, 4.0, w, mode=mode)
+            assert np.max(np.abs(s.sigma - cold - s.factor.T @ s.factor)) <= 1e-14 * np.max(np.abs(cold))
+        assert np.count_nonzero(hotspot_state(p, 1.0, 4.0, w, mode="diagonal").factor) == 16
+
+    def test_factored_background_keeps_the_symmetric_even_part(self):
+        rng = np.random.default_rng(2)
+        blocks = rng.normal(size=(6, 2, 2))
+        state = FactoredState(blocks, np.zeros((0, 12)))
+        even = 0.5 * (blocks + blocks[[0, 5, 4, 3, 2, 1]])
+        assert np.allclose(state.background, 0.5 * (even + even.swapaxes(1, 2)), rtol=0, atol=1e-15)
+        again = FactoredState(state.background, state.factor)
+        assert np.array_equal(again.background, state.background)
+        dense = circulant_blocks(np.moveaxis(blocks, 0, -1))
+        assert np.allclose(state.sigma, symmetrize(dense), rtol=0, atol=1e-14)
+        with pytest.raises(ValueError, match="shape"):
+            FactoredState(blocks, np.zeros((3, 11)))
 
     def test_uniform_thermal_window_is_exact_hot_gibbs(self):
         p = params(n_sites=8)

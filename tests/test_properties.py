@@ -19,6 +19,7 @@ from heatchain import (
     ChainParams,
     CovarianceState,
     DiffusionSet,
+    FactoredState,
     build_matrices,
     circulant_symbol,
     dispersion,
@@ -175,6 +176,37 @@ def test_evolution_stays_psd(p):
     assert_psd_along(closed)
     assume(min(np.min(edge.mode_symbols[2]), np.min(edge.mode_symbols[3])) >= 0.0)
     assert_psd_along(edge)
+
+
+@SETTINGS
+@given(chains())
+def test_factored_evolution_matches_dense(p):
+    # both hotspot modes relaxing for 1/lambda under each of `_models` (the
+    # zone-edge model only where its truncated diffusion symbol is
+    # nonnegative): the factored path against the dense path from the same
+    # matrix, sample by sample
+    n = p.n_sites
+    t_final = 1.0 / p.lambda_fric
+    weights = gaussian_site_weights(n, n / 2, n / 6)
+    thermal, closed, edge = _models(p)
+    models = [thermal, closed]
+    if min(np.min(edge.mode_symbols[2]), np.min(edge.mode_symbols[3])) >= 0.0:
+        models.append(edge)
+    for mats in models:
+        stride = max(1, int(t_final / step_bound(mats, t_final)) // 20)
+        for mode in ("thermal", "diagonal"):
+            state0 = hotspot_state(p, p.bath_temp, 2.0 * p.bath_temp + 1.0, weights, mode=mode)
+            factored = evolve(state0, mats, t_final=t_final, dt_max=t_final, sample_stride=stride)
+            dense = evolve(CovarianceState(state0.sigma), mats, t_final=t_final, dt_max=t_final,
+                           sample_stride=stride)
+            assert np.array_equal(factored.times, dense.times)
+            for f, d in zip(factored.states, dense.states, strict=True):
+                assert isinstance(f, FactoredState)
+                got, want = site_observables(f, p), site_observables(d, p)
+                scale = np.max(np.abs(want.energies))
+                assert np.max(np.abs(got.energies - want.energies)) <= 1e-12 * scale
+                assert np.max(np.abs(got.currents - want.currents)) <= 1e-12 * scale
+                assert np.max(np.abs(f.sigma - d.sigma)) <= 1e-12 * np.max(np.abs(d.sigma))
 
 
 @st.composite
