@@ -51,9 +51,11 @@ from .verify import DEFAULT_PARAMS, run_verify
 
 OUT_ENV = "HEATCHAIN_OUT"
 # The fewest bytes a subcommand holds at once, as counted by `_require_fits`.
-# relax and verify: 5 dense 2N x 2N matrices.  relax keeps every sample and
-# compares the last, formed densely, with the dense Gibbs matrix; verify's
-# checks keep their samples too and read each one's eigenvalues densely.
+# relax and verify: 5 dense 2N x 2N matrices.  relax holds one factored
+# sample at a time and compares the last, formed densely, with the dense
+# Gibbs matrix (tracemalloc read 6.2 and 6.1 such arrays at N = 256 and 512
+# over a short run); verify's checks keep their samples and read each one's
+# eigenvalues densely.
 DENSE_MATRICES = 5
 # compare: 4 arrays of (2N)^2 floats alive together in a map of the factored
 # state, its factor F before and after the map, F's rFFT and the rFFT's
@@ -170,10 +172,15 @@ def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     else:
         raise ConfigError([f"run.scenario: expected 'uniform' or 'hotspot', got {scenario!r}"])
 
-    mats = thermal_matrices(p)
-    traj = evolve(state0, mats, t_final=t_final, dt_max=dt_max, sample_stride=stride)
+    last = []
 
-    obs = [site_observables(state, p) for state in traj.states]
+    def observer(state):
+        last[:] = [state]
+        return site_observables(state, p)
+
+    traj = evolve(state0, thermal_matrices(p), t_final=t_final, dt_max=dt_max, sample_stride=stride,
+                  observer=observer)
+    obs = traj.observations
     sites = np.array([(o.energies, o.currents, o.densities) for o in obs]).swapaxes(0, 1)
     path = write_csv(outdir / "relax_sites.csv", ["t", "k", "E_k", "J_k", "u_k"],
                      [traj.times[:, None], np.arange(p.n_sites), *sites])
@@ -186,7 +193,7 @@ def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
         a = np.vstack([traj.times[mask], np.ones(mask.sum())]).T
         slope = float(np.linalg.lstsq(a, np.log(np.abs(u[mask] - u_eq)), rcond=None)[0][0])
     gibbs = gibbs_covariance(p, p.bath_temp)
-    final_dev = float(np.max(np.abs(traj.states[-1].sigma - gibbs.sigma)))
+    final_dev = float(np.max(np.abs(last[0].sigma - gibbs.sigma)))
     summary = {
         "decay_rate_fit": -slope if np.isfinite(slope) else slope,
         "decay_rate_expected": 2.0 * p.lambda_fric,

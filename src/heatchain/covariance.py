@@ -1,6 +1,7 @@
-"""Second-moment state of the chain: the symmetric 2N x 2N covariance matrix,
-held densely (`CovarianceState`) or as a block-circulant background plus a
-Gram factor (`FactoredState`)."""
+"""Second-moment state of the chain, the symmetric 2N x 2N covariance matrix:
+a block-circulant background plus a Gram factor (`FactoredState`) for every
+state the dynamics builds or evolves, or a dense symmetric matrix
+(`CovarianceState`), such as the moment equation's right-hand side."""
 
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ class _Blocks:
 
 @dataclass
 class CovarianceState(_Blocks):
-    """Symmetrized second moments at a time stamp.
+    """An arbitrary symmetric 2N x 2N matrix of second moments.
 
     `sigma` is ordered (x_1..x_N, p_1..p_N): the x-x block sits top-left,
     p-p bottom-right, and the x-p cross block top-right with entries
@@ -49,14 +50,10 @@ class CovarianceState(_Blocks):
     """
 
     sigma: Array
-    time: float = 0.0
 
     @property
     def n_sites(self) -> int:
         return self.sigma.shape[0] // 2
-
-    def copy(self) -> "CovarianceState":
-        return CovarianceState(self.sigma.copy(), self.time)
 
 
 @dataclass
@@ -112,36 +109,6 @@ def min_eig_ratio(sigma: Array) -> float:
     return float(eig[0] / scale) if scale != 0.0 else 0.0
 
 
-def _cholesky_certifies(sigma: Array, tol: float) -> bool:
-    """True if a factorisation proves min eigenvalue >= -tol * max |eigenvalue|.
-
-    With d = max diag(Sigma) <= max |eig| (each diagonal entry is a Rayleigh
-    quotient), a Cholesky factorisation of Sigma + (tol d / 2) I that runs to
-    completion bounds min eig below by -tol d / 2 - margin.  `margin` is the
-    factorisation's backward error in trace form, gamma_{n+1} / (1 - gamma_{n+1})
-    times trace, with two spare units of u for the rounding of the shifted
-    diagonal and of the trace itself (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 10).  It is attempted only when margin
-    <= tol d / 2 and d >= sqrt(tiny); below that, underflow could escape the
-    bound.  Expects finite entries.
-    """
-    n = len(sigma)
-    d = float(np.max(sigma.diagonal()))
-    half = 0.5 * tol * d
-    diag = sigma.diagonal() + half
-    u = 0.5 * np.finfo(float).eps
-    margin = (n + 3) * u / (1.0 - 2.0 * (n + 3) * u) * float(np.sum(diag))
-    if not (np.sqrt(np.finfo(float).tiny) <= d and margin <= half < np.inf):
-        return False
-    shifted = sigma.copy()
-    np.fill_diagonal(shifted, diag)
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _blocks_certify(blocks: Array, tol: float) -> bool:
     """True if the background blocks alone prove min eigenvalue >= -tol * max
     |eigenvalue| for B + F^T F, whatever the factor F.
@@ -175,11 +142,10 @@ def check_psd(state: "Array | FactoredState", tol: float = PSD_TOL, context: str
     """Raise PSDViolationError if an entry is not finite, or if the min/max
     eigenvalue ratio (`min_eig_ratio`) is below -tol.
 
-    `state` is a dense covariance matrix or a `FactoredState`.  A dense
-    matrix: a shifted Cholesky factorisation certifies most states without
-    computing eigenvalues; `eigvalsh` decides the rest.  Both read the lower
-    triangle.  A factored state: its background blocks certify it in O(N)
-    (`_blocks_certify`); the dense rule on `state.sigma` decides the rest.
+    `state` is a `FactoredState` or a dense covariance matrix.  A factored
+    state: its background blocks certify it in O(N) (`_blocks_certify`);
+    the dense rule on `state.sigma` decides the rest.  A dense matrix: the
+    ratio from `eigvalsh`, which reads the lower triangle.
     """
     where = f" ({context})" if context else ""
     arrays = (state.background, state.factor) if isinstance(state, FactoredState) else (state,)
@@ -192,8 +158,6 @@ def check_psd(state: "Array | FactoredState", tol: float = PSD_TOL, context: str
     if isinstance(state, FactoredState):
         if not _blocks_certify(state.background, tol):
             check_psd(state.sigma, tol, context)
-        return
-    if _cholesky_certifies(state, tol):
         return
     ratio = min_eig_ratio(state)
     if ratio < -tol:

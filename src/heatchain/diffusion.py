@@ -31,12 +31,11 @@ import numpy as np
 
 from .chain import (
     ModelMatrices,
-    circulant_blocks,
     circulant_row_from_symbol,
     dispersion,
     mode_grid,
 )
-from .covariance import Array, CovarianceState, symmetrize
+from .covariance import Array, FactoredState
 from .params import ChainParams
 
 QUAD_EPSABS = 1e-12
@@ -272,16 +271,23 @@ def source_density(params: ChainParams, diff: DiffusionSet) -> "float | Array":
     return (diff.d_pp / m + (m * om0**2 + 2.0 * xi) * diff.d_xx - 2.0 * xi * diff.d_ex) / params.lattice_const
 
 
-def gibbs_covariance(params: ChainParams, temp: float) -> CovarianceState:
+def _diagonal_blocks(c_x: Array, c_p: Array) -> Array:
+    """Per-mode blocks diag(c_x, c_p), shape (N, 2, 2)."""
+    blocks = np.zeros((len(c_x), 2, 2))
+    blocks[:, 0, 0], blocks[:, 1, 1] = c_x, c_p
+    return blocks
+
+
+def gibbs_covariance(params: ChainParams, temp: float) -> FactoredState:
     """Thermal covariance of the ring at temperature `temp`.
 
     <x_k x_j> and <p_k p_j> are mode sums of the per-mode thermal variances
     with cos(q (k-j)) kernels; the x-p cross block vanishes.  The result is
-    a PSD circulant-blocked matrix.
+    the factored state whose background blocks are diag(c_x, c_p) and whose
+    factor is empty.
     """
     _, _, c_x, c_p = mode_thermal_variances(params, temp)
-    sigma = circulant_blocks([[c_x, np.zeros_like(c_x)], [np.zeros_like(c_p), c_p]])
-    return CovarianceState(symmetrize(sigma), time=0.0)
+    return FactoredState(_diagonal_blocks(c_x, c_p), np.zeros((0, 2 * params.n_sites)))
 
 
 def gibbs_energy_density(params: ChainParams, temp: "float | Array") -> "float | Array":

@@ -11,8 +11,9 @@ blocks P_q and Q_q of each Fourier mode (`mode_propagator`).  A
 `FactoredState` Sigma = B + F^T F keeps that structure: its block-circulant
 background maps mode by mode, B_q <- P_q B_q P_q^T + Q_q, and its factor
 F <- F P^T row by row, one 2 x 2 product per mode of the rFFT over sites.
-A dense `CovarianceState` is mapped with the dense P and Q (`propagator`).
-The stationary state solves the continuous Lyapunov equation mode by mode.
+Every state built here is one: the Gibbs, uniform and stationary states
+have an empty factor, and a hot spot adds its heating as F^T F.  The
+stationary state solves the continuous Lyapunov equation mode by mode.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import ModelMatrices, circulant, circulant_blocks, circulant_row_from_symbol
-from .covariance import Array, CovarianceState, FactoredState, check_psd, min_eig_ratio, symmetrize
+from .covariance import Array, CovarianceState, FactoredState, check_psd, min_eig_ratio
 # gibbs_covariance is looked up here by the benchmark's tracer (benchmarks/run.py)
-from .diffusion import gibbs_covariance, mode_thermal_variances  # noqa: F401
+from .diffusion import _diagonal_blocks, gibbs_covariance, mode_thermal_variances
 from .params import ChainParams
 
 GRID_FRACTION = 0.05  # sample-grid step dt <= 0.05 / (fastest rate)
@@ -45,17 +46,16 @@ class SiteObservables:
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: either retained states or observer outputs.
+    """Sampled evolution: either retained `FactoredState`s or observer outputs.
 
-    The retained states have the type of the initial state, dense
-    `CovarianceState` or `FactoredState`.  `min_eig_ratios` is computed when
-    read, by `covariance.min_eig_ratio` (`eigvalsh`) on each retained state's
-    dense `sigma`; observer runs retain none, so theirs is empty.  `evolve`
-    only checks each sample (`check_psd`) and keeps no ratio.
+    `min_eig_ratios` is computed when read, by `covariance.min_eig_ratio`
+    (`eigvalsh`) on each retained state's dense `sigma`; observer runs
+    retain none, so theirs is empty.  `evolve` only checks each sample
+    (`check_psd`) and keeps no ratio.
     """
 
     times: Array
-    states: "list[CovarianceState | FactoredState] | None" = None
+    states: "list[FactoredState] | None" = None
     observations: "list | None" = None
 
     @property
@@ -63,7 +63,7 @@ class Trajectory:
         return np.array([min_eig_ratio(s.sigma) for s in self.states or []])
 
 
-def moment_rhs(state: CovarianceState, matrices: ModelMatrices) -> Array:
+def moment_rhs(state: "CovarianceState | FactoredState", matrices: ModelMatrices) -> Array:
     """Right-hand side A Sigma + Sigma A^T + 2 D of the moment equation."""
     sigma = state.sigma
     a = matrices.drift
@@ -125,18 +125,7 @@ def propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
     return circulant_blocks(np.moveaxis(p, 0, -1)), circulant_blocks(np.moveaxis(q, 0, -1))
 
 
-def _dense_samples(state: CovarianceState, matrices: ModelMatrices, dt: float, sample_steps):
-    """The samples of a dense state: Sigma <- P Sigma P^T + Q with the dense maps."""
-    maps = functools.cache(lambda steps: propagator(matrices, steps * dt))
-    sigma = symmetrize(state.sigma)
-    yield CovarianceState(sigma, state.time)
-    for prev, i in zip([0] + sample_steps, sample_steps):
-        p, q = maps(i - prev)
-        sigma = p @ sigma @ p.T + q
-        yield CovarianceState(sigma, state.time + i * dt)
-
-
-def _factored_samples(state: FactoredState, matrices: ModelMatrices, dt: float, sample_steps):
+def _samples(state: FactoredState, matrices: ModelMatrices, dt: float, sample_steps):
     """The samples of a factored state: B_q <- P_q B_q P_q^T + Q_q for every
     mode, and F <- F P^T on the rFFT of F's rows over sites, modes 0..N/2.
 
@@ -158,12 +147,12 @@ def _factored_samples(state: FactoredState, matrices: ModelMatrices, dt: float, 
 
 
 def evolve(
-    state: "CovarianceState | FactoredState",
+    state: FactoredState,
     matrices: ModelMatrices,
     t_final: float,
     dt_max: float | None = None,
     sample_stride: int = 10,
-    observer: "Callable[[CovarianceState | FactoredState], object] | None" = None,
+    observer: "Callable[[FactoredState], object] | None" = None,
 ) -> Trajectory:
     """Propagate the moment equation exactly from `state.time` to `t_final`.
 
@@ -171,13 +160,14 @@ def evolve(
     `step_bound(matrices, dt_max)` = min(dt_max, 0.05/omega(pi), 0.05/lambda).
     The grid only places the samples: the initial state, every
     `sample_stride`-th grid point and the final one.  Each interval between
-    samples is one exact map, built once per distinct interval length.  A
-    `FactoredState` is mapped mode by mode (`mode_propagator`) and stays
-    factored, O(N r log N) per sample with no dense matrix; a dense
-    `CovarianceState` is mapped with the dense P and Q (`propagator`), O(N^3).
-    Samples are retained as states of the input's type, or handed to
-    `observer` whose return values are collected instead (use an observer
-    for large N to avoid storing every sample).
+    samples is one exact map, built once per distinct interval length.  The
+    state is mapped mode by mode (`mode_propagator`) and stays factored,
+    O(N r log N) per sample with no dense matrix.  `state` must be a
+    `FactoredState` (TypeError otherwise): an arbitrary PSD Sigma is
+    `FactoredState(np.zeros((N, 2, 2)), L.T)`, with L its Cholesky factor.
+    Samples are retained, or handed to `observer` whose return values are
+    collected instead (use an observer for large N to avoid storing every
+    sample).
 
     Every sample passes `check_psd` first, which raises PSDViolationError if
     the state has a non-finite entry or drops below -covariance.PSD_TOL times
@@ -185,6 +175,8 @@ def evolve(
     certify; `Trajectory.min_eig_ratios` computes them from the retained
     states when read.
     """
+    if not isinstance(state, FactoredState):
+        raise TypeError(f"evolve takes a FactoredState, got {type(state).__name__}")
     if dt_max is not None and dt_max <= 0:
         raise ValueError(f"dt_max must be > 0, got {dt_max}")
     if t_final < state.time:
@@ -200,13 +192,11 @@ def evolve(
     if n_steps % sample_stride:
         sample_steps.append(n_steps)
 
-    factored = isinstance(state, FactoredState)
-    samples = (_factored_samples if factored else _dense_samples)(state, matrices, dt, sample_steps)
     times = []
     kept = []
-    for sample in samples:
+    for sample in _samples(state, matrices, dt, sample_steps):
         times.append(sample.time)
-        check_psd(sample if factored else sample.sigma, context=f"t = {sample.time:.6g}")
+        check_psd(sample, context=f"t = {sample.time:.6g}")
         kept.append(observer(sample) if observer is not None else sample)
 
     if observer is not None:
@@ -223,12 +213,13 @@ def _stationary_blocks(m: float, k: Array, lam: Array, dxx: Array, dpp: Array) -
     return np.moveaxis(np.array([[s_x, s_c], [s_c, s_p]]), -1, 0)
 
 
-def stationary_covariance(matrices: ModelMatrices) -> CovarianceState:
+def stationary_covariance(matrices: ModelMatrices) -> FactoredState:
     """Solve A Sigma + Sigma A^T + 2 D = 0 for the stationary covariance.
 
     The drift is block circulant, so the site index is Fourier transformed
-    and N independent 2x2 Lyapunov problems are solved.  Rejects a
-    non-Hurwitz drift.
+    and N independent 2x2 Lyapunov problems are solved; their solutions are
+    the background blocks of a factored state with an empty factor.  Rejects
+    a non-Hurwitz drift.
     """
     k, lam, dxx, dpp = matrices.mode_symbols
     if np.min(lam) <= 0.0:
@@ -236,9 +227,8 @@ def stationary_covariance(matrices: ModelMatrices) -> CovarianceState:
             f"drift is not Hurwitz: mode damping lambda + 2 gamma cos(q) reaches "
             f"{np.min(lam):.3e}"
         )
-    s = _stationary_blocks(matrices.mass, k, lam, dxx, dpp)
-    sigma = circulant_blocks(np.moveaxis(s, 0, -1))
-    return CovarianceState(symmetrize(sigma), time=0.0)
+    blocks = _stationary_blocks(matrices.mass, k, lam, dxx, dpp)
+    return FactoredState(blocks, np.zeros((0, 2 * len(k))))
 
 
 def _site_bands(state: "CovarianceState | FactoredState") -> "tuple[Array, ...]":
@@ -299,11 +289,12 @@ def site_observables(state: "CovarianceState | FactoredState", params: ChainPara
     )
 
 
-def total_energy(state: CovarianceState, params: ChainParams) -> float:
+def total_energy(state: "CovarianceState | FactoredState", params: ChainParams) -> float:
     return site_observables(state, params).total_energy
 
 
-def energy_balance_rhs(state: CovarianceState, params: ChainParams, matrices: ModelMatrices) -> Array:
+def energy_balance_rhs(state: "CovarianceState | FactoredState", params: ChainParams,
+                       matrices: ModelMatrices) -> Array:
     """Analytic dE_k/dt from the current state: the on-site energy equation.
 
     The grouped per-site balance: decay -2 lambda E_k, diffusion injection,
@@ -349,18 +340,8 @@ def gaussian_site_weights(n_sites: int, center: float, width_sites: float) -> Ar
     return np.exp(-0.5 * (d / width_sites) ** 2)
 
 
-def _diagonal_blocks(c_x: Array, c_p: Array) -> Array:
-    """Per-mode blocks diag(c_x, c_p), shape (N, 2, 2)."""
-    blocks = np.zeros((len(c_x), 2, 2))
-    blocks[:, 0, 0], blocks[:, 1, 1] = c_x, c_p
-    return blocks
-
-
-def uniform_state(params: ChainParams, temp: float) -> FactoredState:
-    """Translation-invariant thermal state at `temp` (uniform heating start):
-    the Gibbs blocks as background, with an empty factor."""
-    _, _, c_x, c_p = mode_thermal_variances(params, temp)
-    return FactoredState(_diagonal_blocks(c_x, c_p), np.zeros((0, 2 * params.n_sites)))
+# the uniform-heating start: the translation-invariant Gibbs state at the hot temperature
+uniform_state = gibbs_covariance
 
 
 def hotspot_state(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,26 @@ class TestCli:
         cfg = write_config(tmp_path, body)
         out = tmp_path / "out"
         assert main(["relax", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_relax_holds_one_sample(self, tmp_path):
+        # about 900 samples of an N = 64 hot spot, as in relax_hotspot_n64.ini:
+        # relax keeps each sample's site observables and the last state only,
+        # well below the one (2N)^2 factor per sample that retaining every
+        # state would hold
+        body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 64") + (
+            "\n[run]\nscenario = hotspot\nt_hot = 5.0\nt_cold = 2.0\nhotspot_width = 4.0\n"
+            "t_final = 40.0\nsample_stride = 2\n")
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["relax", "--config", str(cfg), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples = (len((out / "relax_sites.csv").read_text().splitlines()) - 1) // 64
+        assert samples > 850
+        assert peak < 0.5 * samples * 8 * (2 * 64) ** 2
 
     def test_relax_acoustic_chain_fails_fast(self, tmp_path, capsys):
         body = BASE_CONFIG.replace("omega0 = 1.0", "omega0 = 0.0") + (

@@ -1,10 +1,10 @@
-"""The PSD check: the Cholesky and per-mode certificates keep the eigenvalue
-rule's verdict.
+"""The PSD check: the eigenvalue rule, and the per-mode certificate that
+keeps its verdict.
 
 `check_psd` passes a matrix when min eig >= -PSD_TOL * max |eig|.  The
 matrices here have a prescribed spectrum in a random orthogonal basis, with
 max |eig| = 1 and min eig = ratio.  A `FactoredState` B + F^T F is certified
-by the blocks of B or falls back to the dense rule.
+by the blocks of B without eigenvalues, or falls back to the dense rule.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import heatchain.covariance
 from heatchain import (
     ChainParams,
     FactoredState,
@@ -21,7 +20,6 @@ from heatchain import (
     gaussian_site_weights,
     hotspot_state,
     min_eig_ratio,
-    uniform_state,
 )
 from heatchain.covariance import PSD_TOL
 
@@ -84,27 +82,6 @@ def test_verdict_is_the_eigenvalue_rule(n, ratio, seed):
     assert raised == (min_eig_ratio(sigma) < -PSD_TOL)
 
 
-def test_positive_definite_state_is_certified_without_eigenvalues(monkeypatch):
-    p = ChainParams(n_sites=128, mass=1.0, omega0=0.05, xi=1.0, lattice_const=1.0,
-                    lambda_fric=0.2, bath_temp=200.0)
-    sigma = uniform_state(p, 280.0).sigma
-    calls = count_eigvalsh(monkeypatch)
-    check_psd(sigma)
-    assert calls[0] == 0
-    with pytest.raises(PSDViolationError):
-        check_psd(with_spectrum(256, -2.0 * PSD_TOL))
-    assert calls[0] == 1
-
-
-@pytest.mark.parametrize("scale, tol", [(1.0, 1e-14), (1e-160, PSD_TOL)])
-def test_certificate_not_attempted_outside_its_rounding_bound(monkeypatch, scale, tol):
-    # tol d / 2 below the factorisation's rounding margin at 2N = 256, or d
-    # below sqrt(tiny): eigvalsh decides even a positive-definite matrix
-    calls = count_eigvalsh(monkeypatch)
-    check_psd(scale * with_spectrum(256, 1e-3), tol=tol)
-    assert calls[0] == 1
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [(1, 0), (0, 1), (2, 2)])
 def test_non_finite_entry_raises(value, entry):
@@ -112,18 +89,6 @@ def test_non_finite_entry_raises(value, entry):
     sigma[entry] = value
     with pytest.raises(PSDViolationError, match=r"not PSD \(t = 0\): non-finite entries, 1 of 16"):
         check_psd(sigma, context="t = 0")
-
-
-def count_cholesky_certificates(monkeypatch) -> "list[int]":
-    calls = [0]
-    certifies = heatchain.covariance._cholesky_certifies
-
-    def counted(sigma, tol):
-        calls[0] += 1
-        return certifies(sigma, tol)
-
-    monkeypatch.setattr(heatchain.covariance, "_cholesky_certifies", counted)
-    return calls
 
 
 def factored(x0: float, rows: "list[float]") -> FactoredState:
@@ -139,16 +104,16 @@ def test_factored_state_certified_by_its_blocks(monkeypatch):
     p = ChainParams(n_sites=128, mass=1.0, omega0=0.05, xi=1.0, lattice_const=1.0,
                     lambda_fric=0.2, bath_temp=200.0)
     state = hotspot_state(p, 200.0, 280.0, gaussian_site_weights(128, 64.0, 20.0))
-    eigvalsh, cholesky = count_eigvalsh(monkeypatch), count_cholesky_certificates(monkeypatch)
+    calls = count_eigvalsh(monkeypatch)
     check_psd(state)
     check_psd(factored(-0.1 * PSD_TOL, [0.0]))
-    assert eigvalsh[0] == cholesky[0] == 0
+    assert calls[0] == 0
 
 
 def test_factored_state_covered_by_its_factor_passes_the_dense_rule(monkeypatch):
     # the q = 0 block is -1e-3 below zero, F^T F lifts that direction by 2e-3
     state = factored(-1e-3, [np.sqrt(2e-3)])
-    calls = count_cholesky_certificates(monkeypatch)
+    calls = count_eigvalsh(monkeypatch)
     check_psd(state)
     assert calls[0] == 1
     assert min_eig_ratio(state.sigma) > 0.0

@@ -31,6 +31,7 @@ from heatchain import (
     uniform_state,
 )
 from heatchain.chain import circulant_blocks
+from heatchain.diffusion import mode_thermal_variances
 from heatchain.verify import (
     check_moment_fidelity,
     exact_energy_rate,
@@ -213,10 +214,12 @@ class TestEvolve:
     def test_psd_violation_aborts_with_diagnostic(self):
         p = params()
         mats = thermal_matrices(p)
-        bad = np.eye(2 * p.n_sites)
-        bad[0, 0] = -1.0
+        blocks = np.tile(np.eye(2), (p.n_sites, 1, 1))
+        blocks[0, 0, 0] = -1.0
         with pytest.raises(PSDViolationError, match="t = "):
-            evolve(CovarianceState(bad), mats, t_final=1.0)
+            evolve(FactoredState(blocks, np.zeros((0, 2 * p.n_sites))), mats, t_final=1.0)
+        with pytest.raises(TypeError, match="FactoredState"):
+            evolve(CovarianceState(np.eye(2 * p.n_sites)), mats, t_final=1.0)
 
     def test_argument_validation(self):
         p = params()
@@ -225,7 +228,7 @@ class TestEvolve:
         with pytest.raises(ValueError, match="dt_max"):
             evolve(state, mats, 1.0, dt_max=0.0)
         with pytest.raises(ValueError, match="precedes"):
-            evolve(CovarianceState(state.sigma, time=2.0), mats, 1.0)
+            evolve(FactoredState(state.background, state.factor, time=2.0), mats, 1.0)
         with pytest.raises(ValueError, match="sample_stride"):
             evolve(state, mats, 1.0, sample_stride=0)
 
@@ -351,10 +354,12 @@ class TestInitialStates:
     def test_factored_states_are_gibbs_background_plus_gram(self):
         p = params(n_sites=8)
         w = gaussian_site_weights(8, 4.0, 1.5)
-        cold = gibbs_covariance(p, 1.0).sigma
-        uniform = uniform_state(p, 1.0)
-        assert uniform.factor.shape == (0, 16)
-        assert np.max(np.abs(uniform.sigma - cold)) <= 1e-14 * np.max(np.abs(cold))
+        _, _, c_x, c_p = mode_thermal_variances(p, 1.0)
+        cold = circulant_blocks([[c_x, np.zeros(8)], [np.zeros(8), c_p]])
+        for state in (gibbs_covariance(p, 1.0), uniform_state(p, 1.0),
+                      stationary_covariance(thermal_matrices(p))):
+            assert isinstance(state, FactoredState) and state.factor.shape == (0, 16)
+        assert np.max(np.abs(uniform_state(p, 1.0).sigma - cold)) <= 1e-14 * np.max(np.abs(cold))
         for mode in ("thermal", "diagonal"):
             s = hotspot_state(p, 1.0, 4.0, w, mode=mode)
             assert np.max(np.abs(s.sigma - cold - s.factor.T @ s.factor)) <= 1e-14 * np.max(np.abs(cold))
