@@ -17,7 +17,6 @@ from .chain import (
     stiffness_row,
 )
 from .covariance import (
-    CovarianceState,
     FactoredState,
     PSDViolationError,
     check_psd,

@@ -1,7 +1,7 @@
-"""Second-moment state of the chain, the symmetric 2N x 2N covariance matrix:
-a block-circulant background plus a Gram factor (`FactoredState`) for every
-state the dynamics builds or evolves, or a dense symmetric matrix
-(`CovarianceState`), such as the moment equation's right-hand side."""
+"""Second-moment state of the chain, the symmetric 2N x 2N covariance matrix
+Sigma ordered (x_1..x_N, p_1..p_N): a block-circulant background plus a Gram
+factor (`FactoredState`) for every state the dynamics builds or evolves, or a
+plain dense array, such as the moment equation's right-hand side."""
 
 from __future__ import annotations
 
@@ -21,51 +21,15 @@ class PSDViolationError(RuntimeError):
     """Covariance lost positive semidefiniteness beyond tolerance."""
 
 
-class _Blocks:
-    """The x-x, p-p and x-p blocks of a state's `sigma`."""
-
-    @property
-    def xx(self) -> Array:
-        n = self.n_sites
-        return self.sigma[:n, :n]
-
-    @property
-    def pp(self) -> Array:
-        n = self.n_sites
-        return self.sigma[n:, n:]
-
-    @property
-    def xp(self) -> Array:
-        n = self.n_sites
-        return self.sigma[:n, n:]
-
-
 @dataclass
-class CovarianceState(_Blocks):
-    """An arbitrary symmetric 2N x 2N matrix of second moments.
-
-    `sigma` is ordered (x_1..x_N, p_1..p_N): the x-x block sits top-left,
-    p-p bottom-right, and the x-p cross block top-right with entries
-    <x_k p_j> (symmetrized products).
-    """
-
-    sigma: Array
-
-    @property
-    def n_sites(self) -> int:
-        return self.sigma.shape[0] // 2
-
-
-@dataclass
-class FactoredState(_Blocks):
+class FactoredState:
     """Second moments Sigma = B + F^T F at a time stamp, never stored densely.
 
     `background` holds the Fourier blocks B_q of the block circulant B, shape
     (N, 2, 2) in `mode_grid` order: B_q[0, 0], B_q[1, 1] and B_q[0, 1] are the
     symbols of its x-x, p-p and x-p circulants.  `factor` is a real (r, 2N)
-    matrix F in the coordinate order of `CovarianceState`; r = 0 leaves B
-    alone.  `sigma`, and with it `xx`, `pp` and `xp`, forms the dense matrix
-    each time it is read.
+    matrix F in the coordinate order (x_1..x_N, p_1..p_N); r = 0 leaves B
+    alone.  `sigma` forms the dense matrix each time it is read.
 
     B is read as a real symmetric matrix, whose blocks are symmetric and even
     in q, so the constructor keeps that part of the blocks given, E + E^T over

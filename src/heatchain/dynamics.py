@@ -14,6 +14,10 @@ F <- F P^T row by row, one 2 x 2 product per mode of the rFFT over sites.
 Every state built here is one: the Gibbs, uniform and stationary states
 have an empty factor, and a hot spot adds its heating as F^T F.  The
 stationary state solves the continuous Lyapunov equation mode by mode.
+
+Site energies, currents and the on-site energy balance read bands
+<z^i_k z^j_{k+d}> of Sigma (`_bands`), O(N r) each on a factored state, which
+is never formed densely; they and `moment_rhs` take a dense Sigma as an array.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import ModelMatrices, circulant, circulant_blocks, circulant_row_from_symbol
-from .covariance import Array, CovarianceState, FactoredState, check_psd, min_eig_ratio
+from .covariance import Array, FactoredState, check_psd, min_eig_ratio
 # gibbs_covariance is looked up here by the benchmark's tracer (benchmarks/run.py)
 from .diffusion import _diagonal_blocks, gibbs_covariance, mode_thermal_variances
 from .params import ChainParams
@@ -63,9 +67,8 @@ class Trajectory:
         return np.array([min_eig_ratio(s.sigma) for s in self.states or []])
 
 
-def moment_rhs(state: "CovarianceState | FactoredState", matrices: ModelMatrices) -> Array:
-    """Right-hand side A Sigma + Sigma A^T + 2 D of the moment equation."""
-    sigma = state.sigma
+def moment_rhs(sigma: Array, matrices: ModelMatrices) -> Array:
+    """Right-hand side A Sigma + Sigma A^T + 2 D of the moment equation for a dense `sigma`."""
     a = matrices.drift
     if sigma.shape != a.shape:
         raise ValueError(f"state/matrix size mismatch: {sigma.shape} vs {a.shape}")
@@ -231,69 +234,61 @@ def stationary_covariance(matrices: ModelMatrices) -> FactoredState:
     return FactoredState(blocks, np.zeros((0, 2 * len(k))))
 
 
-def _site_bands(state: "CovarianceState | FactoredState") -> "tuple[Array, ...]":
-    """The six near-diagonal second moments that E_k and J_k read, per site k:
-    <x_k^2>, <p_k^2>, <x_k x_{k+1}>, <x_k x_{k-1}>, <x_{k-1} p_k>, <x_k p_{k-1}>.
+def _bands(state: "Array | FactoredState", *wanted: "tuple[int, int, int]") -> "list[Array]":
+    """<z^i_k z^j_{k+d}> over sites k, periodic in k, for each (i, j, d) in
+    `wanted` with 0 <= d < N, z^0 = x and z^1 = p.
 
-    A dense state gives them by index.  A factored state gives them as the
-    background's first rows at offsets 0 and +-1 (one inverse FFT of its
-    blocks) plus dot products of the factor's columns, O(N r).
+    A dense covariance gives them by index.  A factored state gives them as
+    the background's row entry at offset d (one inverse FFT of its blocks)
+    plus lagged dot products of the factor's columns, O(N r): `sigma` is
+    never formed.  Each of the d sites whose partner k + d wraps around
+    costs one dot call, cheaper than a second einsum for the small d read here.
     """
+    if not isinstance(state, FactoredState):
+        n = len(state) // 2
+        k = np.arange(n)
+        return [state[i * n + k, j * n + (k + d) % n] for i, j, d in wanted]
     n = state.n_sites
-    idx = np.arange(n)
-    up, dn = (idx + 1) % n, (idx - 1) % n
-    if isinstance(state, CovarianceState):
-        sxx, spp, sxp = state.xx, state.pp, state.xp
-        return (np.diag(sxx), np.diag(spp), sxx[idx, up], sxx[idx, dn], sxp[dn, idx], sxp[idx, dn])
     rows = np.fft.ifft(state.background, axis=0).real  # rows[d][i, j]: entry (k, k + d) of block (i, j)
-    f = state.factor.reshape(-1, 2, n)
-    x, p = f[:, 0], f[:, 1]
-
-    def dot(a, b, lag=0):
-        """sum_i a[i, k] b[i, k - lag] for lag 0 or 1, periodic in k."""
-        if not lag:
-            return np.einsum("ik,ik->k", a, b)
-        out = np.empty(n)
-        out[1:] = np.einsum("ik,ik->k", a[:, 1:], b[:, :-1])
-        out[0] = a[:, 0] @ b[:, -1]
-        return out
-
-    xx_dn = dot(x, x, 1)
-    return (rows[0, 0, 0] + dot(x, x), rows[0, 1, 1] + dot(p, p), rows[1, 0, 0] + xx_dn[up],
-            rows[-1, 0, 0] + xx_dn, rows[1, 0, 1] + dot(p, x, 1), rows[-1, 0, 1] + dot(x, p, 1))
+    z = state.factor.reshape(-1, 2, n)
+    bands = []
+    for i, j, d in wanted:
+        band = np.empty(n)
+        np.einsum("rk,rk->k", z[:, i, : n - d], z[:, j, d:], out=band[: n - d])
+        for k in range(n - d, n):
+            band[k] = z[:, i, k] @ z[:, j, k + d - n]
+        band += rows[d, i, j]
+        bands.append(band)
+    return bands
 
 
-def site_observables(state: "CovarianceState | FactoredState", params: ChainParams) -> SiteObservables:
+def _over(band: Array, s: int) -> Array:
+    """The band s sites over: band[k - s], periodic in k (np.roll, without its overhead)."""
+    return np.concatenate((band[-s:], band[:-s]))
+
+
+def site_observables(state: "Array | FactoredState", params: ChainParams) -> SiteObservables:
     """Per-site energy, current and energy density extracted from the state.
 
     E_k = <p_k^2>/2m + (m omega0^2/2 + xi) <x_k^2>
           - (xi/2)(<x_k x_{k+1}> + <x_k x_{k-1}>)
     J_k = (xi/2m)(<x_{k-1} p_k> - <x_k p_{k-1}>)
 
-    The six moments come from `_site_bands`, so a factored state is never
-    formed densely.
+    The five bands come from `_bands`, the neighbour at k - 1 being the
+    band one site over (`_over`), so a factored state is never formed densely.
     """
-    xx, pp, xx_up, xx_dn, xp_dn_k, xp_k_dn = _site_bands(state)
-    energies = (
-        pp / (2.0 * params.mass)
-        + (params.mass * params.omega0**2 / 2.0 + params.xi) * xx
-        - (params.xi / 2.0) * (xx_up + xx_dn)
-    )
-    currents = (params.xi / (2.0 * params.mass)) * (xp_dn_k - xp_k_dn)
-    densities = energies / params.lattice_const
-    return SiteObservables(
-        energies=energies,
-        currents=currents,
-        densities=densities,
-        total_energy=float(np.sum(energies)),
-    )
+    m, om0, xi = params.mass, params.omega0, params.xi
+    xx, pp, xx_up, xp_up, px_up = _bands(state, (0, 0, 0), (1, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1))
+    energies = pp / (2.0 * m) + (m * om0**2 / 2.0 + xi) * xx - (xi / 2.0) * (xx_up + _over(xx_up, 1))
+    currents = (xi / (2.0 * m)) * _over(xp_up - px_up, 1)
+    return SiteObservables(energies, currents, energies / params.lattice_const, float(np.sum(energies)))
 
 
-def total_energy(state: "CovarianceState | FactoredState", params: ChainParams) -> float:
+def total_energy(state: "Array | FactoredState", params: ChainParams) -> float:
     return site_observables(state, params).total_energy
 
 
-def energy_balance_rhs(state: "CovarianceState | FactoredState", params: ChainParams,
+def energy_balance_rhs(state: "Array | FactoredState", params: ChainParams,
                        matrices: ModelMatrices) -> Array:
     """Analytic dE_k/dt from the current state: the on-site energy equation.
 
@@ -303,19 +298,13 @@ def energy_balance_rhs(state: "CovarianceState | FactoredState", params: ChainPa
     needs the next-nearest-neighbour correlation terms weighted by
     gamma * xi / 2 as well.  Friction and diffusion are read from `matrices`;
     the result equals E_k(A Sigma + Sigma A^T + 2 D) (`verify.exact_energy_rate`).
+    It reads the x-x bands at offsets 0, 1, 2 and the p-p band at 1 (`_bands`).
     """
-    n = params.n_sites
-    sxx, spp = state.xx, state.pp
+    xx, xx_up, xx_up2, pp_up = _bands(state, (0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 1, 1))
     obs = site_observables(state, params)
-    dxx = matrices.diffusion_xx
-    idx = np.arange(n)
-    up, dn = (idx + 1) % n, (idx - 1) % n
-    up2, dn2 = (idx + 2) % n, (idx - 2) % n
-
     m, om0, xi = params.mass, params.omega0, params.xi
-    lam, gam = matrices.friction_on_site, matrices.friction_neighbour
-
-    grad_j = obs.currents[up] - obs.currents[idx]
+    lam, gam, dxx = matrices.friction_on_site, matrices.friction_neighbour, matrices.diffusion_xx
+    grad_j = _over(obs.currents, -1) - obs.currents
     out = (
         -2.0 * lam * obs.energies
         + matrices.diffusion_pp[0] / m
@@ -323,11 +312,10 @@ def energy_balance_rhs(state: "CovarianceState | FactoredState", params: ChainPa
         - xi * (dxx[1] + dxx[-1])
         - grad_j
     )
-    out = out - (gam / m) * (spp[idx, up] + spp[idx, dn])
-    out = out - gam * (m * om0**2 + 2.0 * xi) * (sxx[idx, up] + sxx[idx, dn])
-    diag = np.diag(sxx)
-    return out + (gam * xi / 2.0) * (2.0 * diag + diag[up] + diag[dn]
-                                     + 2.0 * sxx[up, dn] + sxx[idx, up2] + sxx[idx, dn2])
+    out = out - (gam / m) * (pp_up + _over(pp_up, 1))
+    out = out - gam * (m * om0**2 + 2.0 * xi) * (xx_up + _over(xx_up, 1))
+    return out + (gam * xi / 2.0) * (2.0 * xx + _over(xx, -1) + _over(xx, 1)
+                                     + 2.0 * _over(xx_up2, 1) + xx_up2 + _over(xx_up2, 2))
 
 
 def gaussian_site_weights(n_sites: int, center: float, width_sites: float) -> Array:

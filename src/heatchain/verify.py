@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import ModelMatrices
-from .covariance import CovarianceState, symmetrize
+from .covariance import FactoredState, symmetrize
 from .diffusion import (
     DiffusionSet,
     gibbs_covariance,
@@ -170,7 +170,7 @@ def check_moment_fidelity(params: ChainParams, seed: int = 1234, trials: int = 1
     for _ in range(trials):
         raw = rng.normal(size=(2 * n, 2 * n))
         sigma = symmetrize(raw @ raw.T) / (2 * n)
-        rhs = moment_rhs(CovarianceState(sigma), mats)
+        rhs = moment_rhs(sigma, mats)
         dx2, dp2, dxnext = transcribed_moment_rhs(sigma, small, mats)
         delta = max(float(np.max(np.abs(np.diag(rhs[:n, :n]) - dx2))),
                     float(np.max(np.abs(np.diag(rhs[n:, n:]) - dp2))),
@@ -184,17 +184,19 @@ def check_moment_fidelity(params: ChainParams, seed: int = 1234, trials: int = 1
                                     f"Van Loan {step_err:.2e} (tol 1e-13)")
 
 
-def exact_energy_rate(state: CovarianceState, params: ChainParams, matrices: ModelMatrices):
-    """dE_k/dt exactly: E_k is linear in Sigma with no constant term, so its rate
-    is E_k of the moment equation's right-hand side A Sigma + Sigma A^T + 2 D."""
-    return site_observables(CovarianceState(moment_rhs(state, matrices)), params).energies
+def exact_energy_rate(sigma, params: ChainParams, matrices: ModelMatrices):
+    """dE_k/dt exactly for a dense `sigma`: E_k is linear in Sigma with no constant
+    term, so its rate is E_k of the moment equation's right-hand side A Sigma + Sigma A^T + 2 D."""
+    return site_observables(moment_rhs(sigma, matrices), params).energies
 
 
 def injection_error(params: ChainParams, matrices: ModelMatrices, diff: DiffusionSet) -> float:
-    """Bath injection of `energy_balance_rhs` (its value at Sigma = 0) against s a of
-    `diff`, relative to the sum of the magnitudes of the three terms of s a (they
-    cancel on a soft, stiff chain), or absolute where `diff` is zero."""
-    injection = energy_balance_rhs(CovarianceState(np.zeros((2 * params.n_sites,) * 2)), params, matrices)
+    """Bath injection of `energy_balance_rhs` (its value at Sigma = 0, the empty
+    factored state) against s a of `diff`, relative to the sum of the magnitudes
+    of the three terms of s a (they cancel on a soft, stiff chain), or absolute
+    where `diff` is zero."""
+    n = params.n_sites
+    injection = energy_balance_rhs(FactoredState(np.zeros((n, 2, 2)), np.zeros((0, 2 * n))), params, matrices)
     error = np.max(np.abs(injection - source_density(params, diff) * params.lattice_const))
     # s weighs D_pp, D_xx and -D_ex by nonnegative factors, so s of these is that sum
     magnitudes = replace(diff, d_xx=abs(diff.d_xx), d_pp=abs(diff.d_pp), d_ex=-abs(diff.d_ex))
@@ -204,16 +206,20 @@ def injection_error(params: ChainParams, matrices: ModelMatrices, diff: Diffusio
 
 def check_energy_balance(params: ChainParams, seed: int = 1234, trials: int = 100) -> CheckResult:
     """On criterion 1's ring: `energy_balance_rhs` against `exact_energy_rate`, relative
-    to max |dE_k/dt|, on random states in `thermal_units`, and its bath injection
-    against the mode-sum coefficients (`injection_error`)."""
+    to max |dE_k/dt|, on random Gram matrices G in `thermal_units`, dense and as the
+    factored Gibbs background plus F^T F = G; and its bath injection against the
+    mode-sum coefficients (`injection_error`)."""
     small, mats = criterion_1_ring(params)
     u = thermal_units(small)
+    background = gibbs_covariance(small, small.bath_temp).background
     worst = 0.0
     for raw in np.random.default_rng(seed).normal(size=(trials, len(u), len(u))):
-        state = CovarianceState(symmetrize(raw @ raw.T) / len(u) * np.outer(u, u))
-        want = exact_energy_rate(state, small, mats)
-        got = energy_balance_rhs(state, small, mats)
-        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+        dense = symmetrize(raw @ raw.T) / len(u) * np.outer(u, u)
+        factored = FactoredState(background, raw.T * (u / np.sqrt(len(u))))
+        for state, sigma in ((dense, dense), (factored, factored.sigma)):
+            want = exact_energy_rate(sigma, small, mats)
+            got = energy_balance_rhs(state, small, mats)
+            worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
     src_err = injection_error(small, mats, mode_sum_diffusion(small, small.bath_temp))
     return CheckResult.from_clauses("energy-balance", [(worst, 1e-13), (src_err, 1e-14)],
                                     f"dE_k/dt vs E_k(moment rhs) {worst:.2e} (tol 1e-13), bath "

@@ -219,18 +219,19 @@ class TestSourceDensity:
 class TestGibbsState:
     def test_decoupled_ground_state(self):
         p = params(xi=0.0, omega0=2.0, mass=1.5, n_sites=8)
-        g = gibbs_covariance(p, 0.0)
-        assert np.allclose(np.diag(g.xx), p.hbar / (2 * p.mass * p.omega0), rtol=1e-14)
-        assert np.allclose(np.diag(g.pp), p.hbar * p.mass * p.omega0 / 2, rtol=1e-14)
-        off = g.xx - np.diag(np.diag(g.xx))
+        sigma, n = gibbs_covariance(p, 0.0).sigma, p.n_sites
+        sxx, spp, sxp = sigma[:n, :n], sigma[n:, n:], sigma[:n, n:]
+        assert np.allclose(np.diag(sxx), p.hbar / (2 * p.mass * p.omega0), rtol=1e-14)
+        assert np.allclose(np.diag(spp), p.hbar * p.mass * p.omega0 / 2, rtol=1e-14)
+        off = sxx - np.diag(np.diag(sxx))
         assert np.max(np.abs(off)) < 1e-15
-        assert np.max(np.abs(g.xp)) == 0.0
+        assert np.max(np.abs(sxp)) == 0.0
 
     def test_equipartition_at_high_temperature(self):
         p = params(n_sites=16)
         temp = 200.0 * p.omega_max
-        g = gibbs_covariance(p, temp)
-        assert g.pp[0, 0] == pytest.approx(p.mass * p.k_boltz * temp, rel=1e-4)
+        sigma = gibbs_covariance(p, temp).sigma
+        assert sigma[p.n_sites, p.n_sites] == pytest.approx(p.mass * p.k_boltz * temp, rel=1e-4)
 
     def test_matches_normal_mode_construction(self):
         # brute-force oracle: diagonalize K, populate each mode thermally,
@@ -244,20 +245,21 @@ class TestGibbsState:
         cp = p.hbar * p.mass * w / 2 / np.tanh(p.hbar * w / (2 * p.k_boltz * temp))
         sxx = vecs @ np.diag(cx) @ vecs.T
         spp = vecs @ np.diag(cp) @ vecs.T
-        g = gibbs_covariance(p, temp)
-        assert np.max(np.abs(g.xx - sxx)) < 1e-12
-        assert np.max(np.abs(g.pp - spp)) < 1e-12
+        sigma, n = gibbs_covariance(p, temp).sigma, p.n_sites
+        assert np.max(np.abs(sigma[:n, :n] - sxx)) < 1e-12
+        assert np.max(np.abs(sigma[n:, n:] - spp)) < 1e-12
 
     def test_translation_invariance_exact(self):
         p = params(n_sites=12)
-        g = gibbs_covariance(p, 1.3)
+        sigma = gibbs_covariance(p, 1.3).sigma
         n = p.n_sites
+        sxx, spp = sigma[:n, :n], sigma[n:, n:]
         for r in range(1, 4):
-            ref_x = g.xx[0, r]
-            ref_p = g.pp[0, r]
+            ref_x = sxx[0, r]
+            ref_p = spp[0, r]
             for k in range(n):
-                assert g.xx[k, (k + r) % n] == ref_x
-                assert g.pp[k, (k + r) % n] == ref_p
+                assert sxx[k, (k + r) % n] == ref_x
+                assert spp[k, (k + r) % n] == ref_p
 
     def test_zero_pinning_zero_mode_handling(self):
         p = params(omega0=0.0, n_sites=16)

@@ -7,7 +7,6 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from heatchain import (
     ChainParams,
-    CovarianceState,
     FactoredState,
     PSDViolationError,
     build_matrices,
@@ -70,7 +69,7 @@ class TestMomentRhs:
         for _ in range(100):
             raw = rng.normal(size=(2 * n, 2 * n))
             sigma = symmetrize(raw @ raw.T) / (2 * n)
-            rhs = moment_rhs(CovarianceState(sigma), mats)
+            rhs = moment_rhs(sigma, mats)
             dx2, dp2, dxnext = transcribed_moment_rhs(sigma, p, mats)
             assert np.max(np.abs(np.diag(rhs[:n, :n]) - dx2)) <= 1e-13
             assert np.max(np.abs(np.diag(rhs[n:, n:]) - dp2)) <= 1e-13
@@ -88,7 +87,7 @@ class TestMomentRhs:
         for gam in (0.0, 0.02):
             p = params(gamma_fric=gam)
             mats = thermal_matrices(p)
-            rhs = moment_rhs(gibbs_covariance(p, p.bath_temp), mats)
+            rhs = moment_rhs(gibbs_covariance(p, p.bath_temp).sigma, mats)
             assert np.max(np.abs(rhs)) <= 1e-10 * np.max(np.abs(mats.diffusion))
 
     def test_closed_system_conserves_energy_instantaneously(self):
@@ -97,13 +96,13 @@ class TestMomentRhs:
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(16, 16))
         sigma = symmetrize(raw @ raw.T)
-        de = exact_energy_rate(CovarianceState(sigma), p, mats)
+        de = exact_energy_rate(sigma, p, mats)
         assert abs(de.sum()) < 1e-11 * np.max(np.abs(sigma))
 
     def test_dimension_mismatch_rejected(self):
         p = params()
         with pytest.raises(ValueError, match="mismatch"):
-            moment_rhs(CovarianceState(np.eye(4)), thermal_matrices(p))
+            moment_rhs(np.eye(4), thermal_matrices(p))
 
 
 class TestPropagator:
@@ -219,7 +218,7 @@ class TestEvolve:
         with pytest.raises(PSDViolationError, match="t = "):
             evolve(FactoredState(blocks, np.zeros((0, 2 * p.n_sites))), mats, t_final=1.0)
         with pytest.raises(TypeError, match="FactoredState"):
-            evolve(CovarianceState(np.eye(2 * p.n_sites)), mats, t_final=1.0)
+            evolve(np.eye(2 * p.n_sites), mats, t_final=1.0)
 
     def test_argument_validation(self):
         p = params()
@@ -305,7 +304,7 @@ def thermal_unit_states(p, seed, count=20):
     n = 2 * p.n_sites
     for _ in range(count):
         raw = rng.normal(size=(n, n))
-        yield CovarianceState(symmetrize(raw @ raw.T) / n * np.outer(u, u))
+        yield symmetrize(raw @ raw.T) / n * np.outer(u, u)
 
 
 class TestEnergyBalance:
@@ -324,8 +323,31 @@ class TestEnergyBalance:
         mats = thermal_matrices(p)
         gibbs = gibbs_covariance(p, p.bath_temp)
         scale = total_energy(gibbs, p)
-        assert np.max(np.abs(exact_energy_rate(gibbs, p, mats))) < 1e-12 * scale
+        assert np.max(np.abs(exact_energy_rate(gibbs.sigma, p, mats))) < 1e-12 * scale
         assert np.max(np.abs(energy_balance_rhs(gibbs, p, mats))) < 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_factored_bands_wrap_and_form_no_dense_matrix(self, n, monkeypatch):
+        # at N = 3 the offset +2 wraps onto -1, at N = 4 onto -2; a random
+        # background and a random non-symmetric square factor, read with
+        # `FactoredState.sigma` made to raise, against the dense matrix
+        p = params(n_sites=n, gamma_fric=0.03)
+        mats = thermal_matrices(p)
+        rng = np.random.default_rng(n)
+        state = FactoredState(rng.normal(size=(n, 2, 2)), rng.normal(size=(2 * n, 2 * n)))
+        sigma = state.sigma
+        want, want_rate = site_observables(sigma, p), energy_balance_rhs(sigma, p, mats)
+
+        def no_dense(self):
+            raise AssertionError("FactoredState.sigma was formed")
+
+        monkeypatch.setattr(FactoredState, "sigma", property(no_dense))
+        got, got_rate = site_observables(state, p), energy_balance_rhs(state, p, mats)
+        scale = np.max(np.abs(want.energies))
+        assert np.max(np.abs(got.energies - want.energies)) <= 1e-13 * scale
+        assert np.max(np.abs(got.currents - want.currents)) <= 1e-13 * scale
+        rate_scale = max(np.max(np.abs(want_rate)), mats.omega_max * scale)
+        assert np.max(np.abs(got_rate - want_rate)) <= 1e-13 * rate_scale
 
     def test_pure_current_redistribution_when_undamped(self):
         # lambda = gamma = 0, D = 0: dE_k/dt = -(J_{k+1} - J_k) exactly, and the

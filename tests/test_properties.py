@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from heatchain import (
     ChainParams,
-    CovarianceState,
     DiffusionSet,
     FactoredState,
     build_matrices,
@@ -186,7 +185,10 @@ def test_factored_evolution_matches_dense(p):
     # zone-edge model only where its truncated diffusion symbol is
     # nonnegative): the factored run against the dense map
     # Sigma <- P Sigma P^T + Q of `propagator` over each interval between
-    # its sample times, from the same matrix
+    # its sample times, from the same matrix.  Site observables and the
+    # on-site energy balance read from the factored bands must match those
+    # read from the dense matrix, the balance at the scale of
+    # `test_energy_balance_is_the_exact_rate`
     n = p.n_sites
     t_final = 1.0 / p.lambda_fric
     weights = gaussian_site_weights(n, n / 2, n / 6)
@@ -205,10 +207,13 @@ def test_factored_evolution_matches_dense(p):
                 p_h, q_h = maps(f.time - prev.time)
                 sigma = p_h @ sigma @ p_h.T + q_h
                 assert isinstance(f, FactoredState)
-                got, want = site_observables(f, p), site_observables(CovarianceState(sigma), p)
+                got, want = site_observables(f, p), site_observables(sigma, p)
                 scale = np.max(np.abs(want.energies))
                 assert np.max(np.abs(got.energies - want.energies)) <= 1e-12 * scale
                 assert np.max(np.abs(got.currents - want.currents)) <= 1e-12 * scale
+                rate = energy_balance_rhs(sigma, p, mats)
+                rate_scale = max(np.max(np.abs(rate)), mats.omega_max * scale)
+                assert np.max(np.abs(energy_balance_rhs(f, p, mats) - rate)) <= 1e-12 * rate_scale
                 assert np.max(np.abs(f.sigma - sigma)) <= 1e-12 * np.max(np.abs(sigma))
 
 
