@@ -51,11 +51,11 @@ from .verify import DEFAULT_PARAMS, run_verify
 
 OUT_ENV = "HEATCHAIN_OUT"
 # The fewest bytes a subcommand holds at once, as counted by `_require_fits`.
-# relax and verify: 5 dense 2N x 2N matrices.  relax holds one factored
-# sample at a time and compares the last, formed densely, with the dense
-# Gibbs matrix (tracemalloc read 6.2 and 6.1 such arrays at N = 256 and 512
-# over a short run); verify's checks keep their samples and read each one's
-# eigenvalues densely.
+# relax and verify: 5 dense 2N x 2N matrices.  Both hold one factored sample
+# at a time.  relax compares the last, formed densely, with the dense Gibbs
+# matrix (tracemalloc read 6.2 and 6.1 such arrays at N = 256 and 512 over a
+# short run); verify's observers read each sample's eigenvalues densely
+# (7.2 and 7.1 such arrays at N = 256 and 512 on the compare_n128 chain).
 DENSE_MATRICES = 5
 # compare: 4 arrays of (2N)^2 floats alive together in a map of the factored
 # state, its factor F before and after the map, F's rFFT and the rFFT's
@@ -325,12 +325,7 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         if cfg is not None:
             _require_fits(args.subcommand, cfg.chain)
-        if args.subcommand == "verify":
-            report = cmd_verify(cfg, outdir)
-        else:
-            if cfg is None:
-                return _error_record("config", "--config is required", 2)
-            report = COMMANDS[args.subcommand](cfg, outdir)
+        report = COMMANDS[args.subcommand](cfg, outdir)
     except ConfigError as exc:
         return _error_record("config", exc.problems, 2)
     except (PSDViolationError, ValueError, RuntimeError) as exc:
@@ -340,10 +335,8 @@ def main(argv: "list[str] | None" = None) -> int:
     print(f"wrote {report_path}")
     for artifact in report.artifacts:
         print(f"wrote {artifact}")
-    if args.subcommand == "verify":
-        failed = [c for c in report.criteria or [] if not c["passed"]]
-        return 1 if failed else 0
-    return 0
+    failed = [c for c in report.criteria or [] if not c["passed"]]
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

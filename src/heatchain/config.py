@@ -37,6 +37,8 @@ CHAIN_KEYS = {
     "bath_temp": float,
 }
 OPTIONAL_CHAIN_KEYS = {"hbar": 1.0, "k_boltz": 1.0}
+# the ChainParams field of a chain key where the two names differ
+_FIELDS = {"lambda": "lambda_fric", "gamma": "gamma_fric"}
 
 
 @dataclass
@@ -86,13 +88,14 @@ def parse_chain_section(items: dict) -> ChainParams:
     problems = []
     values = {}
     for key, caster in CHAIN_KEYS.items():
+        field_name = _FIELDS.get(key, key)
         if key in items:
             try:
-                values[key] = _cast("chain", key, items[key], caster)
+                values[field_name] = _cast("chain", key, items[key], caster)
             except ConfigError as exc:
                 problems += exc.problems
         elif key in OPTIONAL_CHAIN_KEYS:
-            values[key] = OPTIONAL_CHAIN_KEYS[key]
+            values[field_name] = OPTIONAL_CHAIN_KEYS[key]
         else:
             problems.append(f"chain.{key}: required key missing")
     unknown = set(items) - set(CHAIN_KEYS)
@@ -101,18 +104,7 @@ def parse_chain_section(items: dict) -> ChainParams:
     if problems:
         raise ConfigError(problems)
     try:
-        return ChainParams(
-            n_sites=values["n_sites"],
-            mass=values["mass"],
-            omega0=values["omega0"],
-            xi=values["xi"],
-            lattice_const=values["lattice_const"],
-            lambda_fric=values["lambda"],
-            gamma_fric=values["gamma"],
-            hbar=values["hbar"],
-            k_boltz=values["k_boltz"],
-            bath_temp=values["bath_temp"],
-        )
+        return ChainParams(**values)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
 

@@ -227,12 +227,10 @@ def _current_gradient_fit(
     denom = float(np.dot(x, x))
     fit_slope = float(np.dot(x, y) / denom) if denom > 0 else np.nan
 
-    slope_per_time = np.full(len(times), np.nan)
-    for i in range(len(times)):
-        xi_ = -grad[i]
-        d = float(np.dot(xi_, xi_))
-        if d > 0:
-            slope_per_time[i] = float(np.dot(xi_, j[i]) / d)
+    rows = -grad[:, None, :]  # each sample's regressor as a 1 x N matrix: @ is one dot per sample
+    per_time = (rows @ rows.swapaxes(1, 2))[:, 0, 0]
+    slope_per_time = np.divide((rows @ j[:, :, None])[:, 0, 0], per_time,
+                               out=np.full(len(times), np.nan), where=per_time > 0)
     return fit_slope, slope_per_time
 
 

@@ -102,9 +102,9 @@ def _blocks_certify(blocks: Array, tol: float) -> bool:
     return bool(np.min(low) >= -half)
 
 
-def check_psd(state: "Array | FactoredState", tol: float = PSD_TOL, context: str = "") -> None:
+def check_psd(state: "Array | FactoredState", context: str = "") -> None:
     """Raise PSDViolationError if an entry is not finite, or if the min/max
-    eigenvalue ratio (`min_eig_ratio`) is below -tol.
+    eigenvalue ratio (`min_eig_ratio`) is below -PSD_TOL.
 
     `state` is a `FactoredState` or a dense covariance matrix.  A factored
     state: its background blocks certify it in O(N) (`_blocks_certify`);
@@ -120,12 +120,12 @@ def check_psd(state: "Array | FactoredState", tol: float = PSD_TOL, context: str
             f"{bad} of {sum(a.size for a in arrays)}"
         )
     if isinstance(state, FactoredState):
-        if not _blocks_certify(state.background, tol):
-            check_psd(state.sigma, tol, context)
+        if not _blocks_certify(state.background, PSD_TOL):
+            check_psd(state.sigma, context)
         return
     ratio = min_eig_ratio(state)
-    if ratio < -tol:
+    if ratio < -PSD_TOL:
         raise PSDViolationError(
             f"covariance matrix not PSD{where}: min/max eigenvalue ratio {ratio:.3e} "
-            f"below tolerance -{tol:.1e}"
+            f"below tolerance -{PSD_TOL:.1e}"
         )

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import ModelMatrices, circulant, circulant_blocks, circulant_row_from_symbol
-from .covariance import Array, FactoredState, check_psd, min_eig_ratio
+from .covariance import Array, FactoredState, check_psd
 # gibbs_covariance is looked up here by the benchmark's tracer (benchmarks/run.py)
 from .diffusion import _diagonal_blocks, gibbs_covariance, mode_thermal_variances
 from .params import ChainParams
@@ -50,21 +50,16 @@ class SiteObservables:
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: either retained `FactoredState`s or observer outputs.
+    """Sampled evolution: the sample times and either the observer's return
+    value for each sample or, without an observer, every `FactoredState`.
 
-    `min_eig_ratios` is computed when read, by `covariance.min_eig_ratio`
-    (`eigvalsh`) on each retained state's dense `sigma`; observer runs
-    retain none, so theirs is empty.  `evolve` only checks each sample
-    (`check_psd`) and keeps no ratio.
+    The library always passes an observer, so it holds one sample at a time;
+    retained states are for small runs (tests, demos, the quick start).
     """
 
     times: Array
     states: "list[FactoredState] | None" = None
     observations: "list | None" = None
-
-    @property
-    def min_eig_ratios(self) -> Array:
-        return np.array([min_eig_ratio(s.sigma) for s in self.states or []])
 
 
 def moment_rhs(sigma: Array, matrices: ModelMatrices) -> Array:
@@ -168,15 +163,15 @@ def evolve(
     O(N r log N) per sample with no dense matrix.  `state` must be a
     `FactoredState` (TypeError otherwise): an arbitrary PSD Sigma is
     `FactoredState(np.zeros((N, 2, 2)), L.T)`, with L its Cholesky factor.
-    Samples are retained, or handed to `observer` whose return values are
-    collected instead (use an observer for large N to avoid storing every
-    sample).
+    Each sample is handed to `observer`, whose return values are collected
+    in place of the states, so only one sample is alive at a time; without
+    an observer every sample is retained, one r x 2N factor each.
 
     Every sample passes `check_psd` first, which raises PSDViolationError if
     the state has a non-finite entry or drops below -covariance.PSD_TOL times
-    its spectral scale.  The check computes no ratio for a state it can
-    certify; `Trajectory.min_eig_ratios` computes them from the retained
-    states when read.
+    its spectral scale.  The check computes no eigenvalue ratio for a state
+    it can certify; an observer that wants one applies
+    `covariance.min_eig_ratio` to the sample's `sigma`.
     """
     if not isinstance(state, FactoredState):
         raise TypeError(f"evolve takes a FactoredState, got {type(state).__name__}")

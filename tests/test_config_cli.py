@@ -25,7 +25,7 @@ from heatchain import (
 from heatchain.cli import main
 from heatchain.config import ConfigError, load_config
 from heatchain.report import RunReport, validate_report, write_csv
-from heatchain.verify import CheckResult
+from heatchain.verify import CheckResult, check_conservation, check_energy_decay
 
 BASE_CONFIG = """\
 [chain]
@@ -210,6 +210,28 @@ class TestCli:
         samples = (len((out / "relax_sites.csv").read_text().splitlines()) - 1) // 64
         assert samples > 850
         assert peak < 0.5 * samples * 8 * (2 * 64) ** 2
+
+    def test_verify_energy_checks_hold_one_sample(self):
+        # criteria 3 and 9 on the compare_n128.ini chain (N = 128) observe their
+        # samples: criterion 9 read 4.0 MB, where keeping its 51 hot-spot
+        # factors of (2N)^2 floats read 28.8 MB
+        p = heatchain.ChainParams(n_sites=128, mass=1.0, omega0=0.05, xi=1.0, lattice_const=1.0,
+                                  lambda_fric=0.2, gamma_fric=0.0, bath_temp=200.0)
+        for check in (check_energy_decay, check_conservation):
+            tracemalloc.start()
+            try:
+                assert check(p).passed
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6, check.__name__
+
+    def test_missing_config_exits_2(self, capsys):
+        # argparse requires --config for every subcommand but verify
+        with pytest.raises(SystemExit) as exc:
+            main(["relax"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     def test_relax_acoustic_chain_fails_fast(self, tmp_path, capsys):
         body = BASE_CONFIG.replace("omega0 = 1.0", "omega0 = 0.0") + (
