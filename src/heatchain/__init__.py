@@ -25,7 +25,6 @@ from .covariance import (
 )
 from .diffusion import (
     DiffusionSet,
-    coth,
     gibbs_covariance,
     gibbs_energy_density,
     heat_capacity_density,

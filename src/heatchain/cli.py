@@ -51,12 +51,12 @@ from .verify import DEFAULT_PARAMS, run_verify
 
 OUT_ENV = "HEATCHAIN_OUT"
 # The fewest bytes a subcommand holds at once, as counted by `_require_fits`.
-# relax and verify: 5 dense 2N x 2N matrices.  Both hold one factored sample
-# at a time.  relax compares the last, formed densely, with the dense Gibbs
-# matrix (tracemalloc read 6.2 and 6.1 such arrays at N = 256 and 512 over a
-# short run); verify's observers read each sample's eigenvalues densely
-# (7.2 and 7.1 such arrays at N = 256 and 512 on the compare_n128 chain).
-DENSE_MATRICES = 5
+# relax and verify: dense 2N x 2N matrices, the measured count rounded up.  Both
+# hold one factored sample at a time.  relax compares the last, formed densely,
+# with the dense Gibbs matrix (tracemalloc read 6.2 and 6.1 such arrays at N =
+# 256 and 512 over a short run); verify's observers read each sample's
+# eigenvalues densely (7.2 and 7.1 at N = 256 and 512 on the compare_n128 chain).
+DENSE_MATRICES = {"relax": 7, "verify": 8}
 # compare: 4 arrays of (2N)^2 floats alive together in a map of the factored
 # state, its factor F before and after the map, F's rFFT and the rFFT's
 # row-major copy (tracemalloc read 5.5 and 5.2 such arrays at N = 256 and 512)
@@ -70,13 +70,13 @@ def _require_fits(command: str, p: ChainParams) -> None:
     """Config error, before any allocation, when the fewest bytes that
     `command` holds at once exceed physical memory."""
     square = 8 * (2 * p.n_sites) ** 2
-    dense = (DENSE_MATRICES * square, f"{DENSE_MATRICES} dense 2N x 2N matrices")
+    dense = {c: (k * square, f"{k} dense 2N x 2N matrices") for c, k in DENSE_MATRICES.items()}
     factored = (FACTORED_ARRAYS * square, f"{FACTORED_ARRAYS} 2N x 2N arrays of the factored state")
     rows = (DISPERSION_BYTES_PER_SITE * p.n_sites,
             f"the mode grid, its frequencies and their CSV rows, {DISPERSION_BYTES_PER_SITE} B per site")
     modes = (8 * 2 * p.n_sites, "the mode grid and its frequencies, 2 length-N arrays")
-    need, what = {"relax": dense, "compare": factored, "verify": dense, "dispersion": rows,
-                  "coefficients": modes, "conductivity": modes}[command]
+    need, what = {**dense, "compare": factored, "dispersion": rows, "coefficients": modes,
+                  "conductivity": modes}[command]
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > total:
         raise ConfigError([f"chain.n_sites: {p.n_sites} sites need at least {need / 2**30:.3g} GiB "

@@ -20,11 +20,11 @@ import numpy as np
 
 from .covariance import Array
 from .diffusion import (
-    _over_temps,
+    _capacities,
+    _over_modes,
     gibbs_energy_density,
     heat_capacity_density,
     mode_energies,
-    mode_heat_capacities,
     thermal_matrices,
 )
 from .dynamics import evolve, gaussian_site_weights, hotspot_state, site_observables, step_bound
@@ -165,7 +165,7 @@ def klemens_conductivity(params: ChainParams, temp: "float | Array",
         raise ValueError(f"velocity must be 'sound' or 'dispersion', got {velocity!r}")
     v2 = params.sound_speed**2 if velocity == "sound" else group_velocity(params, mode_grid(params)) ** 2
     tau = 1.0 / (2.0 * params.lambda_fric)
-    total = _over_temps(params, temp, lambda t: [np.sum(v2 * tau * mode_heat_capacities(params, t), axis=-1)])[0]
+    total = _over_modes(params, temp, _capacities, lambda cap: np.sum(v2 * tau * cap, axis=-1))
     return total / (params.n_sites * params.lattice_const)
 
 

@@ -1,21 +1,22 @@
 """Bath-induced diffusion coefficients and thermal-equilibrium quantities.
 
 The bath drives each phonon mode with spectral weight lambda + 2*gamma*cos(q)
-and a coth(hbar*omega / 2 k_B T) occupation kernel.  The coefficients D_xx,
-D_pp and D_ex are Brillouin-zone means of that kernel.  One vectorised kernel
-evaluates them on a q grid for a whole array of temperatures, in two forms:
+and the occupation kernel coth(x), x = hbar*omega / 2 k_B T.  Every thermal
+quantity is read from the Bose excess g = coth(x) - 1 = 2 / expm1(2x), formed
+once per temperature block and point: the variances (hbar / 2 m omega)(1 + g)
+and (hbar m omega / 2)(1 + g), the mode energies (hbar omega / 2)(1 + g) and
+heat capacities k_B x^2 g (2 + g).  D_xx, D_pp and D_ex are zone sums of g
+against per-point weight columns, in two forms:
 
 * `quad_diffusion` - the continuum integrals, by the periodic trapezoid rule
-  in a conformally mapped variable, doubled until two estimates agree;
-* `mode_sum_diffusion` - the N-point trapezoid on the ring's mode grid,
-  matching the simulated ring.
+  in a conformally mapped variable, doubled until two estimates agree, each
+  level's points built once per call;
+* `mode_sum_diffusion` - the N-point trapezoid on the ring's mode grid.
 
-`high_temp_diffusion` gives their closed high-temperature forms.  The same
-per-mode variances give the Gibbs covariance of the ring, its energy
-density and heat capacity density, and the model (`thermal_matrices`) whose
-full circulant diffusion rows make the finite-N Gibbs state exactly
-stationary (the fluctuation-dissipation pairing D = friction-weighted
-thermal covariance).
+`high_temp_diffusion` gives their closed high-temperature forms.  The
+variances also give the Gibbs covariance of the ring and the model
+(`thermal_matrices`) whose full circulant diffusion rows make the finite-N
+Gibbs state exactly stationary (D = friction-weighted thermal covariance).
 
 Every thermal function takes one temperature (float results) or an array
 of them (arrays of its shape), checked once and evaluated TEMP_BLOCK
@@ -45,6 +46,7 @@ QUAD_MAX_POINTS = 2**17
 # temperatures and quadrature points per kernel call: a fixed working set
 TEMP_BLOCK = 64
 QUAD_CHUNK = 1024
+TWO_X_MAX = 800.0  # 2x = hbar omega / k_B T past which g = 2 / expm1(2x) is exactly 0
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,6 @@ class DiffusionSet:
     d_pp: float
     d_ex: float
     temp: float
-
-
-def coth(x):
-    """coth(x) for x > 0, stable for both small and large arguments."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        out = 1.0 + 2.0 / np.expm1(2.0 * x)
-    out = np.where(x > 350.0, 1.0, out)
-    return float(out) if out.ndim == 0 else out
 
 
 def _require_some_restoring_force(params: ChainParams) -> None:
@@ -91,105 +84,119 @@ def _over_temps(params: ChainParams, temp, rows):
     return [float(r) if r.ndim == 0 else r for r in out]
 
 
-def _variances(params: ChainParams, w, temps):
-    """Thermal variances (c_x, c_p) of modes of frequency `w` at `temps`.
-
-    `w` and `temps` broadcast against each other.  c_x = (hbar / 2 m omega)
-    coth(hbar omega / 2 k_B T) and c_p = (hbar m omega / 2) coth(...).  A zero
-    mode (omega0 = 0, q = 0) has no restoring force: its position variance
-    is excluded (set to zero) while its momentum variance takes the
-    free-particle limit m k_B T.
-    """
-    pos = w > 0.0
-    w_pos = np.where(pos, w, 1.0)
-    # T = 0 and subnormal T overflow the ratio to inf, whose coth is 1
+def _excess(params: ChainParams, num, temps):
+    """Fresh arrays 2x = num / k_B T (bit for bit 2 (num / 2 k_B T)) and the
+    Bose excess g = coth(x) - 1 = 2 / expm1(2x): `num` (hbar omega > 0) along
+    columns, the 1-d `temps` along rows.  T = 0 and subnormal T overflow 2x;
+    it is held at TWO_X_MAX, where g is exactly 0, so x^2 g is 0, not inf * 0."""
     with np.errstate(over="ignore", divide="ignore"):
-        fac = coth(params.hbar * w_pos / (2.0 * params.k_boltz * temps))
-    c_x = np.where(pos, params.hbar / (2.0 * params.mass * w_pos) * fac, 0.0)
-    c_p = np.where(pos, params.hbar * params.mass * w_pos / 2.0 * fac,
-                   params.mass * params.k_boltz * temps)
-    return c_x, c_p
+        two_x = num / (params.k_boltz * temps[:, None])
+        np.minimum(two_x, TWO_X_MAX, out=two_x)
+        g = np.expm1(two_x)
+    return two_x, np.divide(2.0, g, out=g)
 
 
-def _mode_mean(params: ChainParams, temp, per_mode):
-    """Mode mean of `per_mode(params, T)` per unit length over `temp`, one
-    block of temperatures' modes at a time."""
-    return _over_temps(params, temp, lambda t: [np.mean(per_mode(params, t), axis=-1)])[0] / params.lattice_const
+def _mode_frequencies(params: ChainParams):
+    """Mode-grid frequencies, 1.0 for any zero mode (omega0 = 0), and its mask or None."""
+    w = np.asarray(dispersion(params, mode_grid(params)), dtype=float)
+    zero = w == 0.0
+    return (np.where(zero, 1.0, w), zero) if zero.any() else (w, None)
+
+
+def _energies(params: ChainParams, w, zero, temps):
+    """Mode energies (hbar omega / 2)(1 + g) of a block of temperatures."""
+    eps = _excess(params, params.hbar * w, temps)[1]
+    eps += 1.0
+    eps *= 0.5 * params.hbar * w
+    if zero is not None:
+        eps[:, zero] = 0.5 * params.k_boltz * temps[:, None]
+    return eps
+
+
+def _capacities(params: ChainParams, w, zero, temps):
+    """Mode heat capacities k_B x^2 g (2 + g) of a block of temperatures."""
+    two_x, cap = _excess(params, params.hbar * w, temps)
+    cap *= cap + 2.0
+    cap *= np.square(two_x, out=two_x)
+    cap *= 0.25 * params.k_boltz
+    if zero is not None:
+        cap[:, zero] = 0.5 * params.k_boltz
+    return cap
+
+
+def _over_modes(params: ChainParams, temp, kernel, reduce=lambda per_mode: per_mode):
+    """`reduce` of `kernel(params, w, zero, T)` on the mode grid over `temp`."""
+    modes = _mode_frequencies(params)
+    return _over_temps(params, temp, lambda t: [reduce(kernel(params, *modes, t))])[0]
 
 
 def mode_thermal_variances(params: ChainParams, temp: "float | Array"):
-    """Per-mode thermal variances (q, omega, c_x, c_p) on the ring's mode grid."""
+    """Per-mode thermal variances (q, omega, c_x, c_p) on the ring's mode grid:
+    c_x = (hbar / 2 m omega)(1 + g) and c_p = (hbar m omega / 2)(1 + g).  A
+    zero mode (omega0 = 0, q = 0) has no restoring force: its position variance
+    is excluded (zero) and its momentum variance is the free-particle m k_B T."""
     q = mode_grid(params)
-    w = np.asarray(dispersion(params, q), dtype=float)
-    return (q, w, *_over_temps(params, temp, lambda temps: _variances(params, w, temps[:, None])))
+    w, zero = _mode_frequencies(params)
+
+    def variances(temps):
+        fac = 1.0 + _excess(params, params.hbar * w, temps)[1]
+        c_x = params.hbar / (2.0 * params.mass * w) * fac
+        c_p = params.hbar * params.mass * w / 2.0 * fac
+        if zero is not None:
+            c_x[:, zero], c_p[:, zero] = 0.0, params.mass * params.k_boltz * temps[:, None]
+        return c_x, c_p
+
+    return (q, w if zero is None else np.where(zero, 0.0, w), *_over_temps(params, temp, variances))
 
 
 def mode_energies(params: ChainParams, temp: "float | Array") -> Array:
-    """Per-mode Gibbs energies c_p/2m + (m omega_q^2 / 2) c_x on the mode grid."""
-    w = np.asarray(dispersion(params, mode_grid(params)), dtype=float)
-
-    def energies(temps):
-        c_x, c_p = _variances(params, w, temps[:, None])
-        return [c_p / (2.0 * params.mass) + 0.5 * params.mass * w**2 * c_x]
-
-    return _over_temps(params, temp, energies)[0]
+    """Per-mode Gibbs energies (hbar omega / 2)(1 + g), k_B T / 2 for a zero mode."""
+    return _over_modes(params, temp, _energies)
 
 
 def mode_heat_capacities(params: ChainParams, temp: "float | Array") -> Array:
-    """Per-mode heat capacities d(eps_q)/dT on the mode grid.
-
-    Each mode with omega > 0 contributes k_B * x^2 / sinh(x)^2 with
-    x = hbar omega / (2 k_B T), and 0 at T = 0; a zero mode (omega0 = 0)
-    contributes its classical kinetic k_B / 2 at every temperature.  For an
-    array of temperatures the modes run along the last axis.
-    """
-    w = np.asarray(dispersion(params, mode_grid(params)), dtype=float)
-
-    def capacities(temps):
-        # T = 0 and subnormal T overflow x to inf, whose contribution is 0
-        with np.errstate(over="ignore", divide="ignore"):
-            x = params.hbar * np.where(w > 0.0, w, 1.0) / (2.0 * params.k_boltz * temps[:, None])
-        small = x < 350.0
-        x = np.where(small, x, 1.0)
-        cap = np.where(small, params.k_boltz * (x / np.sinh(x)) ** 2, 0.0)
-        return [np.where(w > 0.0, cap, 0.5 * params.k_boltz)]
-
-    return _over_temps(params, temp, capacities)[0]
+    """Per-mode heat capacities d(eps_q)/dT on the mode grid (modes last):
+    k_B x^2 / sinh(x)^2 = k_B x^2 g (2 + g) for omega > 0, as csch^2 = coth^2 - 1
+    = g (2 + g) without the cancellation of coth^2 - 1, and 0 at T = 0; a zero
+    mode (omega0 = 0) contributes its classical kinetic k_B / 2 at every T."""
+    return _over_modes(params, temp, _capacities)
 
 
-def _zone_means(params: ChainParams, temps, q, dq):
-    """Grid means of dq * (lambda + 2 gamma cos q) * (c_x, c_p, cos(q) c_x).
-
-    Rows D_xx, D_pp, D_ex; one column per entry of the 1-d `temps`.  With
-    dq = 1 on the ring's mode grid these are the mode sums; with the
-    Jacobian of a mapped periodic grid, the zone integrals over 2 pi.
-    """
-    w = np.asarray(dispersion(params, q), dtype=float)
-    c_x, c_p = _variances(params, w, temps[:, None])
+def _weight_columns(params: ChainParams, q, dq, w):
+    """Per-point weights of (1 + g) in D_xx, D_pp, D_ex: dq (lambda + 2 gamma
+    cos q) times hbar / 2 m omega, hbar m omega / 2 and cos(q) hbar / 2 m omega."""
     weight = dq * (params.lambda_fric + 2.0 * params.gamma_fric * np.cos(q))
-    return np.stack([np.mean(weight * c_x, axis=1), np.mean(weight * c_p, axis=1),
-                     np.mean(np.cos(q) * weight * c_x, axis=1)])
+    c_x = weight * params.hbar / (2.0 * params.mass * w)
+    return np.stack([c_x, weight * params.hbar * params.mass * w / 2.0, np.cos(q) * c_x])
+
+
+def _zone_sums(params: ChainParams, temps, num, cols):
+    """Sums over points of cols * (1 + g), rows D_xx, D_pp, D_ex along the 1-d
+    `temps`.  einsum sums each row of g against each column on its own (no BLAS
+    call, no product array), so no entry depends on the rest of the block."""
+    g = _excess(params, num, temps)[1]
+    return np.sum(cols, axis=1)[:, None] + np.einsum("tp,cp->ct", g, cols)
 
 
 def quad_diffusion(params: ChainParams, temp) -> DiffusionSet:
     """Brillouin-zone integrals of the diffusion coefficients.
 
-    `temp` is one temperature >= 0 or an array of them (coth frozen at 1
-    for T = 0).  The coefficients are
+    `temp` is one temperature >= 0 or an array of them.  The coefficients are
 
         D_xx = (1 / 2 pi) Int (lambda + 2 gamma cos q) c_x(q) dq
         D_pp = (1 / 2 pi) Int (lambda + 2 gamma cos q) c_p(q) dq
         D_ex = (1 / 2 pi) Int (lambda + 2 gamma cos q) cos(q) c_x(q) dq
 
-    over one period, with c_x = (hbar / 2 m omega) coth(hbar omega / 2 k_B T)
-    and c_p = (hbar m omega / 2) coth(...).  The integrands are analytic and
-    2 pi-periodic, so the periodic trapezoid rule converges geometrically,
-    at a rate set by the nearest complex zero of omega(q): tan(q/2) =
-    i omega0 / omega(pi), about 2 omega0 / omega(pi) from the real axis.  The
-    rule runs in the variable s of tan(q/2) = eps tan(s/2) with eps =
-    sqrt(omega0 / omega(pi)), which moves that zero (and puts the map's own
-    pole) 2 atanh(eps) from the axis; the map is the identity for xi = 0.
-    The point count doubles from QUAD_MIN_POINTS, reusing every point, until
+    over one period, with c_x = (hbar / 2 m omega)(1 + g) and c_p = (hbar m
+    omega / 2)(1 + g), g = 2 / expm1(hbar omega / k_B T) (0 at T = 0).  The
+    integrands are analytic and 2 pi-periodic, so the periodic trapezoid rule
+    converges geometrically, at a rate set by the nearest complex zero of
+    omega(q): tan(q/2) = i omega0 / omega(pi), about 2 omega0 / omega(pi) from
+    the real axis.  The rule runs in the variable s of tan(q/2) = eps tan(s/2)
+    with eps = sqrt(omega0 / omega(pi)), which moves that zero (and puts the
+    map's own pole) 2 atanh(eps) from the axis; the map is the identity for
+    xi = 0.  The point count doubles from QUAD_MIN_POINTS, reusing every point
+    (each level's points are mapped and weighted once per call), until
     successive estimates agree to QUAD_EPSREL or QUAD_EPSABS for every
     coefficient and temperature of a block; RuntimeError past
     QUAD_MAX_POINTS.  Raises for omega0 = 0: the zero mode makes the
@@ -200,22 +207,25 @@ def quad_diffusion(params: ChainParams, temp) -> DiffusionSet:
         raise ValueError("diffusion integrals diverge for omega0 = 0 "
                          "(acoustic zero mode); use mode_sum_diffusion")
     eps = math.sqrt(params.omega0 / params.omega_max)
+    levels = {}  # each level's chunks of hbar omega and weight columns, built once per call
 
-    def mapped(s):
-        cos, sin = np.cos(s / 2.0), eps * np.sin(s / 2.0)
-        return 2.0 * np.arctan2(sin, cos), eps / (cos**2 + sin**2)
-
-    def means(temps, s):
-        # equal chunks of at most QUAD_CHUNK points: grid sizes are powers of 2
-        chunks = s.reshape(-1, min(s.size, QUAD_CHUNK))
-        return np.mean([_zone_means(params, temps, *mapped(c)) for c in chunks], axis=0)
+    def means(temps, m, shift):
+        if (m, shift) not in levels:
+            levels[m, shift] = []
+            # equal chunks of at most QUAD_CHUNK points: grid sizes are powers of 2
+            for s in (2.0 * np.pi * (np.arange(m) + shift) / m).reshape(-1, min(m, QUAD_CHUNK)):
+                cos, sin = np.cos(s / 2.0), eps * np.sin(s / 2.0)
+                q, dq = 2.0 * np.arctan2(sin, cos), eps / (cos**2 + sin**2)
+                w = np.asarray(dispersion(params, q), dtype=float)
+                levels[m, shift].append((params.hbar * w, _weight_columns(params, q, dq, w)))
+        return sum(_zone_sums(params, temps, *chunk) for chunk in levels[m, shift]) / m
 
     def trapezoid(temps):
         m = QUAD_MIN_POINTS
-        est = means(temps, 2.0 * np.pi * np.arange(m) / m)
+        est = means(temps, m, 0.0)
         while m < QUAD_MAX_POINTS:
             # the doubled grid adds the midpoints of the current one
-            prev, est = est, 0.5 * (est + means(temps, 2.0 * np.pi * (np.arange(m) + 0.5) / m))
+            prev, est = est, 0.5 * (est + means(temps, m, 0.5))
             m *= 2
             if np.all(np.abs(est - prev) <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(est))):
                 return est
@@ -262,7 +272,18 @@ def mode_sum_diffusion(params: ChainParams, temp) -> DiffusionSet:
     under which the finite chain relaxes exactly to its Gibbs state.
     """
     q = mode_grid(params)
-    return DiffusionSet(*_over_temps(params, temp, lambda t: [*_zone_means(params, t, q, 1.0), t]))
+    w, zero = _mode_frequencies(params)
+    cols, free = _weight_columns(params, q, 1.0, w), 0.0
+    if zero is not None:  # a zero mode adds only its free-particle momentum variance m k_B T
+        cols[:, zero] = 0.0
+        free = np.sum(params.lambda_fric + 2.0 * params.gamma_fric * np.cos(q[zero])) * params.mass * params.k_boltz
+
+    def sums(temps):
+        d = _zone_sums(params, temps, params.hbar * w, cols)
+        d[1] += free * temps
+        return [*(d / params.n_sites), temps]
+
+    return DiffusionSet(*_over_temps(params, temp, sums))
 
 
 def source_density(params: ChainParams, diff: DiffusionSet) -> "float | Array":
@@ -297,7 +318,7 @@ def gibbs_energy_density(params: ChainParams, temp: "float | Array") -> "float |
     potential (m omega_q^2 / 2) c_x summed over modes, which collapses to
     the mode energies (hbar omega / 2) coth(hbar omega / 2 k_B T).
     """
-    return _mode_mean(params, temp, mode_energies)
+    return _over_modes(params, temp, _energies, lambda per_mode: np.mean(per_mode, axis=-1)) / params.lattice_const
 
 
 def heat_capacity_density(params: ChainParams, temp: "float | Array") -> "float | Array":
@@ -306,7 +327,7 @@ def heat_capacity_density(params: ChainParams, temp: "float | Array") -> "float 
     The mean of `mode_heat_capacities` per unit length; C(0) = 0 when every
     mode has omega > 0.
     """
-    return _mode_mean(params, temp, mode_heat_capacities)
+    return _over_modes(params, temp, _capacities, lambda per_mode: np.mean(per_mode, axis=-1)) / params.lattice_const
 
 
 def thermal_matrices(params: ChainParams, temp: float | None = None) -> ModelMatrices:

@@ -268,16 +268,17 @@ class TestCli:
 
     def test_conductivity_sweep_sums_heat_capacities_twice(self, tmp_path, monkeypatch):
         # 300 temperatures are 5 blocks of 64: one pass for C (kappa_continuum
-        # reuses it) and one for the mode-sum conductivity
+        # reuses it) and one for the mode-sum conductivity, each a call of the
+        # per-block heat-capacity kernel
         calls = []
-        original = heatchain.diffusion.mode_heat_capacities
+        original = heatchain.diffusion._capacities
 
-        def counted(params, temp):
-            calls.append(np.size(temp))
-            return original(params, temp)
+        def counted(params, w, zero, temps):
+            calls.append(np.size(temps))
+            return original(params, w, zero, temps)
 
-        monkeypatch.setattr(heatchain.diffusion, "mode_heat_capacities", counted)
-        monkeypatch.setattr(heatchain.continuum, "mode_heat_capacities", counted)
+        monkeypatch.setattr(heatchain.diffusion, "_capacities", counted)
+        monkeypatch.setattr(heatchain.continuum, "_capacities", counted)
         body = BASE_CONFIG + "\n[run]\nt_min = 0.5\nt_max = 50.0\nt_steps = 300\nscale = log\n"
         cfg = write_config(tmp_path, body)
         assert main(["conductivity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -288,8 +289,8 @@ class TestCli:
                                          "conductivity"])
     def test_ring_too_large_for_memory_is_config_error(self, tmp_path, capsys, command):
         # the estimate alone decides, so nothing of the ring is allocated: at
-        # N = 1e15 the 5 dense 2N x 2N matrices of relax and verify need
-        # 1.5e23 GiB, the 4 factored-state arrays of compare 1.2e23 GiB, the
+        # N = 1e15 the 7 and 8 dense 2N x 2N matrices of relax and verify need
+        # 2.1e23 and 2.4e23 GiB, the 4 factored-state arrays of compare 1.2e23 GiB, the
         # CSV rows of dispersion 3.1e8 GiB and the mode grid and frequencies
         # of the others 1.5e7 GiB
         n = 10**15
@@ -300,8 +301,8 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         need, what = {
-            "relax": (5 * 8 * (2 * n) ** 2, "5 dense 2N x 2N matrices"),
-            "verify": (5 * 8 * (2 * n) ** 2, "5 dense 2N x 2N matrices"),
+            "relax": (7 * 8 * (2 * n) ** 2, "7 dense 2N x 2N matrices"),
+            "verify": (8 * 8 * (2 * n) ** 2, "8 dense 2N x 2N matrices"),
             "compare": (4 * 8 * (2 * n) ** 2, "4 2N x 2N arrays of the factored state"),
             "dispersion": (336 * n, "the mode grid, its frequencies and their CSV rows, 336 B per site"),
         }.get(command, (2 * 8 * n, "the mode grid and its frequencies, 2 length-N arrays"))
@@ -322,6 +323,21 @@ class TestCli:
         assert record == {"error": "config", "detail": [
             "chain.n_sites: 10000 sites need at least 0.00313 GiB for the mode grid, its frequencies "
             "and their CSV rows, 336 B per site, above the 0.000977 GiB of physical memory"]}
+
+    def test_relax_counts_seven_dense_matrices(self, tmp_path, capsys, monkeypatch):
+        # 12 MiB of memory: at N = 256 a dense 2N x 2N matrix is 2 MiB, so five
+        # of them fit but the seven that relax holds (measured 6.2) do not
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 3072}
+                            .get(name) or sysconf(name))
+        body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 256") + (
+            "\n[run]\nscenario = uniform\nt_hot = 3.0\nt_final = 0.5\n")
+        cfg = write_config(tmp_path, body)
+        assert main(["relax", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "config", "detail": [
+            "chain.n_sites: 256 sites need at least 0.0137 GiB for 7 dense 2N x 2N matrices, "
+            "above the 0.0117 GiB of physical memory"]}
 
     def test_compare_small_scale(self, tmp_path):
         body = (BASE_CONFIG

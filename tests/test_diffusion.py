@@ -8,6 +8,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from heatchain import (
     ChainParams,
+    dispersion,
     gibbs_covariance,
     gibbs_energy_density,
     heat_capacity_density,
@@ -21,7 +22,8 @@ from heatchain import (
     stiffness_row,
     thermal_matrices,
 )
-from heatchain.diffusion import mode_thermal_variances
+import heatchain.diffusion
+from heatchain.diffusion import mode_energies, mode_heat_capacities, mode_thermal_variances
 
 
 def params(**kw):
@@ -133,6 +135,24 @@ class TestQuadDiffusion:
         with pytest.raises(ValueError, match="zero mode|mode_sum"):
             quad_diffusion(params(omega0=0.0), 2.0)
 
+    def test_levels_built_once_per_call(self, monkeypatch):
+        # 1000 copies of one temperature are 16 blocks that need the same
+        # doubling levels; each level's points are mapped and evaluated once
+        calls = []
+        original = heatchain.diffusion.dispersion
+
+        def counted(params, q):
+            calls.append(np.size(q))
+            return original(params, q)
+
+        monkeypatch.setattr(heatchain.diffusion, "dispersion", counted)
+        p = params(gamma_fric=0.03)
+        quad_diffusion(p, 2.0)
+        single = list(calls)
+        calls.clear()
+        quad_diffusion(p, np.full(1000, 2.0))
+        assert calls == single
+
     def test_point_cap_raises_without_large_allocation(self):
         # omega0 = 1e-12 puts the zeros of omega(q) within ~1e-6 of the real
         # axis even after the map; the point cap must stop the doubling with
@@ -146,6 +166,27 @@ class TestQuadDiffusion:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestOccupationKernel:
+    def test_mode_energies_and_heat_capacities_match_mpmath(self):
+        # 40-digit per-mode values (hbar omega / 2) coth(x) and k_B x^2 / sinh(x)^2,
+        # x = hbar omega / 2 k_B T from 1e-3 to 300.  C's relative error there is
+        # mostly the rounding of x times |d ln C / d ln x| = 2 x coth(x) - 2
+        # (4.9e-14 at x = 300); k_B x^2 (coth^2 - 1) would read 0 from x = 20 on
+        import mpmath
+
+        mpmath.mp.dps = 40
+        p = params(n_sites=16)
+        w = dispersion(p, mode_grid(p))
+        temps = np.geomspace(p.hbar * w.max() / (2 * 300 * p.k_boltz), p.hbar * w.min() / (2e-3 * p.k_boltz), 80)
+        eps, cap = mode_energies(p, temps), mode_heat_capacities(p, temps)
+        for i, temp in enumerate(temps.tolist()):
+            for j, wq in enumerate(w.tolist()):
+                x = mpmath.mpf(p.hbar) * wq / (2 * mpmath.mpf(p.k_boltz) * temp)
+                assert 1e-3 * (1 - 1e-12) <= x <= 300 * (1 + 1e-12)
+                assert eps[i, j] == pytest.approx(float(p.hbar * wq / 2 * mpmath.coth(x)), rel=1e-13, abs=0.0)
+                assert cap[i, j] == pytest.approx(float(p.k_boltz * x**2 / mpmath.sinh(x) ** 2), rel=1e-13, abs=0.0)
 
 
 class TestModeSumDiffusion:
