@@ -50,20 +50,18 @@ from .report import RunReport, write_csv
 from .verify import DEFAULT_PARAMS, run_verify
 
 OUT_ENV = "HEATCHAIN_OUT"
-# The fewest bytes a subcommand holds at once, as counted by `_require_fits`.
-# relax and verify: dense 2N x 2N matrices, the measured count rounded up.  Both
-# hold one factored sample at a time.  relax compares the last, formed densely,
-# with the dense Gibbs matrix (tracemalloc read 6.2 and 6.1 such arrays at N =
-# 256 and 512 over a short run); verify's observers read each sample's
-# eigenvalues densely (7.2 and 7.1 at N = 256 and 512 on the compare_n128 chain).
-DENSE_MATRICES = {"relax": 7, "verify": 8}
+# The fewest bytes a subcommand holds at once, as counted by `_require_fits`:
+# the measured count rounded down, so that no run that fits is refused.
+# relax and verify: dense 2N x 2N matrices.  Both hold one factored sample at a
+# time.  relax compares the last, formed densely, with the dense Gibbs matrix
+# (tracemalloc read 5.3 and 5.1 such arrays at N = 256 and 512 over a short
+# run); verify's observers read each sample's eigenvalues densely (7.2 and 7.1
+# at N = 256 and 512 on the compare_n128 chain).
+DENSE_MATRICES = {"relax": 5, "verify": 7}
 # compare: 4 arrays of (2N)^2 floats alive together in a map of the factored
 # state, its factor F before and after the map, F's rFFT and the rFFT's
-# row-major copy (tracemalloc read 5.5 and 5.2 such arrays at N = 256 and 512)
+# row-major copy (tracemalloc read 4.6 and 4.3 such arrays at N = 256 and 512)
 FACTORED_ARRAYS = 4
-# dispersion: q and omega plus the text of its CSV, one row per site
-# (tracemalloc read 343 and 338 B per site at N = 1e4 and 2e5)
-DISPERSION_BYTES_PER_SITE = 336
 
 
 def _require_fits(command: str, p: ChainParams) -> None:
@@ -72,11 +70,9 @@ def _require_fits(command: str, p: ChainParams) -> None:
     square = 8 * (2 * p.n_sites) ** 2
     dense = {c: (k * square, f"{k} dense 2N x 2N matrices") for c, k in DENSE_MATRICES.items()}
     factored = (FACTORED_ARRAYS * square, f"{FACTORED_ARRAYS} 2N x 2N arrays of the factored state")
-    rows = (DISPERSION_BYTES_PER_SITE * p.n_sites,
-            f"the mode grid, its frequencies and their CSV rows, {DISPERSION_BYTES_PER_SITE} B per site")
+    # the others: their CSV text is written in chunks (`report.CHUNK_LINES`)
     modes = (8 * 2 * p.n_sites, "the mode grid and its frequencies, 2 length-N arrays")
-    need, what = {**dense, "compare": factored, "dispersion": rows, "coefficients": modes,
-                  "conductivity": modes}[command]
+    need, what = {**dense, "compare": factored}.get(command, modes)
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > total:
         raise ConfigError([f"chain.n_sites: {p.n_sites} sites need at least {need / 2**30:.3g} GiB "
@@ -142,18 +138,13 @@ def cmd_coefficients(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     return RunReport("coefficients", _config_echo(cfg), summary, artifacts=[str(path)])
 
 
-def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
-    p = cfg.chain
-    require_run_keys(cfg, ["scenario", "t_final"], "relax")
+def _relax_start(cfg: ScenarioConfig, p: ChainParams):
+    """The initial state of a relax run, as its config's scenario describes it."""
     scenario = str(cfg.run["scenario"])
-    t_final = run_value(cfg, "t_final")
-    dt_max = run_value(cfg, "dt_max")
-    stride = run_value(cfg, "sample_stride", int, 10)
-
     if scenario == "uniform":
         require_run_keys(cfg, ["t_hot"], "relax")
-        state0 = uniform_state(p, run_value(cfg, "t_hot"))
-    elif scenario == "hotspot":
+        return uniform_state(p, run_value(cfg, "t_hot"))
+    if scenario == "hotspot":
         require_run_keys(cfg, ["t_hot"], "relax")
         t_hot = run_value(cfg, "t_hot")
         t_cold = run_value(cfg, "t_cold", float, p.bath_temp)
@@ -168,24 +159,32 @@ def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
             start = (p.n_sites - count) // 2
             weights[start : start + count] = 1.0
         mode = str(cfg.run.get("hotspot_mode", "thermal"))
-        state0 = hotspot_state(p, t_cold, t_hot, weights, mode=mode)
-    else:
-        raise ConfigError([f"run.scenario: expected 'uniform' or 'hotspot', got {scenario!r}"])
+        return hotspot_state(p, t_cold, t_hot, weights, mode=mode)
+    raise ConfigError([f"run.scenario: expected 'uniform' or 'hotspot', got {scenario!r}"])
+
+
+def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
+    p = cfg.chain
+    require_run_keys(cfg, ["scenario", "t_final"], "relax")
+    t_final = run_value(cfg, "t_final")
+    dt_max = run_value(cfg, "dt_max")
+    stride = run_value(cfg, "sample_stride", int, 10)
 
     last = []
 
     def observer(state):
         last[:] = [state]
-        return site_observables(state, p)
+        obs = site_observables(state, p)
+        return obs.energies, obs.currents, obs.total_energy
 
-    traj = evolve(state0, thermal_matrices(p), t_final=t_final, dt_max=dt_max, sample_stride=stride,
-                  observer=observer)
-    obs = traj.observations
-    sites = np.array([(o.energies, o.currents, o.densities) for o in obs]).swapaxes(0, 1)
+    # the start is built in the call, so that no local holds it for the whole run
+    traj = evolve(_relax_start(cfg, p), thermal_matrices(p), t_final=t_final, dt_max=dt_max,
+                  sample_stride=stride, observer=observer)
+    energies, currents, u = (np.array(c) for c in zip(*traj.observations))
     path = write_csv(outdir / "relax_sites.csv", ["t", "k", "E_k", "J_k", "u_k"],
-                     [traj.times[:, None], np.arange(p.n_sites), *sites])
+                     [traj.times[:, None], np.arange(p.n_sites), energies, currents,
+                      energies / p.lattice_const])
 
-    u = np.array([o.total_energy for o in obs])
     u_eq = p.n_sites * p.lattice_const * gibbs_energy_density(p, p.bath_temp)
     mask = np.abs(u - u_eq) > 1e-300
     slope = np.nan

@@ -266,9 +266,6 @@ def compare_discrete_continuum(
         )
 
     weights = gaussian_site_weights(n, n / 2.0, scenario.width_sites)
-    state0 = hotspot_state(
-        run, scenario.t_cold, scenario.t_hot, weights, mode=scenario.hotspot_mode
-    )
     matrices = thermal_matrices(run)
 
     interval = scenario.sample_interval
@@ -280,8 +277,9 @@ def compare_discrete_continuum(
         obs = site_observables(state, run)
         return obs.densities, obs.currents
 
+    # the start is built in the call, so that no local holds it for the whole run
     traj = evolve(
-        state0,
+        hotspot_state(run, scenario.t_cold, scenario.t_hot, weights, mode=scenario.hotspot_mode),
         matrices,
         t_final=scenario.t_final,
         dt_max=scenario.dt_max,

@@ -192,7 +192,9 @@ def evolve(
 
     times = []
     kept = []
-    for sample in _samples(state, matrices, dt, sample_steps):
+    samples = _samples(state, matrices, dt, sample_steps)
+    del state  # so the start is held by `samples` alone, until its first interval is mapped
+    for sample in samples:
         times.append(sample.time)
         check_psd(sample, context=f"t = {sample.time:.6g}")
         kept.append(observer(sample) if observer is not None else sample)

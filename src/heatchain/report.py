@@ -13,6 +13,7 @@ import numpy as np
 from . import __version__ as _version
 
 SCHEMA_VERSION = "1"
+CHUNK_LINES = 4096  # table lines formatted and written at a time by `write_csv`
 
 
 def write_csv(path: "str | Path", header: "list[str]", columns) -> Path:
@@ -21,22 +22,29 @@ def write_csv(path: "str | Path", header: "list[str]", columns) -> Path:
     The columns broadcast against each other (numpy rules) and are written
     in C order, one line per element, so a per-sample column of shape
     (samples, 1) next to a per-site one of shape (sites,) fills a
-    samples x sites table.  Each column is formatted before it is broadcast,
-    so a repeated entry is formatted once: integers by `str`, floats by
-    `repr` (the shortest decimal that round-trips the value).
+    samples x sites table.  Integers are formatted by `str`, floats by
+    `repr` (the shortest decimal that round-trips the value).  A column
+    smaller than the table is formatted once and then broadcast; the table
+    is formatted and written CHUNK_LINES lines at a time, so the text held
+    at once does not grow with the table.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = [np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    texts = []
+    size = int(np.prod(shape))
+    flats = []  # (C-order iterator over the broadcast column, formatter or None if already text)
     for a in arrays:
-        text = list(map(str if a.dtype.kind in "iu" else repr, a.ravel().tolist()))
-        if a.shape != shape:
-            text = np.broadcast_to(np.array(text, dtype=object).reshape(a.shape), shape).ravel().tolist()
-        texts.append(text)
-    lines = [",".join(header), *map(",".join, zip(*texts))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        fmt = str if a.dtype.kind in "iu" else repr
+        if a.size < size:
+            a, fmt = np.array(list(map(fmt, a.ravel().tolist())), dtype=object).reshape(a.shape), None
+        flats.append((np.broadcast_to(a, shape).flat, fmt))
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, size, CHUNK_LINES):
+            values = [(flat[start : start + CHUNK_LINES].tolist(), fmt) for flat, fmt in flats]
+            texts = [v if fmt is None else map(fmt, v) for v, fmt in values]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
     return path
 
 

@@ -24,7 +24,7 @@ from heatchain import (
 )
 from heatchain.cli import main
 from heatchain.config import ConfigError, load_config
-from heatchain.report import RunReport, validate_report, write_csv
+from heatchain.report import CHUNK_LINES, RunReport, validate_report, write_csv
 from heatchain.verify import CheckResult, check_conservation, check_energy_decay
 
 BASE_CONFIG = """\
@@ -117,6 +117,50 @@ class TestReport:
                                     for i, t in enumerate(times) for k in range(5))
         assert path.read_bytes() == want.encode()
 
+    def test_chunked_table_matches_one_shot_formatting(self, tmp_path):
+        # a samples x sites table crossing at least two chunk boundaries, with a
+        # per-sample float column, a per-site int column and full-size float
+        # columns of awkward values
+        n = 64
+        samples = 2 * CHUNK_LINES // n + 3
+        rng = np.random.default_rng(7)
+        times = rng.standard_normal((samples, 1))
+        special = np.resize([-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, -1e300], (samples, n))
+        noise = rng.standard_normal((samples, n)) * 1e-3
+        path = write_csv(tmp_path / "t.csv", ["t", "k", "a", "b"], [times, np.arange(n), special, noise])
+        want = "t,k,a,b\n" + "".join(
+            f"{repr(t)},{k},{repr(a)},{repr(b)}\n"
+            for (t,), srow, nrow in zip(times.tolist(), special.tolist(), noise.tolist())
+            for k, a, b in zip(range(n), srow, nrow))
+        assert samples * n > 2 * CHUNK_LINES
+        assert path.read_bytes() == want.encode()
+
+    def test_empty_and_zero_dimensional_tables(self, tmp_path):
+        path = write_csv(tmp_path / "e.csv", ["t", "k"], [np.zeros((0, 1)), np.arange(5)])
+        assert path.read_bytes() == b"t,k\n"
+        path = write_csv(tmp_path / "z.csv", ["c", "k"], [np.float64(-0.0), np.arange(3)])
+        assert path.read_bytes() == b"c,k\n-0.0,0\n-0.0,1\n-0.0,2\n"
+        path = write_csv(tmp_path / "s.csv", ["c"], [np.float64(5e-324)])
+        assert path.read_bytes() == b"c\n5e-324\n"
+
+    def test_csv_memory_does_not_grow_with_the_table(self, tmp_path):
+        # about 25 chunks of lines; the writer holds one chunk's text at a time,
+        # where formatting the whole table at once read tens of MB
+        n = 64
+        samples = 25 * CHUNK_LINES // n
+        times = np.linspace(0.0, 1.0, samples)[:, None]
+        rng = np.random.default_rng(3)
+        energies, currents = rng.standard_normal((2, samples, n))
+        tracemalloc.start()
+        try:
+            path = write_csv(tmp_path / "m.csv", ["t", "k", "E_k", "J_k"],
+                             [times, np.arange(n), energies, currents])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 4e6
+        assert peak < 2e6
+
     def test_csv_deterministic_bytes(self, tmp_path):
         columns = [[0.1, 2.0], [1 / 3, np.pi]]
         p1 = write_csv(tmp_path / "a.csv", ["x", "y"], columns)
@@ -193,7 +237,7 @@ class TestCli:
 
     def test_relax_holds_one_sample(self, tmp_path):
         # about 900 samples of an N = 64 hot spot, as in relax_hotspot_n64.ini:
-        # relax keeps each sample's site observables and the last state only,
+        # relax keeps each sample's site energies and currents and the last state only,
         # well below the one (2N)^2 factor per sample that retaining every
         # state would hold
         body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 64") + (
@@ -289,10 +333,9 @@ class TestCli:
                                          "conductivity"])
     def test_ring_too_large_for_memory_is_config_error(self, tmp_path, capsys, command):
         # the estimate alone decides, so nothing of the ring is allocated: at
-        # N = 1e15 the 7 and 8 dense 2N x 2N matrices of relax and verify need
-        # 2.1e23 and 2.4e23 GiB, the 4 factored-state arrays of compare 1.2e23 GiB, the
-        # CSV rows of dispersion 3.1e8 GiB and the mode grid and frequencies
-        # of the others 1.5e7 GiB
+        # N = 1e15 the 5 and 7 dense 2N x 2N matrices of relax and verify need
+        # 1.5e23 and 2.1e23 GiB, the 4 factored-state arrays of compare 1.2e23 GiB
+        # and the mode grid and frequencies of the others 1.5e7 GiB
         n = 10**15
         body = BASE_CONFIG.replace("n_sites = 16", f"n_sites = {n}") + (
             "\n[run]\nscenario = uniform\nhotspot_width = 4.0\nt_hot = 3.0\nt_cold = 2.0\n"
@@ -301,34 +344,35 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         need, what = {
-            "relax": (7 * 8 * (2 * n) ** 2, "7 dense 2N x 2N matrices"),
-            "verify": (8 * 8 * (2 * n) ** 2, "8 dense 2N x 2N matrices"),
+            "relax": (5 * 8 * (2 * n) ** 2, "5 dense 2N x 2N matrices"),
+            "verify": (7 * 8 * (2 * n) ** 2, "7 dense 2N x 2N matrices"),
             "compare": (4 * 8 * (2 * n) ** 2, "4 2N x 2N arrays of the factored state"),
-            "dispersion": (336 * n, "the mode grid, its frequencies and their CSV rows, 336 B per site"),
         }.get(command, (2 * 8 * n, "the mode grid and its frequencies, 2 length-N arrays"))
         assert record["error"] == "config"
         assert record["detail"] == [
             f"chain.n_sites: {n} sites need at least {need / 2**30:.3g} GiB for {what}, above the "
             f"{os.sysconf('SC_PAGE_SIZE') * os.sysconf('SC_PHYS_PAGES') / 2**30:.3g} GiB of physical memory"]
 
-    def test_dispersion_counts_its_csv_rows(self, tmp_path, capsys, monkeypatch):
-        # 1 MiB of memory: N = 1e4 sites fit as two float arrays (160 kB) but
-        # not with the text of their CSV rows (3.4 MB)
+    def test_dispersion_counts_its_mode_arrays(self, tmp_path, capsys, monkeypatch):
+        # 1 MiB of memory: N = 1e4 sites fit as two float arrays (160 kB), as
+        # the CSV is written in chunks; N = 1e5 (1.6 MB) does not
         sysconf = os.sysconf
         monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
                             .get(name) or sysconf(name))
         cfg = write_config(tmp_path, BASE_CONFIG.replace("n_sites = 16", "n_sites = 10000"))
+        assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("n_sites = 16", "n_sites = 100000"))
         assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "config", "detail": [
-            "chain.n_sites: 10000 sites need at least 0.00313 GiB for the mode grid, its frequencies "
-            "and their CSV rows, 336 B per site, above the 0.000977 GiB of physical memory"]}
+            "chain.n_sites: 100000 sites need at least 0.00149 GiB for the mode grid and its "
+            "frequencies, 2 length-N arrays, above the 0.000977 GiB of physical memory"]}
 
-    def test_relax_counts_seven_dense_matrices(self, tmp_path, capsys, monkeypatch):
-        # 12 MiB of memory: at N = 256 a dense 2N x 2N matrix is 2 MiB, so five
-        # of them fit but the seven that relax holds (measured 6.2) do not
+    def test_relax_counts_five_dense_matrices(self, tmp_path, capsys, monkeypatch):
+        # 9 MiB of memory: at N = 256 a dense 2N x 2N matrix is 2 MiB, so four
+        # of them fit but the five that relax holds (measured 5.3) do not
         sysconf = os.sysconf
-        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 3072}
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2304}
                             .get(name) or sysconf(name))
         body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 256") + (
             "\n[run]\nscenario = uniform\nt_hot = 3.0\nt_final = 0.5\n")
@@ -336,8 +380,8 @@ class TestCli:
         assert main(["relax", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "config", "detail": [
-            "chain.n_sites: 256 sites need at least 0.0137 GiB for 7 dense 2N x 2N matrices, "
-            "above the 0.0117 GiB of physical memory"]}
+            "chain.n_sites: 256 sites need at least 0.00977 GiB for 5 dense 2N x 2N matrices, "
+            "above the 0.00879 GiB of physical memory"]}
 
     def test_compare_small_scale(self, tmp_path):
         body = (BASE_CONFIG
