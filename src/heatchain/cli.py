@@ -52,15 +52,14 @@ from .verify import DEFAULT_PARAMS, run_verify
 OUT_ENV = "HEATCHAIN_OUT"
 # The fewest bytes a subcommand holds at once, as counted by `_require_fits`:
 # the measured count rounded down, so that no run that fits is refused.
-# relax and verify: dense 2N x 2N matrices.  Both hold one factored sample at a
-# time.  relax compares the last, formed densely, with the dense Gibbs matrix
-# (tracemalloc read 5.3 and 5.1 such arrays at N = 256 and 512 over a short
-# run); verify's observers read each sample's eigenvalues densely (7.2 and 7.1
-# at N = 256 and 512 on the compare_n128 chain).
-DENSE_MATRICES = {"relax": 5, "verify": 7}
-# compare: 4 arrays of (2N)^2 floats alive together in a map of the factored
-# state, its factor F before and after the map, F's rFFT and the rFFT's
-# row-major copy (tracemalloc read 4.6 and 4.3 such arrays at N = 256 and 512)
+# verify: dense 2N x 2N matrices.  It holds one factored sample at a time and
+# its observers read each sample's eigenvalues densely (tracemalloc read 6.19
+# and 6.09 such arrays at N = 256 and 512 on the compare_n128 chain).
+DENSE_MATRICES = {"verify": 6}
+# compare and relax: 4 arrays of (2N)^2 floats alive together in a map of the
+# factored state, its factor F before and after the map, F's rFFT and the
+# rFFT's row-major copy (tracemalloc read 4.6 and 4.3 such arrays at N = 256
+# and 512 for both; relax reads its final deviation from Gibbs blockwise)
 FACTORED_ARRAYS = 4
 
 
@@ -72,7 +71,7 @@ def _require_fits(command: str, p: ChainParams) -> None:
     factored = (FACTORED_ARRAYS * square, f"{FACTORED_ARRAYS} 2N x 2N arrays of the factored state")
     # the others: their CSV text is written in chunks (`report.CHUNK_LINES`)
     modes = (8 * 2 * p.n_sites, "the mode grid and its frequencies, 2 length-N arrays")
-    need, what = {**dense, "compare": factored}.get(command, modes)
+    need, what = {**dense, "compare": factored, "relax": factored}.get(command, modes)
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > total:
         raise ConfigError([f"chain.n_sites: {p.n_sites} sites need at least {need / 2**30:.3g} GiB "
@@ -191,8 +190,7 @@ def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     if mask.sum() >= 2:
         a = np.vstack([traj.times[mask], np.ones(mask.sum())]).T
         slope = float(np.linalg.lstsq(a, np.log(np.abs(u[mask] - u_eq)), rcond=None)[0][0])
-    gibbs = gibbs_covariance(p, p.bath_temp)
-    final_dev = float(np.max(np.abs(last[0].sigma - gibbs.sigma)))
+    final_dev = last[0].max_deviation(gibbs_covariance(p, p.bath_temp))
     summary = {
         "decay_rate_fit": -slope if np.isfinite(slope) else slope,
         "decay_rate_expected": 2.0 * p.lambda_fric,

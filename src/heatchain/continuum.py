@@ -21,7 +21,7 @@ import numpy as np
 from .covariance import Array
 from .diffusion import (
     _capacities,
-    _over_modes,
+    _mode_sum,
     gibbs_energy_density,
     heat_capacity_density,
     mode_energies,
@@ -151,7 +151,7 @@ def klemens_conductivity(params: ChainParams, temp: "float | Array",
     d(eps)/dT is `mode_heat_capacities` and r(q) = v(q) tau with the
     uniform relaxation time tau = 1/(2 lambda) of the on-site damping.
     `temp` is one temperature (a float result) or an array of them (an
-    array of its shape), summed over the modes a block of them at a time.
+    array of its shape), summed over the ring's distinct modes (`_mode_sum`).
 
     velocity:
         "sound" uses the long-wavelength constant group velocity
@@ -163,9 +163,12 @@ def klemens_conductivity(params: ChainParams, temp: "float | Array",
     """
     if velocity not in ("sound", "dispersion"):
         raise ValueError(f"velocity must be 'sound' or 'dispersion', got {velocity!r}")
-    v2 = params.sound_speed**2 if velocity == "sound" else group_velocity(params, mode_grid(params)) ** 2
     tau = 1.0 / (2.0 * params.lambda_fric)
-    total = _over_modes(params, temp, _capacities, lambda cap: np.sum(v2 * tau * cap, axis=-1))
+
+    def v2_tau(q):  # even in q, as `_mode_sum` requires
+        return (params.sound_speed**2 if velocity == "sound" else group_velocity(params, q) ** 2) * tau
+
+    total = _mode_sum(params, temp, _capacities, v2_tau)
     return total / (params.n_sites * params.lattice_const)
 
 

@@ -15,6 +15,7 @@ from .chain import circulant_blocks
 Array = NDArray[np.float64]
 
 PSD_TOL = 1e-10
+DEVIATION_COLUMNS = 128  # columns per block of `FactoredState.max_deviation`
 
 
 class PSDViolationError(RuntimeError):
@@ -60,6 +61,22 @@ class FactoredState:
     def sigma(self) -> Array:
         background = circulant_blocks(np.moveaxis(self.background, 0, -1))
         return symmetrize(background + self.factor.T @ self.factor)
+
+    def max_deviation(self, other: "FactoredState") -> float:
+        """max |Sigma - Sigma_other| over the entries, without forming a 2N x 2N
+        matrix: DEVIATION_COLUMNS columns at a time, each the circulant rows of
+        B - B_other read at its offsets plus those columns of F^T F - G^T G."""
+        n = self.n_sites
+        rows = np.fft.ifft(np.moveaxis(self.background - other.background, 0, -1)).real  # (2, 2, N)
+        worst = 0.0
+        for start in range(0, 2 * n, DEVIATION_COLUMNS):
+            cols = np.arange(start, min(start + DEVIATION_COLUMNS, 2 * n))
+            block, j = np.divmod(cols, n)
+            offset = (j - np.arange(n)[:, None]) % n  # circulant C[k, j] = row[(j - k) mod N]
+            part = np.concatenate([rows[0, block, offset], rows[1, block, offset]])
+            part += self.factor.T @ self.factor[:, cols] - other.factor.T @ other.factor[:, cols]
+            worst = max(worst, float(np.max(np.abs(part))))
+        return worst
 
 
 def symmetrize(sigma: Array) -> Array:

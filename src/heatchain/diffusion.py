@@ -3,14 +3,19 @@
 The bath drives each phonon mode with spectral weight lambda + 2*gamma*cos(q)
 and the occupation kernel coth(x), x = hbar*omega / 2 k_B T.  Every thermal
 quantity is read from the Bose excess g = coth(x) - 1 = 2 / expm1(2x), formed
-once per temperature block and point: the variances (hbar / 2 m omega)(1 + g)
-and (hbar m omega / 2)(1 + g), the mode energies (hbar omega / 2)(1 + g) and
-heat capacities k_B x^2 g (2 + g).  D_xx, D_pp and D_ex are zone sums of g
-against per-point weight columns, in two forms:
+once per temperature and point: the variances (hbar / 2 m omega)(1 + g) and
+(hbar m omega / 2)(1 + g), the mode energies (hbar omega / 2)(1 + g) and heat
+capacities k_B x^2 g (2 + g).  Every summand of a zone sum is even in q, so
+each sum reads only the distinct points, weighted by their multiplicity: the
+ring's modes q_n, n = 0..N // 2 (`_mode_sum`), and the points of each
+quadrature level in [0, pi].  D_xx, D_pp and D_ex are zone sums of g against
+per-point weight columns, in two forms:
 
 * `quad_diffusion` - the continuum integrals, by the periodic trapezoid rule
-  in a conformally mapped variable, doubled until two estimates agree, each
-  level's points built once per call;
+  in a conformally mapped variable, doubled until two estimates agree, for
+  each temperature on its own; each level is built once per call and
+  evaluated for every temperature not yet converged, at most TEMP_BLOCK x
+  QUAD_CHUNK (temperature, point) pairs per kernel call;
 * `mode_sum_diffusion` - the N-point trapezoid on the ring's mode grid.
 
 `high_temp_diffusion` gives their closed high-temperature forms.  The
@@ -19,8 +24,9 @@ variances also give the Gibbs covariance of the ring and the model
 Gibbs state exactly stationary (D = friction-weighted thermal covariance).
 
 Every thermal function takes one temperature (float results) or an array
-of them (arrays of its shape), checked once and evaluated TEMP_BLOCK
-temperatures at a time by `_over_temps`.
+of them (arrays of its shape), checked once by `_over_temps`: the mode sums
+go through it TEMP_BLOCK temperatures at a time, the quadrature all at
+once.  Each entry of an array call is its one-temperature call, bit for bit.
 """
 
 from __future__ import annotations
@@ -68,44 +74,66 @@ def _require_some_restoring_force(params: ChainParams) -> None:
                          "thermal state undefined")
 
 
-def _over_temps(params: ChainParams, temp, rows):
+def _over_temps(params: ChainParams, temp, rows, block=TEMP_BLOCK):
     """Check `temp` (one temperature >= 0 or an array) and evaluate `rows`
-    over it TEMP_BLOCK temperatures at a time.  `rows` maps a 1-d block to k
-    rows with the block along their first axis; each row comes back as a
-    float for a scalar `temp` where it holds one number per temperature, else
-    as an array of shape temp.shape + its trailing shape."""
+    over it `block` temperatures at a time (all at once for None).  `rows`
+    maps a 1-d block to k rows with the block along their first axis; each
+    row comes back as a float for a scalar `temp` where it holds one number
+    per temperature, else as an array of shape temp.shape + its trailing
+    shape."""
     t = np.asarray(temp, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"temperature must be >= 0, got {np.min(t)}")
     _require_some_restoring_force(params)
     flat = t.reshape(-1)
-    out = np.concatenate([rows(flat[i:i + TEMP_BLOCK]) for i in range(0, flat.size, TEMP_BLOCK)], 1)
+    step = block or max(flat.size, 1)
+    out = np.concatenate([rows(flat[i:i + step]) for i in range(0, flat.size, step)], 1)
     out = out.reshape(out.shape[:1] + t.shape + out.shape[2:])
     return [float(r) if r.ndim == 0 else r for r in out]
 
 
-def _excess(params: ChainParams, num, temps):
-    """Fresh arrays 2x = num / k_B T (bit for bit 2 (num / 2 k_B T)) and the
-    Bose excess g = coth(x) - 1 = 2 / expm1(2x): `num` (hbar omega > 0) along
-    columns, the 1-d `temps` along rows.  T = 0 and subnormal T overflow 2x;
-    it is held at TWO_X_MAX, where g is exactly 0, so x^2 g is 0, not inf * 0."""
+def _two_x(params: ChainParams, num, temps):
+    """Fresh array 2x = num / k_B T (bit for bit 2 (num / 2 k_B T)): `num`
+    (hbar omega > 0) along columns, the 1-d `temps` along rows.  T = 0 and
+    subnormal T overflow 2x; it is held at TWO_X_MAX, where g is exactly 0,
+    so x^2 g is 0, not inf * 0."""
     with np.errstate(over="ignore", divide="ignore"):
         two_x = num / (params.k_boltz * temps[:, None])
-        np.minimum(two_x, TWO_X_MAX, out=two_x)
-        g = np.expm1(two_x)
-    return two_x, np.divide(2.0, g, out=g)
+    return np.minimum(two_x, TWO_X_MAX, out=two_x)
 
 
-def _mode_frequencies(params: ChainParams):
-    """Mode-grid frequencies, 1.0 for any zero mode (omega0 = 0), and its mask or None."""
-    w = np.asarray(dispersion(params, mode_grid(params)), dtype=float)
+def _excess(two_x):
+    """The Bose excess g = coth(x) - 1 = 2 / expm1(2x), written over `two_x`."""
+    with np.errstate(over="ignore", divide="ignore"):
+        g = np.expm1(two_x, out=two_x)
+        return np.divide(2.0, g, out=g)
+
+
+def _frequencies(params: ChainParams, q):
+    """Frequencies on the wavenumbers `q`, 1.0 for any zero mode (omega0 = 0,
+    q = 0), and its mask or None."""
+    w = np.asarray(dispersion(params, q), dtype=float)
     zero = w == 0.0
     return (np.where(zero, 1.0, w), zero) if zero.any() else (w, None)
 
 
+def _distinct_modes(params: ChainParams):
+    """The ring's distinct modes q_n = 2 pi n / N, n = 0..N // 2 (the first
+    N // 2 + 1 of `mode_grid`), and their multiplicities: 1 for q = 0 and, for
+    even N, q = pi; 2 for each other, which stands for q_n and -q_n.  A sum
+    over the ring of an even function of q is the sum over these modes of
+    multiplicity times summand."""
+    n = params.n_sites
+    mult = np.full(n // 2 + 1, 2.0)
+    mult[0] = 1.0
+    if n % 2 == 0:
+        mult[-1] = 1.0
+    return mode_grid(params)[: n // 2 + 1], mult
+
+
 def _energies(params: ChainParams, w, zero, temps):
     """Mode energies (hbar omega / 2)(1 + g) of a block of temperatures."""
-    eps = _excess(params, params.hbar * w, temps)[1]
+    eps = _excess(_two_x(params, params.hbar * w, temps))
     eps += 1.0
     eps *= 0.5 * params.hbar * w
     if zero is not None:
@@ -115,7 +143,8 @@ def _energies(params: ChainParams, w, zero, temps):
 
 def _capacities(params: ChainParams, w, zero, temps):
     """Mode heat capacities k_B x^2 g (2 + g) of a block of temperatures."""
-    two_x, cap = _excess(params, params.hbar * w, temps)
+    two_x = _two_x(params, params.hbar * w, temps)
+    cap = _excess(two_x.copy())
     cap *= cap + 2.0
     cap *= np.square(two_x, out=two_x)
     cap *= 0.25 * params.k_boltz
@@ -124,10 +153,21 @@ def _capacities(params: ChainParams, w, zero, temps):
     return cap
 
 
-def _over_modes(params: ChainParams, temp, kernel, reduce=lambda per_mode: per_mode):
-    """`reduce` of `kernel(params, w, zero, T)` on the mode grid over `temp`."""
-    modes = _mode_frequencies(params)
-    return _over_temps(params, temp, lambda t: [reduce(kernel(params, *modes, t))])[0]
+def _over_modes(params: ChainParams, temp, kernel):
+    """`kernel(params, w, zero, T)` on the mode grid over `temp`."""
+    modes = _frequencies(params, mode_grid(params))
+    return _over_temps(params, temp, lambda t: [kernel(params, *modes, t)])[0]
+
+
+def _mode_sum(params: ChainParams, temp, kernel, weight=lambda q: 1.0):
+    """Sum over the ring's modes of weight(q) `kernel(params, w, zero, T)` over
+    `temp`.  Kernel and weight are even in q, so the sum is read on the
+    distinct modes (`_distinct_modes`), TEMP_BLOCK x (N // 2 + 1) at a time;
+    einsum sums each temperature's row on its own (no BLAS call)."""
+    q, mult = _distinct_modes(params)
+    weights = mult * weight(q)
+    modes = _frequencies(params, q)
+    return _over_temps(params, temp, lambda t: [np.einsum("tp,p->t", kernel(params, *modes, t), weights)])[0]
 
 
 def mode_thermal_variances(params: ChainParams, temp: "float | Array"):
@@ -136,10 +176,10 @@ def mode_thermal_variances(params: ChainParams, temp: "float | Array"):
     zero mode (omega0 = 0, q = 0) has no restoring force: its position variance
     is excluded (zero) and its momentum variance is the free-particle m k_B T."""
     q = mode_grid(params)
-    w, zero = _mode_frequencies(params)
+    w, zero = _frequencies(params, q)
 
     def variances(temps):
-        fac = 1.0 + _excess(params, params.hbar * w, temps)[1]
+        fac = 1.0 + _excess(_two_x(params, params.hbar * w, temps))
         c_x = params.hbar / (2.0 * params.mass * w) * fac
         c_p = params.hbar * params.mass * w / 2.0 * fac
         if zero is not None:
@@ -174,8 +214,24 @@ def _zone_sums(params: ChainParams, temps, num, cols):
     """Sums over points of cols * (1 + g), rows D_xx, D_pp, D_ex along the 1-d
     `temps`.  einsum sums each row of g against each column on its own (no BLAS
     call, no product array), so no entry depends on the rest of the block."""
-    g = _excess(params, num, temps)[1]
+    g = _excess(_two_x(params, num, temps))
     return np.sum(cols, axis=1)[:, None] + np.einsum("tp,cp->ct", g, cols)
+
+
+def _quad_level(params: ChainParams, eps: float, m: int, shift: float):
+    """The points s = 2 pi (k + shift) / m of one trapezoid level that lie in
+    [0, pi], where the integrand at 2 pi - s equals the one at s: chunks of at
+    most QUAD_CHUNK points, each as hbar omega and its weight columns, every
+    point weighted by its multiplicity (1 at s = 0 and s = pi, else 2)."""
+    k = np.arange(m // 2 + 1) + shift
+    k = k[k <= m // 2]
+    mult = np.where((k == 0) | (k == m // 2), 1.0, 2.0)
+    for i in range(0, k.size, QUAD_CHUNK):
+        s = 2.0 * np.pi * k[i:i + QUAD_CHUNK] / m
+        cos, sin = np.cos(s / 2.0), eps * np.sin(s / 2.0)
+        q, dq = 2.0 * np.arctan2(sin, cos), mult[i:i + QUAD_CHUNK] * eps / (cos**2 + sin**2)
+        w = np.asarray(dispersion(params, q), dtype=float)
+        yield params.hbar * w, _weight_columns(params, q, dq, w)
 
 
 def quad_diffusion(params: ChainParams, temp) -> DiffusionSet:
@@ -195,10 +251,14 @@ def quad_diffusion(params: ChainParams, temp) -> DiffusionSet:
     the real axis.  The rule runs in the variable s of tan(q/2) = eps tan(s/2)
     with eps = sqrt(omega0 / omega(pi)), which moves that zero (and puts the
     map's own pole) 2 atanh(eps) from the axis; the map is the identity for
-    xi = 0.  The point count doubles from QUAD_MIN_POINTS, reusing every point
-    (each level's points are mapped and weighted once per call), until
-    successive estimates agree to QUAD_EPSREL or QUAD_EPSABS for every
-    coefficient and temperature of a block; RuntimeError past
+    xi = 0.  The integrands are even in s, so each level is read on its
+    points in [0, pi] (`_quad_level`).  The point count doubles from
+    QUAD_MIN_POINTS, reusing every point, until successive estimates agree to
+    QUAD_EPSREL or QUAD_EPSABS for every coefficient; each temperature stops
+    at its own level, so an entry of a sweep is its one-temperature call.
+    Each level is built once for the whole sweep and evaluated for every
+    temperature not yet converged, at most TEMP_BLOCK x QUAD_CHUNK
+    (temperature, point) pairs per kernel call; RuntimeError past
     QUAD_MAX_POINTS.  Raises for omega0 = 0: the zero mode makes the
     position integrals divergent (1/q^2 at T > 0, logarithmic at T = 0);
     use `mode_sum_diffusion` for a finite ring instead.
@@ -207,31 +267,29 @@ def quad_diffusion(params: ChainParams, temp) -> DiffusionSet:
         raise ValueError("diffusion integrals diverge for omega0 = 0 "
                          "(acoustic zero mode); use mode_sum_diffusion")
     eps = math.sqrt(params.omega0 / params.omega_max)
-    levels = {}  # each level's chunks of hbar omega and weight columns, built once per call
 
     def means(temps, m, shift):
-        if (m, shift) not in levels:
-            levels[m, shift] = []
-            # equal chunks of at most QUAD_CHUNK points: grid sizes are powers of 2
-            for s in (2.0 * np.pi * (np.arange(m) + shift) / m).reshape(-1, min(m, QUAD_CHUNK)):
-                cos, sin = np.cos(s / 2.0), eps * np.sin(s / 2.0)
-                q, dq = 2.0 * np.arctan2(sin, cos), eps / (cos**2 + sin**2)
-                w = np.asarray(dispersion(params, q), dtype=float)
-                levels[m, shift].append((params.hbar * w, _weight_columns(params, q, dq, w)))
-        return sum(_zone_sums(params, temps, *chunk) for chunk in levels[m, shift]) / m
+        total = np.zeros((3, temps.size))
+        for num, cols in _quad_level(params, eps, m, shift):
+            rows = TEMP_BLOCK * QUAD_CHUNK // num.size
+            for i in range(0, temps.size, rows):
+                total[:, i:i + rows] += _zone_sums(params, temps[i:i + rows], num, cols)
+        return total / m
 
     def trapezoid(temps):
-        m = QUAD_MIN_POINTS
-        est = means(temps, m, 0.0)
-        while m < QUAD_MAX_POINTS:
+        m, est = QUAD_MIN_POINTS, means(temps, QUAD_MIN_POINTS, 0.0)
+        todo = np.arange(temps.size)  # the temperatures not yet converged
+        while todo.size:
+            if m >= QUAD_MAX_POINTS:
+                raise RuntimeError(f"diffusion quadrature did not converge with {m} points")
             # the doubled grid adds the midpoints of the current one
-            prev, est = est, 0.5 * (est + means(temps, m, 0.5))
+            prev = est[:, todo]
+            est[:, todo] = new = 0.5 * (prev + means(temps[todo], m, 0.5))
             m *= 2
-            if np.all(np.abs(est - prev) <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(est))):
-                return est
-        raise RuntimeError(f"diffusion quadrature did not converge with {m} points")
+            todo = todo[~np.all(np.abs(new - prev) <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(new)), 0)]
+        return est
 
-    return DiffusionSet(*_over_temps(params, temp, lambda temps: [*trapezoid(temps), temps]))
+    return DiffusionSet(*_over_temps(params, temp, lambda temps: [*trapezoid(temps), temps], block=None))
 
 
 def high_temp_diffusion(params: ChainParams, temp: float) -> DiffusionSet:
@@ -271,10 +329,10 @@ def mode_sum_diffusion(params: ChainParams, temp) -> DiffusionSet:
     the same ring (D = friction-weighted thermal covariance), and the form
     under which the finite chain relaxes exactly to its Gibbs state.
     """
-    q = mode_grid(params)
-    w, zero = _mode_frequencies(params)
-    cols, free = _weight_columns(params, q, 1.0, w), 0.0
-    if zero is not None:  # a zero mode adds only its free-particle momentum variance m k_B T
+    q, mult = _distinct_modes(params)
+    w, zero = _frequencies(params, q)
+    cols, free = _weight_columns(params, q, mult, w), 0.0
+    if zero is not None:  # a zero mode (q = 0, multiplicity 1) adds only its free-particle momentum variance m k_B T
         cols[:, zero] = 0.0
         free = np.sum(params.lambda_fric + 2.0 * params.gamma_fric * np.cos(q[zero])) * params.mass * params.k_boltz
 
@@ -318,7 +376,7 @@ def gibbs_energy_density(params: ChainParams, temp: "float | Array") -> "float |
     potential (m omega_q^2 / 2) c_x summed over modes, which collapses to
     the mode energies (hbar omega / 2) coth(hbar omega / 2 k_B T).
     """
-    return _over_modes(params, temp, _energies, lambda per_mode: np.mean(per_mode, axis=-1)) / params.lattice_const
+    return _mode_sum(params, temp, _energies) / (params.n_sites * params.lattice_const)
 
 
 def heat_capacity_density(params: ChainParams, temp: "float | Array") -> "float | Array":
@@ -327,7 +385,7 @@ def heat_capacity_density(params: ChainParams, temp: "float | Array") -> "float 
     The mean of `mode_heat_capacities` per unit length; C(0) = 0 when every
     mode has omega > 0.
     """
-    return _over_modes(params, temp, _capacities, lambda per_mode: np.mean(per_mode, axis=-1)) / params.lattice_const
+    return _mode_sum(params, temp, _capacities) / (params.n_sites * params.lattice_const)
 
 
 def thermal_matrices(params: ChainParams, temp: float | None = None) -> ModelMatrices:

@@ -299,9 +299,10 @@ def check_heat_capacity(params: ChainParams) -> CheckResult:
 def check_conservation(params: ChainParams) -> CheckResult:
     """Undamped, noiseless chain conserves energy; states stay PSD."""
     n = params.n_sites
-    state0 = hotspot_state(params, params.bath_temp, 2.0 * params.bath_temp + 1.0,
-                           gaussian_site_weights(n, n / 2, 4.0))
-    traj = evolve(state0, undamped_matrices(params), t_final=100.0 / params.omega_max,
+    # the start is built in the call, so that no local holds it for the whole run
+    traj = evolve(hotspot_state(params, params.bath_temp, 2.0 * params.bath_temp + 1.0,
+                                gaussian_site_weights(n, n / 2, 4.0)),
+                  undamped_matrices(params), t_final=100.0 / params.omega_max,
                   dt_max=0.02 / params.omega_max, sample_stride=100, observer=_energy_and_ratio(params))
     u, ratios = np.array(traj.observations).T
     drift = float(np.max(np.abs(u - u[0])) / abs(u[0]))

@@ -333,9 +333,9 @@ class TestCli:
                                          "conductivity"])
     def test_ring_too_large_for_memory_is_config_error(self, tmp_path, capsys, command):
         # the estimate alone decides, so nothing of the ring is allocated: at
-        # N = 1e15 the 5 and 7 dense 2N x 2N matrices of relax and verify need
-        # 1.5e23 and 2.1e23 GiB, the 4 factored-state arrays of compare 1.2e23 GiB
-        # and the mode grid and frequencies of the others 1.5e7 GiB
+        # N = 1e15 the 6 dense 2N x 2N matrices of verify need 1.8e23 GiB, the 4
+        # factored-state arrays of compare and relax 1.2e23 GiB and the mode
+        # grid and frequencies of the others 1.5e7 GiB
         n = 10**15
         body = BASE_CONFIG.replace("n_sites = 16", f"n_sites = {n}") + (
             "\n[run]\nscenario = uniform\nhotspot_width = 4.0\nt_hot = 3.0\nt_cold = 2.0\n"
@@ -344,8 +344,8 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         need, what = {
-            "relax": (5 * 8 * (2 * n) ** 2, "5 dense 2N x 2N matrices"),
-            "verify": (7 * 8 * (2 * n) ** 2, "7 dense 2N x 2N matrices"),
+            "relax": (4 * 8 * (2 * n) ** 2, "4 2N x 2N arrays of the factored state"),
+            "verify": (6 * 8 * (2 * n) ** 2, "6 dense 2N x 2N matrices"),
             "compare": (4 * 8 * (2 * n) ** 2, "4 2N x 2N arrays of the factored state"),
         }.get(command, (2 * 8 * n, "the mode grid and its frequencies, 2 length-N arrays"))
         assert record["error"] == "config"
@@ -368,11 +368,11 @@ class TestCli:
             "chain.n_sites: 100000 sites need at least 0.00149 GiB for the mode grid and its "
             "frequencies, 2 length-N arrays, above the 0.000977 GiB of physical memory"]}
 
-    def test_relax_counts_five_dense_matrices(self, tmp_path, capsys, monkeypatch):
-        # 9 MiB of memory: at N = 256 a dense 2N x 2N matrix is 2 MiB, so four
-        # of them fit but the five that relax holds (measured 5.3) do not
+    def test_relax_counts_four_factored_arrays(self, tmp_path, capsys, monkeypatch):
+        # 7 MiB of memory: at N = 256 a 2N x 2N array is 2 MiB, so three of
+        # them fit but the four that relax holds (measured 4.6) do not
         sysconf = os.sysconf
-        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2304}
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1792}
                             .get(name) or sysconf(name))
         body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 256") + (
             "\n[run]\nscenario = uniform\nt_hot = 3.0\nt_final = 0.5\n")
@@ -380,8 +380,8 @@ class TestCli:
         assert main(["relax", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "config", "detail": [
-            "chain.n_sites: 256 sites need at least 0.00977 GiB for 5 dense 2N x 2N matrices, "
-            "above the 0.00879 GiB of physical memory"]}
+            "chain.n_sites: 256 sites need at least 0.00781 GiB for 4 2N x 2N arrays of the "
+            "factored state, above the 0.00684 GiB of physical memory"]}
 
     def test_compare_small_scale(self, tmp_path):
         body = (BASE_CONFIG

@@ -18,6 +18,7 @@ from heatchain import (
     PSDViolationError,
     check_psd,
     gaussian_site_weights,
+    gibbs_covariance,
     hotspot_state,
     min_eig_ratio,
 )
@@ -136,3 +137,20 @@ def test_factored_non_finite_entry_raises(value, part):
     entries[(0,) * entries.ndim] = value
     with pytest.raises(PSDViolationError, match=r"not PSD \(t = 0\): non-finite entries, 1 of 48"):
         check_psd(state, context="t = 0")
+
+
+@pytest.mark.parametrize("rank", [0, 5, 32])
+def test_max_deviation_equals_the_dense_formula(rank):
+    # blockwise max |Sigma - Sigma_gibbs| against the two dense matrices, at
+    # N = 16 with a Gibbs background and a hot-spot state, and between two
+    # random states whose factors both count
+    p = ChainParams(n_sites=16, mass=1.0, omega0=0.5, xi=1.0, lattice_const=1.0,
+                    lambda_fric=0.1, gamma_fric=0.04, bath_temp=2.0)
+    gibbs = gibbs_covariance(p, p.bath_temp)
+    hot = hotspot_state(p, 2.0, 7.0, gaussian_site_weights(16, 8.0, 2.0))
+    rng = np.random.default_rng(rank)
+    other = FactoredState(rng.standard_normal((16, 2, 2)), rng.standard_normal((rank, 32)))
+    state = FactoredState(rng.standard_normal((16, 2, 2)), rng.standard_normal((32 - rank, 32)))
+    for a, b in ((hot, gibbs), (state, other), (other, gibbs)):
+        want = np.max(np.abs(a.sigma - b.sigma))
+        assert a.max_deviation(b) == pytest.approx(want, rel=0.0, abs=1e-14 * np.max(np.abs(a.sigma)))

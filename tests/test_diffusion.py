@@ -10,6 +10,7 @@ from heatchain import (
     ChainParams,
     dispersion,
     gibbs_covariance,
+    group_velocity,
     gibbs_energy_density,
     heat_capacity_density,
     high_temp_diffusion,
@@ -109,9 +110,9 @@ class TestQuadDiffusion:
         temps = np.geomspace(1e-2, 1e3, 150)  # three temperature blocks
         sweep = quad_diffusion(p, temps)
         assert sweep.d_xx.shape == temps.shape
-        for i in (0, 77, 149):
-            assert [v[i] for v in as_triple(sweep)] == pytest.approx(
-                as_triple(quad_diffusion(p, temps[i])), rel=1e-12)
+        # each temperature converges at its own level: every entry exactly the scalar call
+        for i, temp in enumerate(temps.tolist()):
+            assert [v[i] for v in as_triple(sweep)] == as_triple(quad_diffusion(p, temp))
         # the thermal mode sums: every entry exactly the scalar call, also
         # with the acoustic zero mode (omega0 = 0)
         thermal = (gibbs_energy_density, heat_capacity_density,
@@ -152,6 +153,29 @@ class TestQuadDiffusion:
         calls.clear()
         quad_diffusion(p, np.full(1000, 2.0))
         assert calls == single
+
+    def test_sweep_calls_the_kernel_once_per_level(self, monkeypatch):
+        # 1000 temperatures need no more kernel calls than the one that needs
+        # the most levels: each level is evaluated for the whole sweep at once
+        calls = []
+        original = heatchain.diffusion._zone_sums
+
+        def counted(params, temps, num, cols):
+            calls.append(temps.size * num.size)
+            return original(params, temps, num, cols)
+
+        monkeypatch.setattr(heatchain.diffusion, "_zone_sums", counted)
+        p = params(n_sites=256, omega0=0.5, lambda_fric=0.1, gamma_fric=0.04)
+        temps = np.geomspace(1e-2, 1e3, 1000)
+        scalar = []
+        for temp in temps.tolist():
+            calls.clear()
+            quad_diffusion(p, temp)
+            scalar.append(len(calls))
+        calls.clear()
+        quad_diffusion(p, temps)
+        assert len(calls) <= max(scalar)
+        assert max(calls) <= heatchain.diffusion.TEMP_BLOCK * heatchain.diffusion.QUAD_CHUNK
 
     def test_point_cap_raises_without_large_allocation(self):
         # omega0 = 1e-12 puts the zeros of omega(q) within ~1e-6 of the real
@@ -203,6 +227,35 @@ class TestModeSumDiffusion:
             want = [np.mean(weight * c_x), np.mean(weight * c_p), np.mean(np.cos(q) * weight * c_x)]
             assert [v[i] for v in as_triple(sums)] == pytest.approx(want, rel=1e-14, abs=0.0)
             assert as_triple(mode_sum_diffusion(p, temp)) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+class TestHalfZone:
+    @pytest.mark.parametrize("n_sites", [3, 4, 255, 256])
+    @pytest.mark.parametrize("omega0", [0.5, 0.0])
+    def test_folded_sums_equal_full_zone(self, n_sites, omega0):
+        # the sums read the modes n = 0..N // 2 with multiplicities; the
+        # oracle sums every mode of the grid (a zero mode at omega0 = 0)
+        p = params(n_sites=n_sites, omega0=omega0, gamma_fric=0.04)
+        temps = np.array([0.0, 0.05, 0.7, 2.0, 40.0, 1e3])
+        q = mode_grid(p)
+        cap = mode_heat_capacities(p, temps)
+        tau = 1.0 / (2.0 * p.lambda_fric)
+        oracles = {
+            gibbs_energy_density: np.mean(mode_energies(p, temps), axis=-1) / p.lattice_const,
+            heat_capacity_density: np.mean(cap, axis=-1) / p.lattice_const,
+            (lambda p, t: klemens_conductivity(p, t, velocity="sound")):
+                np.sum(p.sound_speed**2 * tau * cap, axis=-1) / (p.n_sites * p.lattice_const),
+            (lambda p, t: klemens_conductivity(p, t, velocity="dispersion")):
+                np.sum(group_velocity(p, q) ** 2 * tau * cap, axis=-1) / (p.n_sites * p.lattice_const),
+        }
+        for f, want in oracles.items():
+            assert f(p, temps) == pytest.approx(want, rel=1e-14, abs=0.0)
+        sums = mode_sum_diffusion(p, temps)
+        for i, temp in enumerate(temps):
+            _, _, c_x, c_p = mode_thermal_variances(p, temp)
+            weight = p.lambda_fric + 2 * p.gamma_fric * np.cos(q)
+            want = [np.mean(weight * c_x), np.mean(weight * c_p), np.mean(np.cos(q) * weight * c_x)]
+            assert [v[i] for v in as_triple(sums)] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestHighTemperature:
