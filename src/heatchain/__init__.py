@@ -42,8 +42,6 @@ from .dynamics import (
     gaussian_site_weights,
     hotspot_state,
     mode_propagator,
-    moment_rhs,
-    propagator,
     site_observables,
     stationary_covariance,
     step_bound,

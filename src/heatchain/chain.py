@@ -5,11 +5,12 @@ the bath diffusion is a circulant.  `ModelMatrices` holds the mass, the
 stiffness K (diagonal m*omega0^2 + 2*xi, off-diagonal -xi) and friction
 Lambda (diagonal lambda, off-diagonal gamma) by their parameters, and the
 x-x and p-p diffusion blocks by their first rows.  In the coordinate
-ordering (x_1..x_N, p_1..p_N) the dense drift and diffusion are derived views:
+ordering (x_1..x_N, p_1..p_N) they make up the drift and diffusion
 
-    A = [[-Lambda, I/m], [-K, -Lambda]],    D = [[D^xx, 0], [0, D^pp]].
+    A = [[-Lambda, I/m], [-K, -Lambda]],    D = [[D^xx, 0], [0, D^pp]],
 
-A block's Fourier symbol over the mode grid is `circulant_symbol(row)`.
+which the simulation reads only as Fourier symbols (`circulant_symbol(row)`);
+the dense A and D are oracles, built by `heatchain.verify.dense_model`.
 """
 
 from __future__ import annotations
@@ -102,8 +103,7 @@ def stiffness_row(params: ChainParams) -> Array:
 class ModelMatrices:
     """The linear moment equation d(Sigma)/dt = A Sigma + Sigma A^T + 2 D: the
     mass, the stiffness and friction parameters and the first rows of the two
-    diffusion blocks, with the mode symbols and the dense 2N x 2N `drift` A
-    and `diffusion` D built on first use."""
+    diffusion blocks, with the mode symbols built on first use."""
 
     mass: float
     pinning: float  # m omega0^2
@@ -140,18 +140,6 @@ class ModelMatrices:
     def omega_max(self) -> float:
         """Fastest mode frequency, sqrt(max K_q / m) (0 for a static chain)."""
         return float(np.sqrt(max(float(np.max(self.mode_symbols[0])), 0.0) / self.mass))
-
-    @cached_property
-    def drift(self) -> Array:
-        n = self.n_sites
-        lam = circulant(_neighbour_row(n, self.friction_on_site, self.friction_neighbour))
-        stiff = circulant(_neighbour_row(n, self.pinning + 2.0 * self.coupling, -self.coupling))
-        return np.block([[-lam, np.eye(n) / self.mass], [-stiff, -lam]])
-
-    @cached_property
-    def diffusion(self) -> Array:
-        zero = np.zeros((self.n_sites, self.n_sites))
-        return np.block([[circulant(self.diffusion_xx), zero], [zero, circulant(self.diffusion_pp)]])
 
 
 def build_matrices(params: ChainParams, diff: "DiffusionSet") -> ModelMatrices:

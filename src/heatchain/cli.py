@@ -90,6 +90,8 @@ def _temperature_sweep(cfg: ScenarioConfig, subcommand: str) -> np.ndarray:
     scale = str(cfg.run.get("scale", "linear"))
     if steps < 1:
         raise ConfigError(["run.t_steps: must be >= 1"])
+    if scale not in ("linear", "log"):
+        raise ConfigError([f"run.scale: expected 'linear' or 'log', got {scale!r}"])
     bounds = {"t_min": t_min} if steps == 1 else {"t_min": t_min, "t_max": t_max}
     log = steps > 1 and scale == "log"
     bad = [f"run.{key}: must be {'> 0 for log scale' if log else '>= 0'}, got {value}"
@@ -98,11 +100,7 @@ def _temperature_sweep(cfg: ScenarioConfig, subcommand: str) -> np.ndarray:
         raise ConfigError(bad)
     if steps == 1:
         return np.array([t_min])
-    if scale == "linear":
-        return np.linspace(t_min, t_max, steps)
-    if scale == "log":
-        return np.geomspace(t_min, t_max, steps)
-    raise ConfigError([f"run.scale: expected 'linear' or 'log', got {scale!r}"])
+    return np.geomspace(t_min, t_max, steps) if log else np.linspace(t_min, t_max, steps)
 
 
 def cmd_dispersion(cfg: ScenarioConfig, outdir: Path) -> RunReport:

@@ -186,6 +186,12 @@ class CompareScenario:
     fit_t_min: float | None = None  # defaults to 0.5 / lambda
     fit_t_max: float | None = None  # defaults to t_final
 
+    def __post_init__(self):
+        if self.sample_interval is not None and self.sample_interval <= 0:
+            raise ValueError(f"sample_interval must be > 0, got {self.sample_interval}")
+        if self.fit_t_min is not None and self.fit_t_max is not None and self.fit_t_min > self.fit_t_max:
+            raise ValueError(f"fit_t_min {self.fit_t_min} exceeds fit_t_max {self.fit_t_max}")
+
 
 @dataclass
 class ComparisonReport:

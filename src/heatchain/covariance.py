@@ -1,7 +1,8 @@
 """Second-moment state of the chain, the symmetric 2N x 2N covariance matrix
 Sigma ordered (x_1..x_N, p_1..p_N): a block-circulant background plus a Gram
 factor (`FactoredState`) for every state the dynamics builds or evolves, or a
-plain dense array, such as the moment equation's right-hand side."""
+plain dense array, such as the moment equation's right-hand side (built, with
+the rest of the dense model, by the oracles of `heatchain.verify`)."""
 
 from __future__ import annotations
 

@@ -17,7 +17,8 @@ stationary state solves the continuous Lyapunov equation mode by mode.
 
 Site energies, currents and the on-site energy balance read bands
 <z^i_k z^j_{k+d}> of Sigma (`_bands`), O(N r) each on a factored state, which
-is never formed densely; they and `moment_rhs` take a dense Sigma as an array.
+is never formed densely; they also take a dense Sigma as an array.  The dense
+A, D, moment right-hand side and Van Loan map are oracles: `heatchain.verify`.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ModelMatrices, circulant, circulant_blocks, circulant_row_from_symbol
+from .chain import ModelMatrices, circulant, circulant_row_from_symbol
 from .covariance import Array, FactoredState, check_psd
 # gibbs_covariance is looked up here by the benchmark's tracer (benchmarks/run.py)
 from .diffusion import _diagonal_blocks, gibbs_covariance, mode_thermal_variances
 from .params import ChainParams
 
 GRID_FRACTION = 0.05  # sample-grid step dt <= 0.05 / (fastest rate)
-DOUBLINGS = 30  # propagator: Q starts from its Taylor polynomial at h / 2^30
+DOUBLINGS = 30  # mode_propagator: Q starts from its Taylor polynomial at h / 2^30
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,6 @@ class Trajectory:
     times: Array
     states: "list[FactoredState] | None" = None
     observations: "list | None" = None
-
-
-def moment_rhs(sigma: Array, matrices: ModelMatrices) -> Array:
-    """Right-hand side A Sigma + Sigma A^T + 2 D of the moment equation for a dense `sigma`."""
-    a = matrices.drift
-    if sigma.shape != a.shape:
-        raise ValueError(f"state/matrix size mismatch: {sigma.shape} vs {a.shape}")
-    return a @ sigma + sigma @ a.T + 2.0 * matrices.diffusion
 
 
 def step_bound(matrices: ModelMatrices, dt_max: float | None = None) -> float:
@@ -115,12 +108,6 @@ def mode_propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
     for p_s in p[:-1]:
         q = q + p_s @ q @ p_s.transpose(0, 2, 1)
     return p[-1], q
-
-
-def propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
-    """Dense P and Q of the exact map: the block circulants of `mode_propagator`."""
-    p, q = mode_propagator(matrices, h)
-    return circulant_blocks(np.moveaxis(p, 0, -1)), circulant_blocks(np.moveaxis(q, 0, -1))
 
 
 def _samples(state: FactoredState, matrices: ModelMatrices, dt: float, sample_steps):

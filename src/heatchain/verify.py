@@ -4,7 +4,8 @@ and the on-site energy equation.
 Each check recomputes its target through an independent route (literal
 per-site transcription of the moment equations, the dense Van Loan
 exponential, closed forms, the site energies of the moment equation's
-right-hand side) and compares at a fixed tolerance.  The acceptance suite
+right-hand side) and compares at a fixed tolerance.  The dense model they
+read (`dense_model`, `moment_rhs`) lives here alone.  The acceptance suite
 runs the criterion checks on `DEFAULT_PARAMS`; each `CheckResult.detail` is
 the text its ACCEPTANCE line prints.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ModelMatrices
+from .chain import ModelMatrices, _neighbour_row, circulant
 from .covariance import PSD_TOL, FactoredState, min_eig_ratio, symmetrize
 from .diffusion import (
     DiffusionSet,
@@ -33,7 +34,6 @@ from .dynamics import (
     evolve,
     gaussian_site_weights,
     hotspot_state,
-    moment_rhs,
     site_observables,
     stationary_covariance,
     step_bound,
@@ -85,6 +85,25 @@ def undamped_matrices(params: ChainParams) -> ModelMatrices:
     return ModelMatrices(params.mass, params.mass * params.omega0**2, params.xi, 0.0, 0.0, zero, zero)
 
 
+def dense_model(matrices: ModelMatrices):
+    """Dense 2N x 2N drift A = [[-Lambda, I/m], [-K, -Lambda]] and diffusion
+    D = [[D^xx, 0], [0, D^pp]] of `matrices`, in the coordinates (x_1..x_N, p_1..p_N)."""
+    n = matrices.n_sites
+    lam = circulant(_neighbour_row(n, matrices.friction_on_site, matrices.friction_neighbour))
+    stiff = circulant(_neighbour_row(n, matrices.pinning + 2.0 * matrices.coupling, -matrices.coupling))
+    zero = np.zeros((n, n))
+    return (np.block([[-lam, np.eye(n) / matrices.mass], [-stiff, -lam]]),
+            np.block([[circulant(matrices.diffusion_xx), zero], [zero, circulant(matrices.diffusion_pp)]]))
+
+
+def moment_rhs(sigma, matrices: ModelMatrices):
+    """Right-hand side A Sigma + Sigma A^T + 2 D of the moment equation for a dense `sigma`."""
+    a, d = dense_model(matrices)
+    if sigma.shape != a.shape:
+        raise ValueError(f"state/matrix size mismatch: {sigma.shape} vs {a.shape}")
+    return a @ sigma + sigma @ a.T + 2.0 * d
+
+
 def thermal_units(params: ChainParams):
     """Units of the coordinates (x_1..x_N, p_1..p_N) for the dense oracles.
 
@@ -110,8 +129,9 @@ def van_loan_map(matrices: ModelMatrices, h: float, params: ChainParams):
     from scipy.linalg import expm  # the only scipy use: simulation paths run on numpy alone
 
     u = thermal_units(params)
-    a = matrices.drift * u / u[:, None]
-    f = expm(np.block([[a, 2.0 * matrices.diffusion / np.outer(u, u)], [np.zeros_like(a), -a.T]]) * h)
+    a, d = dense_model(matrices)
+    a = a * u / u[:, None]
+    f = expm(np.block([[a, 2.0 * d / np.outer(u, u)], [np.zeros_like(a), -a.T]]) * h)
     dim = len(a)
     p = f[:dim, :dim]
     return p * u[:, None] / u, f[:dim, dim:] @ p.T * np.outer(u, u)
@@ -128,8 +148,8 @@ def transcribed_moment_rhs(sigma, params: ChainParams, matrices: ModelMatrices):
     """
     n = params.n_sites
     sxx, spp, sxp = sigma[:n, :n], sigma[n:, n:], sigma[:n, n:]
-    dxx = matrices.diffusion[:n, :n]
-    dpp = matrices.diffusion[n:, n:]
+    d = dense_model(matrices)[1]
+    dxx, dpp = d[:n, :n], d[n:, n:]
     lam, gam = params.lambda_fric, params.gamma_fric
     m, om0, xi = params.mass, params.omega0, params.xi
 

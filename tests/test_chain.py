@@ -12,6 +12,7 @@ from heatchain import (
     stiffness_row,
     thermal_matrices,
 )
+from heatchain.verify import dense_model
 
 
 def params(**kw):
@@ -89,7 +90,7 @@ class TestMatrices:
     def test_gamma_zero_friction_is_scalar(self):
         p = params(lambda_fric=0.3)
         n = p.n_sites
-        assert np.array_equal(-thermal_matrices(p).drift[:n, :n], 0.3 * np.eye(n))
+        assert np.array_equal(-dense_model(thermal_matrices(p))[0][:n, :n], 0.3 * np.eye(n))
 
     def test_stiffness_row_entries(self):
         # row k of -K: -(m w0^2 + 2 xi) on the diagonal, +xi at k +- 1
@@ -106,7 +107,7 @@ class TestMatrices:
 
     def test_decoupled_chain_block_decouples(self):
         p = params(xi=0.0)
-        a = thermal_matrices(p).drift
+        a = dense_model(thermal_matrices(p))[0]
         n = p.n_sites
         # every 2x2 single-site generator independent: no cross-site entries
         for i in range(n):
@@ -131,12 +132,12 @@ class TestMatrices:
                 gamma_fric=float(rng.uniform(0.0, 0.5 * lam)),
                 bath_temp=1.0,
             )
-            eig = np.linalg.eigvals(thermal_matrices(p).drift)
+            eig = np.linalg.eigvals(dense_model(thermal_matrices(p))[0])
             assert np.max(eig.real) <= 1e-13
 
     def test_drift_commutes_with_cyclic_shift(self):
         p = params(n_sites=6, gamma_fric=0.04)
-        a = thermal_matrices(p).drift
+        a = dense_model(thermal_matrices(p))[0]
         n = p.n_sites
         s1 = np.roll(np.eye(n), 1, axis=0)
         shift = np.block([[s1, np.zeros((n, n))], [np.zeros((n, n)), s1]])
@@ -145,15 +146,15 @@ class TestMatrices:
     def test_build_matrices_truncated_blocks(self):
         p = params(gamma_fric=0.03)
         diff = DiffusionSet(d_xx=0.2, d_pp=0.5, d_ex=0.01, temp=1.0)
-        mats = build_matrices(p, diff)
+        d = dense_model(build_matrices(p, diff))[1]
         n = p.n_sites
-        dxx = mats.diffusion[:n, :n]
+        dxx = d[:n, :n]
         assert dxx[0, 0] == 0.2
         assert dxx[0, 1] == 0.01 and dxx[0, n - 1] == 0.01
         assert dxx[0, 2] == 0.0
-        assert np.array_equal(mats.diffusion[n:, n:], 0.5 * np.eye(n))
-        assert np.all(mats.diffusion[:n, n:] == 0.0)
-        assert np.array_equal(mats.diffusion, mats.diffusion.T)
+        assert np.array_equal(d[n:, n:], 0.5 * np.eye(n))
+        assert np.all(d[:n, n:] == 0.0)
+        assert np.array_equal(d, d.T)
 
     def test_friction_psd_bound_enforced(self):
         with pytest.raises(ValueError, match="gamma"):

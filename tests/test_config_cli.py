@@ -398,6 +398,19 @@ class TestCli:
         assert (out / "compare_chain.csv").exists()
         assert (out / "compare_pde.csv").exists()
 
+    @pytest.mark.parametrize("run, field", [
+        ("sample_interval = 0\n", "sample_interval"),
+        ("sample_interval = -2\n", "sample_interval"),
+        ("fit_t_min = 3.0\nfit_t_max = 1.0\n", "fit_t_min"),
+    ], ids=["zero_interval", "negative_interval", "inverted_fit_window"])
+    def test_meaningless_compare_window_is_value_error(self, tmp_path, capsys, run, field):
+        # once sampled every grid step, or fitted over no sample (a NaN slope)
+        cfg = write_config(tmp_path, BASE_CONFIG + "\n[run]\nhotspot_width = 2.0\nt_hot = 4.0\n"
+                           "t_cold = 2.0\nt_final = 1.0\n" + run)
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ValueError" and field in record["detail"]
+
     def test_bad_config_machine_readable_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[chain]\nn_sites = 2\n")
         code = main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -423,6 +436,10 @@ class TestCli:
         ("coefficients", "t_min = 0.5\nt_max = 8.0\nt_steps = inf\n",
          "run.t_steps: cannot parse inf as int"),
         ("verify", "[meta]\nseed = abc\n", "meta.seed: cannot parse 'abc' as int"),
+        ("coefficients", "t_min = 0.5\nt_max = 8.0\nt_steps = 1\nscale = bogus\n",
+         "run.scale: expected 'linear' or 'log', got 'bogus'"),
+        ("conductivity", "t_min = 0.5\nt_max = 8.0\nt_steps = 1\nscale = bogus\n",
+         "run.scale: expected 'linear' or 'log', got 'bogus'"),
     ])
     def test_malformed_run_value_is_config_error(self, tmp_path, capsys, command, run, problem):
         cfg = write_config(tmp_path, BASE_CONFIG + "\n[run]\n" + run)

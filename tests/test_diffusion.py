@@ -25,6 +25,7 @@ from heatchain import (
 )
 import heatchain.diffusion
 from heatchain.diffusion import mode_energies, mode_heat_capacities, mode_thermal_variances
+from heatchain.verify import dense_model
 
 
 def params(**kw):
@@ -373,7 +374,7 @@ class TestGibbsState:
 class TestThermalDiffusionMatrix:
     def test_diagonal_matches_mode_sums(self):
         p = params(gamma_fric=0.03)
-        d = thermal_matrices(p, 2.0).diffusion
+        d = dense_model(thermal_matrices(p, 2.0))[1]
         ds = mode_sum_diffusion(p, 2.0)
         n = p.n_sites
         assert d[0, 0] == pytest.approx(ds.d_xx, rel=1e-12)
@@ -383,14 +384,14 @@ class TestThermalDiffusionMatrix:
     @pytest.mark.parametrize("gamma", [0.0, 0.02, 0.05])
     def test_psd_including_critical_damping_edge(self, gamma):
         p = params(gamma_fric=gamma, lambda_fric=0.1)
-        d = thermal_matrices(p, 0.5).diffusion
+        d = dense_model(thermal_matrices(p, 0.5))[1]
         eig = np.linalg.eigvalsh(d)
         assert eig.min() >= -1e-12 * eig.max()
 
     def test_fluctuation_dissipation_d_equals_lambda_covariance(self):
         # gamma = 0: D = lambda * (thermal covariance), block by block
         p = params()
-        d = thermal_matrices(p, 2.0).diffusion
+        d = dense_model(thermal_matrices(p, 2.0))[1]
         g = gibbs_covariance(p, 2.0)
         assert np.allclose(d, p.lambda_fric * g.sigma, rtol=1e-12, atol=1e-15)
 

@@ -10,7 +10,6 @@ from heatchain import (
     FactoredState,
     PSDViolationError,
     build_matrices,
-    circulant_symbol,
     energy_balance_rhs,
     evolve,
     gaussian_site_weights,
@@ -20,8 +19,6 @@ from heatchain import (
     min_eig_ratio,
     mode_propagator,
     mode_sum_diffusion,
-    moment_rhs,
-    propagator,
     site_observables,
     stationary_covariance,
     symmetrize,
@@ -29,12 +26,17 @@ from heatchain import (
     total_energy,
     uniform_state,
 )
-from heatchain.chain import circulant_blocks
+import heatchain
+import heatchain.chain
+import heatchain.dynamics
+from heatchain.chain import ModelMatrices, circulant_blocks
 from heatchain.diffusion import mode_thermal_variances
 from heatchain.verify import (
     check_moment_fidelity,
+    dense_model,
     exact_energy_rate,
     injection_error,
+    moment_rhs,
     thermal_units,
     transcribed_moment_rhs,
     undamped_matrices,
@@ -47,9 +49,14 @@ def lyapunov_oracle(matrices, params):
     `thermal_units` of `params`, a reference for the per-mode Fourier solve of
     `stationary_covariance`."""
     u = thermal_units(params)
-    scaled = solve_continuous_lyapunov(matrices.drift * u / u[:, None],
-                                       -2.0 * matrices.diffusion / np.outer(u, u))
+    a, d = dense_model(matrices)
+    scaled = solve_continuous_lyapunov(a * u / u[:, None], -2.0 * d / np.outer(u, u))
     return symmetrize(scaled * np.outer(u, u))
+
+
+def dense_propagator(matrices, h):
+    """Dense P and Q of the exact map: the block circulants of `mode_propagator`."""
+    return tuple(circulant_blocks(np.moveaxis(b, 0, -1)) for b in mode_propagator(matrices, h))
 
 
 def params(**kw):
@@ -88,7 +95,7 @@ class TestMomentRhs:
             p = params(gamma_fric=gam)
             mats = thermal_matrices(p)
             rhs = moment_rhs(gibbs_covariance(p, p.bath_temp).sigma, mats)
-            assert np.max(np.abs(rhs)) <= 1e-10 * np.max(np.abs(mats.diffusion))
+            assert np.max(np.abs(rhs)) <= 1e-10 * np.max(np.abs(dense_model(mats)[1]))
 
     def test_closed_system_conserves_energy_instantaneously(self):
         p = params()
@@ -105,16 +112,19 @@ class TestMomentRhs:
             moment_rhs(np.eye(4), thermal_matrices(p))
 
 
-class TestPropagator:
-    def test_dense_maps_are_the_circulants_of_the_mode_maps(self):
-        mats = build_matrices(params(gamma_fric=0.03), mode_sum_diffusion(params(), 2.0))
-        for got, want in zip(propagator(mats, 0.7), mode_propagator(mats, 0.7)):
-            assert np.array_equal(got, circulant_blocks(np.moveaxis(want, 0, -1)))
+def test_simulation_modules_hold_no_dense_model():
+    # the dense A, D and moment rhs are oracles, built in heatchain.verify alone
+    for module in (heatchain, heatchain.chain, heatchain.dynamics):
+        assert not hasattr(module, "moment_rhs") and not hasattr(module, "propagator")
+    for model in (ModelMatrices, thermal_matrices(params())):
+        assert not hasattr(model, "drift") and not hasattr(model, "diffusion")
 
+
+class TestPropagator:
     def test_noiseless_chain_has_no_noise_term(self):
         # D = 0 (criterion 9's closed chain): Q vanishes exactly, not to rounding
         mats = undamped_matrices(params())
-        p_exact, q_exact = propagator(mats, 0.3)
+        p_exact, q_exact = dense_propagator(mats, 0.3)
         assert not q_exact.any()
         assert np.max(np.abs(p_exact - van_loan_map(mats, 0.3, params())[0])) <= 1e-14
 
@@ -141,10 +151,7 @@ class TestPropagator:
         k, lam, dxx, dpp = (s[mode] for s in mats.mode_symbols)
         assert (lam == 0.0) == (noise != "weak")
         h = 1.0 / p.omega_max if wh is None else wh / np.sqrt(k / p.mass)
-        n = p.n_sites
-        q = propagator(mats, h)[1]
-        got = np.array([[circulant_symbol(q[i * n, j * n:(j + 1) * n])[mode] for j in (0, 1)]
-                        for i in (0, 1)])
+        got = mode_propagator(mats, h)[1][mode]
         block = np.diag([-lam, -lam, lam, lam])  # A_q and -A_q^T
         block[0, 1], block[2, 3] = 1.0 / p.mass, k
         block[1, 0], block[3, 2] = -k, -1.0 / p.mass

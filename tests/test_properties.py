@@ -31,7 +31,6 @@ from heatchain import (
     mode_grid,
     min_eig_ratio,
     mode_sum_diffusion,
-    propagator,
     quad_diffusion,
     site_observables,
     stationary_covariance,
@@ -43,7 +42,7 @@ from heatchain.config import load_config
 from heatchain.covariance import PSD_TOL
 from heatchain.verify import exact_energy_rate, injection_error, undamped_matrices, van_loan_map
 from test_diffusion import assert_matches_oracle, quad_oracle
-from test_dynamics import lyapunov_oracle, thermal_unit_states
+from test_dynamics import dense_propagator, lyapunov_oracle, thermal_unit_states
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 # exact step vs Van Loan: measured 1.4e-13 here and 1.0e-12 on other draws; a
@@ -122,7 +121,7 @@ def test_exact_step_matches_van_loan(p, tau, seed):
     raw = rng.normal(size=(2 * p.n_sites, 2 * p.n_sites))
     sigma = raw @ raw.T / (2 * p.n_sites)
     for mats in _models(p):
-        p_exact, q_exact = propagator(mats, h)
+        p_exact, q_exact = dense_propagator(mats, h)
         p_vl, q_vl = van_loan_map(mats, h, p)
         got = p_exact @ sigma @ p_exact.T + q_exact
         want = p_vl @ sigma @ p_vl.T + q_vl
@@ -185,7 +184,7 @@ def test_factored_evolution_matches_dense(p):
     # both hotspot modes relaxing for 1/lambda under each of `_models` (the
     # zone-edge model only where its truncated diffusion symbol is
     # nonnegative): the factored run against the dense map
-    # Sigma <- P Sigma P^T + Q of `propagator` over each interval between
+    # Sigma <- P Sigma P^T + Q of `dense_propagator` over each interval between
     # its sample times, from the same matrix.  Site observables and the
     # on-site energy balance read from the factored bands must match those
     # read from the dense matrix, the balance at the scale of
@@ -199,7 +198,7 @@ def test_factored_evolution_matches_dense(p):
         models.append(edge)
     for mats in models:
         stride = max(1, int(t_final / step_bound(mats, t_final)) // 20)
-        maps = functools.cache(lambda h: propagator(mats, h))
+        maps = functools.cache(lambda h: dense_propagator(mats, h))
         for mode in ("thermal", "diagonal"):
             state0 = hotspot_state(p, p.bath_temp, 2.0 * p.bath_temp + 1.0, weights, mode=mode)
             states = evolve(state0, mats, t_final=t_final, dt_max=t_final, sample_stride=stride).states
