@@ -47,7 +47,6 @@ from .dynamics import (
 )
 from .params import ChainParams
 from .report import RunReport, write_csv
-from .verify import DEFAULT_PARAMS, run_verify
 
 OUT_ENV = "HEATCHAIN_OUT"
 # The fewest bytes a subcommand holds at once, as counted by `_require_fits`:
@@ -56,11 +55,12 @@ OUT_ENV = "HEATCHAIN_OUT"
 # its observers read each sample's eigenvalues densely (tracemalloc read 6.19
 # and 6.09 such arrays at N = 256 and 512 on the compare_n128 chain).
 DENSE_MATRICES = {"verify": 6}
-# compare and relax: 4 arrays of (2N)^2 floats alive together in a map of the
-# factored state, its factor F before and after the map, F's rFFT and the
-# rFFT's row-major copy (tracemalloc read 4.6 and 4.3 such arrays at N = 256
-# and 512 for both; relax reads its final deviation from Gibbs blockwise)
-FACTORED_ARRAYS = 4
+# compare and relax: 2 arrays of (2N)^2 floats alive together in a map of the
+# factored state, the start's rFFT and the factor buffer every sample shares
+# (tracemalloc read 2.64 and 2.21 such arrays for compare at N = 256 and 512 on
+# the compare_n128 chain, relax more with its observations; relax reads its
+# final deviation from Gibbs blockwise)
+FACTORED_ARRAYS = 2
 
 
 def _require_fits(command: str, p: ChainParams) -> None:
@@ -170,6 +170,8 @@ def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     last = []
 
     def observer(state):
+        # evolve reuses each sample's factor buffer for the next one; the last
+        # sample is never overwritten, so its deviation below reads it as is
         last[:] = [state]
         obs = site_observables(state, p)
         return obs.energies, obs.currents, obs.total_energy
@@ -256,6 +258,8 @@ def cmd_conductivity(cfg: ScenarioConfig, outdir: Path) -> RunReport:
 
 
 def cmd_verify(cfg: "ScenarioConfig | None", outdir: Path) -> RunReport:
+    from .verify import DEFAULT_PARAMS, run_verify  # here, so that only verify compiles and loads it
+
     params = cfg.chain if cfg is not None else DEFAULT_PARAMS
     seed = cfg.seed if cfg is not None else 1234
     results = run_verify(params, seed=seed)

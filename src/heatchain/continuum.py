@@ -225,11 +225,17 @@ def _current_gradient_fit(
 
     Returns the slope pooled over the scenario's fit window (default
     [0.5 / lambda, t_final]) and the slope of each sample on its own (NaN
-    where the gradient vanishes).
+    where the gradient vanishes).  A window set by `fit_t_min` or
+    `fit_t_max` that holds no sample time is a ValueError naming those keys;
+    the default window of a run that ends before 0.5 / lambda gives a NaN
+    pooled slope.
     """
     t_lo = scenario.fit_t_min if scenario.fit_t_min is not None else 0.5 / lam
     t_hi = scenario.fit_t_max if scenario.fit_t_max is not None else scenario.t_final
     window = (times >= t_lo - 1e-12) & (times <= t_hi + 1e-12)
+    if not window.any() and (scenario.fit_t_min, scenario.fit_t_max) != (None, None):
+        raise ValueError(f"fit window [fit_t_min, fit_t_max] = [{t_lo:.6g}, {t_hi:.6g}] holds no "
+                         f"sample time of the run to t_final = {scenario.t_final:.6g}")
     grad = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * a)
     x = -grad[window].ravel()
     y = j[window].ravel()

@@ -131,8 +131,10 @@ def check_psd(state: "Array | FactoredState", context: str = "") -> None:
     """
     where = f" ({context})" if context else ""
     arrays = (state.background, state.factor) if isinstance(state, FactoredState) else (state,)
-    bad = sum(a.size - np.count_nonzero(np.isfinite(a)) for a in arrays)
-    if bad:
+    # min and max are finite exactly when every entry is (a NaN propagates):
+    # nothing the size of the state is allocated unless an entry is not finite
+    if not all(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)) for a in arrays):
+        bad = sum(a.size - np.count_nonzero(np.isfinite(a)) for a in arrays)
         raise PSDViolationError(
             f"covariance matrix not PSD{where}: non-finite entries, "
             f"{bad} of {sum(a.size for a in arrays)}"

@@ -11,9 +11,12 @@ blocks P_q and Q_q of each Fourier mode (`mode_propagator`).  A
 `FactoredState` Sigma = B + F^T F keeps that structure: its block-circulant
 background maps mode by mode, B_q <- P_q B_q P_q^T + Q_q, and its factor
 F <- F P^T row by row, one 2 x 2 product per mode of the rFFT over sites.
-Every state built here is one: the Gibbs, uniform and stationary states
-have an empty factor, and a hot spot adds its heating as F^T F.  The
-stationary state solves the continuous Lyapunov equation mode by mode.
+`evolve` maps the factor from its start's rFFT into one buffer that every
+sample shares: a sample is valid until the next one is mapped, so an
+observer that keeps a sample keeps a copy of its factor.  Every state built
+here is one: the Gibbs, uniform and stationary states have an empty factor,
+and a hot spot adds its heating as F^T F.  The stationary state solves the
+continuous Lyapunov equation mode by mode.
 
 Site energies, currents and the on-site energy balance read bands
 <z^i_k z^j_{k+d}> of Sigma (`_bands`), O(N r) each on a factored state, which
@@ -23,7 +26,6 @@ A, D, moment right-hand side and Van Loan map are oracles: `heatchain.verify`.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,6 +39,7 @@ from .params import ChainParams
 
 GRID_FRACTION = 0.05  # sample-grid step dt <= 0.05 / (fastest rate)
 DOUBLINGS = 30  # mode_propagator: Q starts from its Taylor polynomial at h / 2^30
+FACTOR_BLOCK_BYTES = 2**18  # _samples maps the factor's spectrum in row blocks of at most this size
 
 
 @dataclass(frozen=True)
@@ -107,28 +110,53 @@ def mode_propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
         q = q + term
     for p_s in p[:-1]:
         q = q + p_s @ q @ p_s.transpose(0, 2, 1)
-    return p[-1], q
+    return p[-1].copy(), q  # a copy, so that the other levels are freed
 
 
 def _samples(state: FactoredState, matrices: ModelMatrices, dt: float, sample_steps):
     """The samples of a factored state: B_q <- P_q B_q P_q^T + Q_q for every
     mode, and F <- F P^T on the rFFT of F's rows over sites, modes 0..N/2.
 
-    Each interval costs O(N r); each sample one inverse rFFT, O(N r log N).
+    The start is yielded first.  Its factor's rFFT is then taken once, in
+    blocks of rows of at most FACTOR_BLOCK_BYTES, and the start is dropped.
+    Each interval multiplies the per-mode map since the start, T_q <- P_q
+    T_q, O(N); each sample maps every block by T_q and inverts it into one
+    (r, 2N) factor buffer that all samples share, O(N r log N), through
+    block-sized buffers: nothing the size of F is allocated per sample.  So
+    a sample's factor is valid until the next sample is mapped; a caller
+    that keeps a sample keeps a copy of its factor.
     """
-    n, t0 = state.n_sites, state.time
-    maps = functools.cache(lambda steps: mode_propagator(matrices, steps * dt))
-    # (mode, x or p, row) and contiguous, so that one 2 x 2 real product per
-    # mode maps the real and imaginary parts of every row at once
-    coeffs = np.ascontiguousarray(np.fft.rfft(state.factor.reshape(-1, 2, n), axis=-1).transpose(2, 1, 0))
+    n, t0, r = state.n_sites, state.time, len(state.factor)
+    half = n // 2 + 1
+    intervals = [i - prev for prev, i in zip([0] + sample_steps, sample_steps)]
+    # every distinct interval's map, built before any array the size of F
+    maps = {steps: mode_propagator(matrices, steps * dt) for steps in set(intervals)}
     yield state
-    for prev, i in zip([0] + sample_steps, sample_steps):
-        p, q = maps(i - prev)
-        coeffs = (p[: n // 2 + 1] @ coeffs.view(float)).view(complex)
-        rows = np.ascontiguousarray(coeffs.transpose(2, 1, 0))
-        factor = np.fft.irfft(rows, n, axis=-1).reshape(-1, 2 * n)
-        state = FactoredState(p @ state.background @ p.transpose(0, 2, 1) + q, factor, t0 + i * dt)
-        yield state
+    step = max(1, FACTOR_BLOCK_BYTES // (2 * half * 16))  # rows of F per block
+    blocks = [slice(lo, min(lo + step, r)) for lo in range(0, r, step)]
+    # each block (mode, x or p, row) and contiguous, so that one 2 x 2 real
+    # product per mode maps the real and imaginary parts of its rows at once
+    spectra = [np.ascontiguousarray(np.fft.rfft(state.factor[b].reshape(-1, 2, n), axis=-1).transpose(2, 1, 0))
+               for b in blocks]
+    background = state.background
+    del state  # the start is held by its caller alone from here
+    factor = np.empty((r, 2 * n))
+    mapped = np.empty(4 * half * min(step, r))
+    rows = np.empty(2 * half * min(step, r), dtype=complex)
+    total = np.broadcast_to(np.eye(2), (half, 2, 2))
+    for i, steps in zip(sample_steps, intervals):
+        p, q = maps[steps]
+        total = p[:half] @ total
+        background = p @ background @ p.transpose(0, 2, 1) + q
+        for b, spectrum in zip(blocks, spectra):
+            m = b.stop - b.start
+            block = np.matmul(total, spectrum.view(float), out=mapped[: 4 * half * m].reshape(half, 2, 2 * m))
+            block_rows = rows[: 2 * half * m].reshape(m, 2, half)
+            np.copyto(block_rows, block.view(complex).T)
+            np.fft.irfft(block_rows, n, axis=-1, out=factor[b].reshape(m, 2, n))  # out=: NumPy 2.0
+        sample = FactoredState(background, factor, t0 + i * dt)
+        background = sample.background
+        yield sample
 
 
 def evolve(
@@ -152,7 +180,13 @@ def evolve(
     `FactoredState(np.zeros((N, 2, 2)), L.T)`, with L its Cholesky factor.
     Each sample is handed to `observer`, whose return values are collected
     in place of the states, so only one sample is alive at a time; without
-    an observer every sample is retained, one r x 2N factor each.
+    an observer every sample is retained, one r x 2N factor each.  The
+    mapped samples share one factor buffer (`_samples`): a sample handed to
+    `observer` is valid until the next sample is mapped, so an observer that
+    keeps a sample past its call keeps a copy of its factor; the last sample
+    stays valid after `evolve` returns.  Retained states are copies.  Apart
+    from the start, the map holds two arrays the size of F: the start's
+    rFFT and that buffer.
 
     Every sample passes `check_psd` first, which raises PSDViolationError if
     the state has a non-finite entry or drops below -covariance.PSD_TOL times
@@ -184,7 +218,9 @@ def evolve(
     for sample in samples:
         times.append(sample.time)
         check_psd(sample, context=f"t = {sample.time:.6g}")
-        kept.append(observer(sample) if observer is not None else sample)
+        kept.append(observer(sample) if observer is not None
+                    else FactoredState(sample.background, sample.factor.copy(), sample.time))
+        del sample  # so that no sample outlives its observer call while the next is mapped
 
     if observer is not None:
         return Trajectory(times=np.array(times), observations=kept)

@@ -333,8 +333,8 @@ class TestCli:
                                          "conductivity"])
     def test_ring_too_large_for_memory_is_config_error(self, tmp_path, capsys, command):
         # the estimate alone decides, so nothing of the ring is allocated: at
-        # N = 1e15 the 6 dense 2N x 2N matrices of verify need 1.8e23 GiB, the 4
-        # factored-state arrays of compare and relax 1.2e23 GiB and the mode
+        # N = 1e15 the 6 dense 2N x 2N matrices of verify need 1.8e23 GiB, the 2
+        # factored-state arrays of compare and relax 6e22 GiB and the mode
         # grid and frequencies of the others 1.5e7 GiB
         n = 10**15
         body = BASE_CONFIG.replace("n_sites = 16", f"n_sites = {n}") + (
@@ -344,9 +344,9 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         need, what = {
-            "relax": (4 * 8 * (2 * n) ** 2, "4 2N x 2N arrays of the factored state"),
+            "relax": (2 * 8 * (2 * n) ** 2, "2 2N x 2N arrays of the factored state"),
             "verify": (6 * 8 * (2 * n) ** 2, "6 dense 2N x 2N matrices"),
-            "compare": (4 * 8 * (2 * n) ** 2, "4 2N x 2N arrays of the factored state"),
+            "compare": (2 * 8 * (2 * n) ** 2, "2 2N x 2N arrays of the factored state"),
         }.get(command, (2 * 8 * n, "the mode grid and its frequencies, 2 length-N arrays"))
         assert record["error"] == "config"
         assert record["detail"] == [
@@ -368,11 +368,11 @@ class TestCli:
             "chain.n_sites: 100000 sites need at least 0.00149 GiB for the mode grid and its "
             "frequencies, 2 length-N arrays, above the 0.000977 GiB of physical memory"]}
 
-    def test_relax_counts_four_factored_arrays(self, tmp_path, capsys, monkeypatch):
-        # 7 MiB of memory: at N = 256 a 2N x 2N array is 2 MiB, so three of
-        # them fit but the four that relax holds (measured 4.6) do not
+    def test_relax_counts_two_factored_arrays(self, tmp_path, capsys, monkeypatch):
+        # 3 MiB of memory: at N = 256 a 2N x 2N array is 2 MiB, so one of
+        # them fits but the two that relax holds (measured 2.64 for compare) do not
         sysconf = os.sysconf
-        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1792}
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 768}
                             .get(name) or sysconf(name))
         body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 256") + (
             "\n[run]\nscenario = uniform\nt_hot = 3.0\nt_final = 0.5\n")
@@ -380,8 +380,8 @@ class TestCli:
         assert main(["relax", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "config", "detail": [
-            "chain.n_sites: 256 sites need at least 0.00781 GiB for 4 2N x 2N arrays of the "
-            "factored state, above the 0.00684 GiB of physical memory"]}
+            "chain.n_sites: 256 sites need at least 0.00391 GiB for 2 2N x 2N arrays of the "
+            "factored state, above the 0.00293 GiB of physical memory"]}
 
     def test_compare_small_scale(self, tmp_path):
         body = (BASE_CONFIG
@@ -410,6 +410,20 @@ class TestCli:
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ValueError" and field in record["detail"]
+
+    @pytest.mark.parametrize("keys", ["fit_t_min = 1000.0\n", "fit_t_max = 1.0\n"],
+                             ids=["window_after_t_final", "lone_fit_t_max_before_default_start"])
+    def test_empty_fit_window_is_value_error(self, tmp_path, capsys, keys):
+        # the toy compare_n128.ini samples t in [0, 4]; its default window
+        # starts at 0.5 / lambda = 2.5, so a lone fit_t_max = 1 leaves [2.5, 1]
+        toy = Path(__file__).resolve().parents[1] / "benchmarks" / "configs" / "toy" / "compare_n128.ini"
+        body = toy.read_text().replace("t_final = 4.0\n", "t_final = 4.0\n" + keys)
+        assert keys in body
+        cfg = write_config(tmp_path, body)
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ValueError"
+        assert "fit_t_min" in record["detail"] and "fit_t_max" in record["detail"]
 
     def test_bad_config_machine_readable_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[chain]\nn_sites = 2\n")

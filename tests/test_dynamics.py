@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +209,71 @@ class TestEvolve:
                       thermal_matrices(p), t_final=2.0, sample_stride=5)
         assert all(isinstance(s, FactoredState) and s.factor.shape == (16, 16) for s in traj.states)
         assert [s.time for s in traj.states] == traj.times.tolist()
+
+    def test_retained_states_are_copies_equal_to_observed_samples(self):
+        p = params(n_sites=16)
+        mats = thermal_matrices(p)
+
+        def run(observer=None):
+            start = hotspot_state(p, 1.0, 3.0, gaussian_site_weights(16, 8.0, 2.0))
+            return evolve(start, mats, t_final=2.0, sample_stride=5, observer=observer)
+
+        kept = run().states
+        seen = run(lambda s: (s.background.copy(), s.factor.copy(), s.time)).observations
+        assert len(kept) == len(seen) > 3
+        for a, b in itertools.combinations(kept, 2):
+            assert not np.shares_memory(a.factor, b.factor)
+        for state, (background, factor, time) in zip(kept, seen):
+            assert state.time == time
+            assert np.array_equal(state.background, background) and np.array_equal(state.factor, factor)
+        # the observed samples after the start share one factor buffer: each is
+        # valid until the next is mapped
+        shared = run(lambda s: s.factor).observations
+        assert all(np.shares_memory(shared[1], f) for f in shared[2:])
+
+    def test_factor_blocks_match_one_block(self, monkeypatch):
+        # r = 32 rows of 2 x 9 modes, 288 bytes of spectrum each: one block by
+        # default, then blocks of 5 rows, the last one of 2
+        p = params(n_sites=16)
+        mats = thermal_matrices(p)
+        start = hotspot_state(p, 1.0, 3.0, gaussian_site_weights(16, 8.0, 2.0))
+        assert heatchain.dynamics.FACTOR_BLOCK_BYTES >= 32 * 288
+        one = evolve(start, mats, t_final=5.0, sample_stride=7).states
+        monkeypatch.setattr(heatchain.dynamics, "FACTOR_BLOCK_BYTES", 5 * 288)
+        blocked = evolve(start, mats, t_final=5.0, sample_stride=7).states
+        assert len(one) == len(blocked) > 3
+        for a, b in zip(one, blocked):
+            assert np.array_equal(a.background, b.background)
+            assert np.max(np.abs(a.factor - b.factor)) <= 1e-15 * np.max(np.abs(a.factor))
+
+    @pytest.mark.parametrize("kind", ["uniform", "gibbs"])
+    def test_empty_factor_start_runs(self, kind):
+        p = params()
+        mats = thermal_matrices(p)
+        start = uniform_state(p, 3.0) if kind == "uniform" else gibbs_covariance(p, p.bath_temp)
+        traj = evolve(start, mats, t_final=2.0, sample_stride=5)
+        assert len(traj.states) > 2 and all(s.factor.shape == (0, 16) for s in traj.states)
+        energies = evolve(start, mats, t_final=2.0, sample_stride=5,
+                          observer=lambda s: total_energy(s, p)).observations
+        assert energies == [total_energy(s, p) for s in traj.states]
+
+    def test_evolve_holds_two_factor_sized_arrays(self):
+        # on the compare_n128 chain, above the start (built before tracing):
+        # the start's rFFT and the factor buffer every sample shares, about
+        # 2.02 (2N)^2 float arrays, plus the map's two block buffers; keeping
+        # each sample's rFFT, its row-major copy and a fresh factor read 4.6
+        n = 128
+        p = ChainParams(n_sites=n, mass=1.0, omega0=0.05, xi=1.0, lattice_const=1.0,
+                        lambda_fric=0.2, gamma_fric=0.0, bath_temp=200.0)
+        mats = thermal_matrices(p)
+        start = hotspot_state(p, 200.0, 280.0, gaussian_site_weights(n, n / 2.0, 20.0))
+        tracemalloc.start()
+        try:
+            evolve(start, mats, t_final=4.0, sample_stride=30, observer=lambda s: total_energy(s, p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * (2 * n) ** 2 + 2 * heatchain.dynamics.FACTOR_BLOCK_BYTES
 
     def test_psd_violation_aborts_with_diagnostic(self):
         p = params()
