@@ -25,11 +25,13 @@ print()
 print("zone edge omega(pi), acoustic:", dispersion(acoustic, np.pi), "(= 2 sqrt(xi/m))")
 print("sound speed a sqrt(xi/m):     ", acoustic.sound_speed)
 
-# The same frequencies come out of the stiffness circulant: the Fourier
-# symbol of its first row divided by the mass is omega(q)^2, mode by mode.
-from heatchain import circulant_symbol, stiffness_row
-
-sym = circulant_symbol(stiffness_row(acoustic)) / acoustic.mass
+# The same frequencies come out of the stiffness circulant: m omega0^2 + 2 xi
+# on site and -xi to each neighbour.  The Fourier symbol of its first row
+# divided by the mass is omega(q)^2, mode by mode.
+row = np.zeros(acoustic.n_sites)
+row[0] = acoustic.mass * acoustic.omega0**2 + 2.0 * acoustic.xi
+row[1] = row[-1] = -acoustic.xi
+sym = np.fft.fft(row).real / acoustic.mass
 print("max |omega(q)^2 - K-symbol/m|:",
       np.max(np.abs(dispersion(acoustic, mode_grid(acoustic)) ** 2 - sym)))
 

@@ -10,11 +10,9 @@ from .chain import (
     ModelMatrices,
     build_matrices,
     circulant,
-    circulant_symbol,
     dispersion,
     group_velocity,
     mode_grid,
-    stiffness_row,
 )
 from .covariance import (
     FactoredState,

@@ -61,21 +61,35 @@ DENSE_MATRICES = {"verify": 6}
 # the compare_n128 chain, relax more with its observations; relax reads its
 # final deviation from Gibbs blockwise)
 FACTORED_ARRAYS = 2
+# coefficients and conductivity: float columns of t_steps entries alive together
+# in a temperature sweep (tracemalloc read 13.6 (mode_sum) and 20.0 (quad) for
+# coefficients and 6.6 for conductivity at t_steps = 4e5, toy coefficients_sweep chain)
+SWEEP_COLUMNS = {"coefficients": 13, "conductivity": 6}
 
 
-def _require_fits(command: str, p: ChainParams) -> None:
+def _require_fits(command: str, cfg: ScenarioConfig) -> None:
     """Config error, before any allocation, when the fewest bytes that
-    `command` holds at once exceed physical memory."""
+    `command` holds at once exceed physical memory, for the ring's size
+    (`chain.n_sites`) or for a sweep's length (`run.t_steps`)."""
+    p = cfg.chain
     square = 8 * (2 * p.n_sites) ** 2
     dense = {c: (k * square, f"{k} dense 2N x 2N matrices") for c, k in DENSE_MATRICES.items()}
     factored = (FACTORED_ARRAYS * square, f"{FACTORED_ARRAYS} 2N x 2N arrays of the factored state")
     # the others: their CSV text is written in chunks (`report.CHUNK_LINES`)
     modes = (8 * 2 * p.n_sites, "the mode grid and its frequencies, 2 length-N arrays")
     need, what = {**dense, "compare": factored, "relax": factored}.get(command, modes)
+    steps, columns = run_value(cfg, "t_steps", int, 0), SWEEP_COLUMNS.get(command, 0)
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    above = f"above the {total / 2**30:.3g} GiB of physical memory"
+    problems = []
     if need > total:
-        raise ConfigError([f"chain.n_sites: {p.n_sites} sites need at least {need / 2**30:.3g} GiB "
-                           f"for {what}, above the {total / 2**30:.3g} GiB of physical memory"])
+        problems.append(f"chain.n_sites: {p.n_sites} sites need at least {need / 2**30:.3g} GiB "
+                        f"for {what}, {above}")
+    if 8 * columns * steps > total:
+        problems.append(f"run.t_steps: {steps} temperatures need at least "
+                        f"{8 * columns * steps / 2**30:.3g} GiB for {columns} columns of the sweep, {above}")
+    if problems:
+        raise ConfigError(problems)
 
 
 def _config_echo(cfg: ScenarioConfig) -> dict:
@@ -323,12 +337,14 @@ def main(argv: "list[str] | None" = None) -> int:
 
     try:
         if cfg is not None:
-            _require_fits(args.subcommand, cfg.chain)
+            _require_fits(args.subcommand, cfg)
         report = COMMANDS[args.subcommand](cfg, outdir)
     except ConfigError as exc:
         return _error_record("config", exc.problems, 2)
     except (PSDViolationError, ValueError, RuntimeError) as exc:
         return _error_record(type(exc).__name__, str(exc), 3)
+    except MemoryError as exc:  # NumPy's allocation failures among them
+        return _error_record("MemoryError", str(exc) or "out of memory", 3)
 
     report_path = report.write(outdir / f"{args.subcommand}_report.json")
     print(f"wrote {report_path}")

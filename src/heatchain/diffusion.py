@@ -20,7 +20,7 @@ per-point weight columns, in two forms:
 
 `high_temp_diffusion` gives their closed high-temperature forms.  The
 variances also give the Gibbs covariance of the ring and the model
-(`thermal_matrices`) whose full circulant diffusion rows make the finite-N
+(`thermal_matrices`) whose full circulant diffusion symbols make the finite-N
 Gibbs state exactly stationary (D = friction-weighted thermal covariance).
 
 Every thermal function takes one temperature (float results) or an array
@@ -36,12 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    ModelMatrices,
-    circulant_row_from_symbol,
-    dispersion,
-    mode_grid,
-)
+from .chain import ModelMatrices, dispersion, mode_grid
 from .covariance import Array, FactoredState
 from .params import ChainParams
 
@@ -406,5 +401,4 @@ def thermal_matrices(params: ChainParams, temp: float | None = None) -> ModelMat
                          "has no stationary Gibbs state")
     q, _, c_x, c_p = mode_thermal_variances(params, params.bath_temp if temp is None else temp)
     weight = params.lambda_fric + 2.0 * params.gamma_fric * np.cos(q)
-    return ModelMatrices.of_chain(
-        params, circulant_row_from_symbol(weight * c_x), circulant_row_from_symbol(weight * c_p))
+    return ModelMatrices.of_chain(params, weight * c_x, weight * c_p)

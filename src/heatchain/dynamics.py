@@ -67,12 +67,14 @@ class Trajectory:
 
 
 def step_bound(matrices: ModelMatrices, dt_max: float | None = None) -> float:
-    """Grid step min(dt_max, 0.05/omega_max, 0.05/lambda); ValueError if none is finite."""
+    """Grid step min(dt_max, 0.05/omega_max, 0.05/max_q lambda_q), the fastest
+    oscillation and damping rates; ValueError if none is finite."""
     bound = np.inf
     if matrices.omega_max > 0.0:
         bound = min(bound, GRID_FRACTION / matrices.omega_max)
-    if matrices.friction_on_site > 0.0:
-        bound = min(bound, GRID_FRACTION / matrices.friction_on_site)
+    damping = float(np.max(matrices.friction))
+    if damping > 0.0:
+        bound = min(bound, GRID_FRACTION / damping)
     if dt_max is not None:
         bound = min(bound, dt_max)
     if not np.isfinite(bound):
@@ -94,8 +96,8 @@ def mode_propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
     4th-order Taylor polynomial of Q_q at s = h / 2^DOUBLINGS and doubles
     DOUBLINGS times up to h, so nothing is subtracted whatever the damping.
     """
-    m = matrices.mass
-    k, lam, dxx, dpp = matrices.mode_symbols
+    m, k, lam = matrices.mass, matrices.stiffness, matrices.friction
+    dxx, dpp = matrices.diffusion_xx, matrices.diffusion_pp
     w = np.sqrt(k / m)
     s = np.ldexp(h, np.arange(-DOUBLINGS, 1))[:, None]  # the levels h / 2^DOUBLINGS .. h, exactly
     decay, cos, sin = np.exp(-lam * s), np.cos(w * s), np.sin(w * s)
@@ -170,8 +172,8 @@ def evolve(
     """Propagate the moment equation exactly from `state.time` to `t_final`.
 
     The span is cut into n equal grid steps dt no longer than
-    `step_bound(matrices, dt_max)` = min(dt_max, 0.05/omega(pi), 0.05/lambda).
-    The grid only places the samples: the initial state, every
+    `step_bound(matrices, dt_max)` = min(dt_max, 0.05/omega(pi), 0.05/max_q
+    lambda_q).  The grid only places the samples: the initial state, every
     `sample_stride`-th grid point and the final one.  Each interval between
     samples is one exact map, built once per distinct interval length.  The
     state is mapped mode by mode (`mode_propagator`) and stays factored,
@@ -244,14 +246,15 @@ def stationary_covariance(matrices: ModelMatrices) -> FactoredState:
     the background blocks of a factored state with an empty factor.  Rejects
     a non-Hurwitz drift.
     """
-    k, lam, dxx, dpp = matrices.mode_symbols
+    lam = matrices.friction
     if np.min(lam) <= 0.0:
         raise ValueError(
             f"drift is not Hurwitz: mode damping lambda + 2 gamma cos(q) reaches "
             f"{np.min(lam):.3e}"
         )
-    blocks = _stationary_blocks(matrices.mass, k, lam, dxx, dpp)
-    return FactoredState(blocks, np.zeros((0, 2 * len(k))))
+    blocks = _stationary_blocks(matrices.mass, matrices.stiffness, lam,
+                                matrices.diffusion_xx, matrices.diffusion_pp)
+    return FactoredState(blocks, np.zeros((0, 2 * matrices.n_sites)))
 
 
 def _bands(state: "Array | FactoredState", *wanted: "tuple[int, int, int]") -> "list[Array]":
@@ -316,18 +319,22 @@ def energy_balance_rhs(state: "Array | FactoredState", params: ChainParams,
     minus the discrete current gradient J_{k+1} - J_k, plus the
     gamma-proportional neighbour terms.  When gamma != 0 the exact balance
     needs the next-nearest-neighbour correlation terms weighted by
-    gamma * xi / 2 as well.  Friction and diffusion are read from `matrices`;
-    the result equals E_k(A Sigma + Sigma A^T + 2 D) (`verify.exact_energy_rate`).
+    gamma * xi / 2 as well.  Friction and diffusion are read from the
+    circulant rows of the symbols of `matrices` (lambda, gamma and D^xx at
+    offsets 0 and +-1, D^pp at 0); the result equals
+    E_k(A Sigma + Sigma A^T + 2 D) (`verify.exact_energy_rate`).
     It reads the x-x bands at offsets 0, 1, 2 and the p-p band at 1 (`_bands`).
     """
     xx, xx_up, xx_up2, pp_up = _bands(state, (0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 1, 1))
     obs = site_observables(state, params)
     m, om0, xi = params.mass, params.omega0, params.xi
-    lam, gam, dxx = matrices.friction_on_site, matrices.friction_neighbour, matrices.diffusion_xx
+    fric, dxx, dpp = (circulant_row_from_symbol(s) for s in (
+        matrices.friction, matrices.diffusion_xx, matrices.diffusion_pp))
+    lam, gam = fric[0], fric[1]
     grad_j = _over(obs.currents, -1) - obs.currents
     out = (
         -2.0 * lam * obs.energies
-        + matrices.diffusion_pp[0] / m
+        + dpp[0] / m
         + (m * om0**2 + 2.0 * xi) * dxx[0]
         - xi * (dxx[1] + dxx[-1])
         - grad_j

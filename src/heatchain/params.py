@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 
@@ -13,8 +14,8 @@ class ChainParams:
     Attributes
     ----------
     n_sites:
-        Number of lattice sites N (>= 3 so each site has two distinct
-        neighbours on the ring).
+        Number of lattice sites N, an integer (int or NumPy integer) >= 3
+        so each site has two distinct neighbours on the ring.
     mass:
         Atomic mass m > 0.
     omega0:
@@ -49,7 +50,8 @@ class ChainParams:
     def __post_init__(self) -> None:
         problems = [f"{f.name} must be finite, got {v}" for f in fields(self)
                     if not math.isfinite(v := getattr(self, f.name))]
-        if self.n_sites % 1 != 0 or self.n_sites < 3:
+        # an integer type, not an integral value: 8.0 would fail later as an array size
+        if not isinstance(self.n_sites, numbers.Integral) or self.n_sites < 3:
             problems.append(f"n_sites must be an integer >= 3, got {self.n_sites}")
         if not self.mass > 0:
             problems.append(f"mass must be > 0, got {self.mass}")

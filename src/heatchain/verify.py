@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ModelMatrices, _neighbour_row, circulant
+from .chain import ModelMatrices, circulant_blocks
 from .covariance import PSD_TOL, FactoredState, min_eig_ratio, symmetrize
 from .diffusion import (
     DiffusionSet,
@@ -82,18 +82,18 @@ class CheckResult:
 def undamped_matrices(params: ChainParams) -> ModelMatrices:
     """Closed chain: lambda = gamma = 0 and no bath noise (D = 0)."""
     zero = np.zeros(params.n_sites)
-    return ModelMatrices(params.mass, params.mass * params.omega0**2, params.xi, 0.0, 0.0, zero, zero)
+    return replace(ModelMatrices.of_chain(params, zero, zero), friction=zero)
 
 
 def dense_model(matrices: ModelMatrices):
     """Dense 2N x 2N drift A = [[-Lambda, I/m], [-K, -Lambda]] and diffusion
-    D = [[D^xx, 0], [0, D^pp]] of `matrices`, in the coordinates (x_1..x_N, p_1..p_N)."""
-    n = matrices.n_sites
-    lam = circulant(_neighbour_row(n, matrices.friction_on_site, matrices.friction_neighbour))
-    stiff = circulant(_neighbour_row(n, matrices.pinning + 2.0 * matrices.coupling, -matrices.coupling))
-    zero = np.zeros((n, n))
-    return (np.block([[-lam, np.eye(n) / matrices.mass], [-stiff, -lam]]),
-            np.block([[circulant(matrices.diffusion_xx), zero], [zero, circulant(matrices.diffusion_pp)]]))
+    D = [[D^xx, 0], [0, D^pp]] of `matrices`, in the coordinates (x_1..x_N, p_1..p_N).
+
+    The circulant rows come from inverse FFTs of the symbols, so they are even
+    only to rounding: D is symmetrized."""
+    lam, zero = matrices.friction, np.zeros(matrices.n_sites)
+    return (circulant_blocks([[-lam, np.full_like(lam, 1.0 / matrices.mass)], [-matrices.stiffness, -lam]]),
+            symmetrize(circulant_blocks([[matrices.diffusion_xx, zero], [zero, matrices.diffusion_pp]])))
 
 
 def moment_rhs(sigma, matrices: ModelMatrices):

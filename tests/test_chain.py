@@ -7,12 +7,20 @@ from heatchain import (
     build_matrices,
     circulant,
     dispersion,
+    gibbs_covariance,
     group_velocity,
     mode_grid,
-    stiffness_row,
     thermal_matrices,
 )
 from heatchain.verify import dense_model
+
+
+def stiffness_row(p):
+    """First row of the stiffness K: m omega0^2 + 2 xi on site, -xi to each neighbour."""
+    row = np.zeros(p.n_sites)
+    row[0] = p.mass * p.omega0**2 + 2.0 * p.xi
+    row[1] = row[-1] = -p.xi
+    return row
 
 
 def params(**kw):
@@ -146,12 +154,14 @@ class TestMatrices:
     def test_build_matrices_truncated_blocks(self):
         p = params(gamma_fric=0.03)
         diff = DiffusionSet(d_xx=0.2, d_pp=0.5, d_ex=0.01, temp=1.0)
-        d = dense_model(build_matrices(p, diff))[1]
+        mats = build_matrices(p, diff)
+        assert np.array_equal(mats.diffusion_xx, 0.2 + 0.02 * np.cos(mode_grid(p)))
+        d = dense_model(mats)[1]
         n = p.n_sites
-        dxx = d[:n, :n]
-        assert dxx[0, 0] == 0.2
-        assert dxx[0, 1] == 0.01 and dxx[0, n - 1] == 0.01
-        assert dxx[0, 2] == 0.0
+        want = np.zeros(n)
+        want[0], want[1], want[-1] = 0.2, 0.01, 0.01
+        # the dense row is an inverse FFT of the symbol: exact to rounding
+        assert np.max(np.abs(d[0, :n] - want)) <= np.finfo(float).eps * 0.2
         assert np.array_equal(d[n:, n:], 0.5 * np.eye(n))
         assert np.all(d[:n, n:] == 0.0)
         assert np.array_equal(d, d.T)
@@ -165,6 +175,16 @@ class TestParams:
     def test_rejects_small_rings(self):
         with pytest.raises(ValueError, match="n_sites"):
             params(n_sites=2)
+
+    @pytest.mark.parametrize("n_sites", [8.0, np.float64(8)], ids=repr)
+    def test_rejects_non_integer_ring_size(self, n_sites):
+        # an integral float would pass a value check and then fail as an array size
+        with pytest.raises(ValueError, match="n_sites must be an integer >= 3"):
+            params(n_sites=n_sites)
+
+    def test_numpy_integer_ring_size_builds_a_gibbs_state(self):
+        state = gibbs_covariance(params(n_sites=np.int64(8)), 2.0)
+        assert state.sigma.shape == (16, 16)
 
     def test_collects_all_problems(self):
         with pytest.raises(ValueError) as err:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatchain
+import heatchain.cli
 import heatchain.continuum
 import heatchain.diffusion
 from heatchain import (
@@ -382,6 +383,37 @@ class TestCli:
         assert record == {"error": "config", "detail": [
             "chain.n_sites: 256 sites need at least 0.00391 GiB for 2 2N x 2N arrays of the "
             "factored state, above the 0.00293 GiB of physical memory"]}
+
+    @pytest.mark.parametrize("command, columns", [("coefficients", 13), ("conductivity", 6)])
+    def test_sweep_counts_its_temperature_columns(self, tmp_path, capsys, monkeypatch, command, columns):
+        # 64 KiB of memory: a sweep whose t_steps-long columns fit runs; one
+        # step more than fits is refused before anything is allocated
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}
+                            .get(name) or sysconf(name))
+        fits = 2**16 // (8 * columns)
+        for steps, code in ((fits, 0), (fits + 1, 2)):
+            body = BASE_CONFIG + f"\n[run]\nt_min = 0.5\nt_max = 50.0\nt_steps = {steps}\nmethod = mode_sum\n"
+            cfg = write_config(tmp_path, body)
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        need = 8 * columns * (fits + 1)
+        assert record == {"error": "config", "detail": [
+            f"run.t_steps: {fits + 1} temperatures need at least {need / 2**30:.3g} GiB for {columns} "
+            "columns of the sweep, above the 6.1e-05 GiB of physical memory"]}
+
+    def test_memory_error_is_a_run_error(self, tmp_path, capsys, monkeypatch):
+        # an allocation that fails past the guard: a JSON record with exit 3,
+        # not a traceback with verify's "a check failed" exit 1
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(heatchain.cli, "evolve", exhausted)
+        body = BASE_CONFIG + "\n[run]\nscenario = uniform\nt_hot = 3.0\nt_final = 0.5\n"
+        cfg = write_config(tmp_path, body)
+        assert main(["relax", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "MemoryError", "detail": "Unable to allocate 7.28 TiB for an array"}
 
     def test_compare_small_scale(self, tmp_path):
         body = (BASE_CONFIG

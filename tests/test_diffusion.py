@@ -20,12 +20,12 @@ from heatchain import (
     quad_diffusion,
     circulant,
     source_density,
-    stiffness_row,
     thermal_matrices,
 )
 import heatchain.diffusion
 from heatchain.diffusion import mode_energies, mode_heat_capacities, mode_thermal_variances
 from heatchain.verify import dense_model
+from test_chain import stiffness_row
 
 
 def params(**kw):

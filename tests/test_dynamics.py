@@ -1,6 +1,6 @@
 import itertools
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -114,11 +114,25 @@ class TestMomentRhs:
 
 
 def test_simulation_modules_hold_no_dense_model():
-    # the dense A, D and moment rhs are oracles, built in heatchain.verify alone
+    # the dense A, D and moment rhs are oracles, built in heatchain.verify
+    # alone; the model is its Fourier symbols, with no circulant rows to
+    # convert to and from
     for module in (heatchain, heatchain.chain, heatchain.dynamics):
         assert not hasattr(module, "moment_rhs") and not hasattr(module, "propagator")
-    for model in (ModelMatrices, thermal_matrices(params())):
-        assert not hasattr(model, "drift") and not hasattr(model, "diffusion")
+        for name in ("stiffness_row", "circulant_symbol", "_neighbour_row"):
+            assert not hasattr(module, name)
+    p = params(gamma_fric=0.03)
+    mats = thermal_matrices(p)
+    assert [f.name for f in fields(ModelMatrices)] == [
+        "mass", "stiffness", "friction", "diffusion_xx", "diffusion_pp"]
+    for model in (ModelMatrices, mats):
+        for name in ("drift", "diffusion", "mode_symbols", "pinning", "coupling",
+                     "friction_on_site", "friction_neighbour"):
+            assert not hasattr(model, name)
+    q, _, c_x, c_p = mode_thermal_variances(p, p.bath_temp)
+    weight = p.lambda_fric + 2.0 * p.gamma_fric * np.cos(q)
+    assert np.array_equal(mats.diffusion_xx, weight * c_x)
+    assert np.array_equal(mats.diffusion_pp, weight * c_p)
 
 
 class TestPropagator:
@@ -149,7 +163,8 @@ class TestPropagator:
         mats = build_matrices(p, mode_sum_diffusion(p, p.bath_temp))
         zero = np.zeros(p.n_sites)
         mats = {"xx": replace(mats, diffusion_pp=zero), "pp": replace(mats, diffusion_xx=zero)}.get(noise, mats)
-        k, lam, dxx, dpp = (s[mode] for s in mats.mode_symbols)
+        k, lam, dxx, dpp = (s[mode] for s in (mats.stiffness, mats.friction,
+                                              mats.diffusion_xx, mats.diffusion_pp))
         assert (lam == 0.0) == (noise != "weak")
         h = 1.0 / p.omega_max if wh is None else wh / np.sqrt(k / p.mass)
         got = mode_propagator(mats, h)[1][mode]

@@ -21,7 +21,6 @@ from heatchain import (
     DiffusionSet,
     FactoredState,
     build_matrices,
-    circulant_symbol,
     dispersion,
     energy_balance_rhs,
     evolve,
@@ -35,12 +34,12 @@ from heatchain import (
     site_observables,
     stationary_covariance,
     step_bound,
-    stiffness_row,
     thermal_matrices,
 )
 from heatchain.config import load_config
 from heatchain.covariance import PSD_TOL
 from heatchain.verify import exact_energy_rate, injection_error, undamped_matrices, van_loan_map
+from test_chain import stiffness_row
 from test_diffusion import assert_matches_oracle, quad_oracle
 from test_dynamics import dense_propagator, lyapunov_oracle, thermal_unit_states
 
@@ -82,11 +81,11 @@ def test_fourier_stationary_solve_matches_dense_and_gibbs(p):
 def test_stiffness_symbol_is_squared_dispersion(p):
     # rtol as in test_chain; atol covers the cancellation of the 2 xi terms
     # at q = 0, relative to the spectral scale omega_max^2
-    sym = circulant_symbol(stiffness_row(p)) / p.mass
+    sym = np.fft.fft(stiffness_row(p)).real / p.mass
     w2 = dispersion(p, mode_grid(p)) ** 2
     assert np.allclose(sym, w2, rtol=1e-12, atol=1e-14 * p.omega_max**2)
     # the model's own symbol has no cancellation: rtol alone
-    sym = thermal_matrices(p).mode_symbols[0] / p.mass
+    sym = thermal_matrices(p).stiffness / p.mass
     assert np.allclose(sym, w2, rtol=1e-12, atol=0.0)
 
 
@@ -174,7 +173,7 @@ def test_evolution_stays_psd(p):
     thermal, closed, edge = _models(p)
     assert_psd_along(thermal)
     assert_psd_along(closed)
-    assume(min(np.min(edge.mode_symbols[2]), np.min(edge.mode_symbols[3])) >= 0.0)
+    assume(min(np.min(edge.diffusion_xx), np.min(edge.diffusion_pp)) >= 0.0)
     assert_psd_along(edge)
 
 
@@ -194,7 +193,7 @@ def test_factored_evolution_matches_dense(p):
     weights = gaussian_site_weights(n, n / 2, n / 6)
     thermal, closed, edge = _models(p)
     models = [thermal, closed]
-    if min(np.min(edge.mode_symbols[2]), np.min(edge.mode_symbols[3])) >= 0.0:
+    if min(np.min(edge.diffusion_xx), np.min(edge.diffusion_pp)) >= 0.0:
         models.append(edge)
     for mats in models:
         stride = max(1, int(t_final / step_bound(mats, t_final)) // 20)
