@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import dispersion, mode_grid
+from .chain import ModelMatrices, dispersion, mode_grid
 from .config import ConfigError, ScenarioConfig, load_config, require_run_keys, run_value
 from .continuum import (
     CompareScenario,
@@ -42,6 +42,7 @@ from .dynamics import (
     evolve,
     gaussian_site_weights,
     hotspot_state,
+    sample_grid,
     site_observables,
     uniform_state,
 )
@@ -55,22 +56,49 @@ OUT_ENV = "HEATCHAIN_OUT"
 # its observers read each sample's eigenvalues densely (tracemalloc read 6.19
 # and 6.09 such arrays at N = 256 and 512 on the compare_n128 chain).
 DENSE_MATRICES = {"verify": 6}
-# compare and relax: 2 arrays of (2N)^2 floats alive together in a map of the
-# factored state, the start's rFFT and the factor buffer every sample shares
-# (tracemalloc read 2.64 and 2.21 such arrays for compare at N = 256 and 512 on
-# the compare_n128 chain, relax more with its observations; relax reads its
-# final deviation from Gibbs blockwise)
-FACTORED_ARRAYS = 2
+# compare and relax: 1.5 arrays of (2N)^2 floats alive together in a map of the
+# factored state, the factor buffer every sample shares and the rFFT of the one
+# part each hot-spot row holds (tracemalloc read 1.99, 1.66 and 1.57 such arrays
+# for compare at N = 256, 512 and 1024 on the compare_n128 chain, relax more with
+# its observations; relax reads its final deviation from Gibbs blockwise)
+FACTORED_ARRAYS = 1.5
+# relax and compare, also: floats per site and sample alive together, the
+# observations that evolve collects and the arrays stacked from them (tracemalloc
+# read 8.3 and 5.8 for relax at N = 16 and 64 on the relax_hotspot_n64 chain, and
+# 12.0 and 11.1 for compare at N = 64 and 256 on the compare_n128 chain, from
+# the peaks of runs 88548 and 7922 samples apart)
+SAMPLE_FLOATS = {"relax": 5, "compare": 10}
 # coefficients and conductivity: float columns of t_steps entries alive together
-# in a temperature sweep (tracemalloc read 13.6 (mode_sum) and 20.0 (quad) for
+# in a temperature sweep (tracemalloc read 12.2 (quad) and 13.6 (mode_sum) for
 # coefficients and 6.6 for conductivity at t_steps = 4e5, toy coefficients_sweep chain)
-SWEEP_COLUMNS = {"coefficients": 13, "conductivity": 6}
+SWEEP_COLUMNS = {"coefficients": 12, "conductivity": 6}
+
+
+def _relax_grid(cfg: ScenarioConfig) -> "tuple[float, float | None, int]":
+    """t_final, dt_max and sample_stride of a relax run."""
+    require_run_keys(cfg, ["scenario", "t_final"], "relax")
+    return run_value(cfg, "t_final"), run_value(cfg, "dt_max"), run_value(cfg, "sample_stride", int, 10)
+
+
+def _sample_count(command: str, cfg: ScenarioConfig) -> int:
+    """The samples that `evolve` takes in a relax or compare run of `cfg`, on
+    the grid it sets (`dynamics.sample_grid`)."""
+    zero = np.zeros(cfg.chain.n_sites)
+    matrices = ModelMatrices.of_chain(cfg.chain, zero, zero)  # the grid reads stiffness and friction alone
+    if command == "relax":
+        t_final, dt_max, stride = _relax_grid(cfg)
+    else:
+        scenario = _compare_scenario(cfg)
+        t_final, dt_max, stride = scenario.t_final, scenario.dt_max, scenario.sample_stride(matrices)
+    n_steps = sample_grid(matrices, t_final, dt_max, stride)[0]
+    return 1 + -(-n_steps // stride)
 
 
 def _require_fits(command: str, cfg: ScenarioConfig) -> None:
     """Config error, before any allocation, when the fewest bytes that
     `command` holds at once exceed physical memory, for the ring's size
-    (`chain.n_sites`) or for a sweep's length (`run.t_steps`)."""
+    (`chain.n_sites`), for the samples of a run (`run.t_final`) or for a
+    sweep's length (`run.t_steps`)."""
     p = cfg.chain
     square = 8 * (2 * p.n_sites) ** 2
     dense = {c: (k * square, f"{k} dense 2N x 2N matrices") for c, k in DENSE_MATRICES.items()}
@@ -85,6 +113,12 @@ def _require_fits(command: str, cfg: ScenarioConfig) -> None:
     if need > total:
         problems.append(f"chain.n_sites: {p.n_sites} sites need at least {need / 2**30:.3g} GiB "
                         f"for {what}, {above}")
+    elif command in SAMPLE_FLOATS:  # counted once the ring fits, as the count builds its symbols
+        samples, floats = _sample_count(command, cfg), SAMPLE_FLOATS[command]
+        if 8 * floats * p.n_sites * samples > total:
+            problems.append(f"run.t_final: {samples} samples need at least "
+                            f"{8 * floats * p.n_sites * samples / 2**30:.3g} GiB for {floats} N floats "
+                            f"each, {above}")
     if 8 * columns * steps > total:
         problems.append(f"run.t_steps: {steps} temperatures need at least "
                         f"{8 * columns * steps / 2**30:.3g} GiB for {columns} columns of the sweep, {above}")
@@ -176,10 +210,7 @@ def _relax_start(cfg: ScenarioConfig, p: ChainParams):
 
 def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     p = cfg.chain
-    require_run_keys(cfg, ["scenario", "t_final"], "relax")
-    t_final = run_value(cfg, "t_final")
-    dt_max = run_value(cfg, "dt_max")
-    stride = run_value(cfg, "sample_stride", int, 10)
+    t_final, dt_max, stride = _relax_grid(cfg)
 
     last = []
 
@@ -215,10 +246,9 @@ def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     return RunReport("relax", _config_echo(cfg), summary, artifacts=[str(path)])
 
 
-def cmd_compare(cfg: ScenarioConfig, outdir: Path) -> RunReport:
-    p = cfg.chain
+def _compare_scenario(cfg: ScenarioConfig) -> CompareScenario:
     require_run_keys(cfg, ["hotspot_width", "t_hot", "t_cold", "t_final"], "compare")
-    scenario = CompareScenario(
+    return CompareScenario(
         t_hot=run_value(cfg, "t_hot"),
         t_cold=run_value(cfg, "t_cold"),
         width_sites=run_value(cfg, "hotspot_width"),
@@ -229,7 +259,11 @@ def cmd_compare(cfg: ScenarioConfig, outdir: Path) -> RunReport:
         fit_t_min=run_value(cfg, "fit_t_min"),
         fit_t_max=run_value(cfg, "fit_t_max"),
     )
-    rep = compare_discrete_continuum(p, scenario)
+
+
+def cmd_compare(cfg: ScenarioConfig, outdir: Path) -> RunReport:
+    p = cfg.chain
+    rep = compare_discrete_continuum(p, _compare_scenario(cfg))
 
     t, k = rep.times[:, None], np.arange(p.n_sites)
     chain_path = write_csv(outdir / "compare_chain.csv", ["t", "k", "u_k", "J_k"], [t, k, rep.u_disc, rep.j_disc])

@@ -28,7 +28,7 @@ from .diffusion import (
     thermal_matrices,
 )
 from .dynamics import evolve, gaussian_site_weights, hotspot_state, site_observables, step_bound
-from .chain import group_velocity, mode_grid
+from .chain import ModelMatrices, group_velocity, mode_grid
 from .params import ChainParams
 
 PDE_DT_FACTOR = 0.05  # compare's heat step, as a fraction of the stability bound
@@ -192,6 +192,12 @@ class CompareScenario:
         if self.fit_t_min is not None and self.fit_t_max is not None and self.fit_t_min > self.fit_t_max:
             raise ValueError(f"fit_t_min {self.fit_t_min} exceeds fit_t_max {self.fit_t_max}")
 
+    def sample_stride(self, matrices: ModelMatrices) -> int:
+        """Grid steps between the chain's samples: sample_interval (t_final / 80
+        by default) over `step_bound(matrices, dt_max)`, at least 1."""
+        interval = self.t_final / 80.0 if self.sample_interval is None else self.sample_interval
+        return max(1, int(round(interval / step_bound(matrices, self.dt_max))))
+
 
 @dataclass
 class ComparisonReport:
@@ -283,10 +289,7 @@ def compare_discrete_continuum(
     weights = gaussian_site_weights(n, n / 2.0, scenario.width_sites)
     matrices = thermal_matrices(run)
 
-    interval = scenario.sample_interval
-    if interval is None:
-        interval = scenario.t_final / 80.0
-    stride = max(1, int(round(interval / step_bound(matrices, scenario.dt_max))))
+    stride = scenario.sample_stride(matrices)
 
     def observer(state):
         obs = site_observables(state, run)

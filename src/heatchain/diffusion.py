@@ -269,7 +269,8 @@ def quad_diffusion(params: ChainParams, temp) -> DiffusionSet:
             rows = TEMP_BLOCK * QUAD_CHUNK // num.size
             for i in range(0, temps.size, rows):
                 total[:, i:i + rows] += _zone_sums(params, temps[i:i + rows], num, cols)
-        return total / m
+        total /= m
+        return total
 
     def trapezoid(temps):
         m, est = QUAD_MIN_POINTS, means(temps, QUAD_MIN_POINTS, 0.0)
@@ -277,11 +278,20 @@ def quad_diffusion(params: ChainParams, temp) -> DiffusionSet:
         while todo.size:
             if m >= QUAD_MAX_POINTS:
                 raise RuntimeError(f"diffusion quadrature did not converge with {m} points")
-            # the doubled grid adds the midpoints of the current one
+            # the doubled grid adds the midpoints of the current one: the level
+            # is formed before the previous estimate is copied out
+            new = means(temps[todo], m, 0.5)
             prev = est[:, todo]
-            est[:, todo] = new = 0.5 * (prev + means(temps[todo], m, 0.5))
+            new += prev
+            new *= 0.5
+            est[:, todo] = new
             m *= 2
-            todo = todo[~np.all(np.abs(new - prev) <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(new)), 0)]
+            # converged: |new - prev| <= max(QUAD_EPSABS, QUAD_EPSREL |new|), each side
+            # written over its own array, which is freed before the next level
+            change = np.abs(np.subtract(new, prev, out=prev), out=prev)
+            bound = np.maximum(np.multiply(np.abs(new, out=new), QUAD_EPSREL, out=new), QUAD_EPSABS, out=new)
+            todo = todo[~np.all(change <= bound, 0)]
+            del new, prev, change, bound
         return est
 
     return DiffusionSet(*_over_temps(params, temp, lambda temps: [*trapezoid(temps), temps], block=None))

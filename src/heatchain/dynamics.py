@@ -10,12 +10,14 @@ translation invariant: P and Q are block circulant, given by the 2 x 2
 blocks P_q and Q_q of each Fourier mode (`mode_propagator`).  A
 `FactoredState` Sigma = B + F^T F keeps that structure: its block-circulant
 background maps mode by mode, B_q <- P_q B_q P_q^T + Q_q, and its factor
-F <- F P^T row by row, one 2 x 2 product per mode of the rFFT over sites.
-`evolve` maps the factor from its start's rFFT into one buffer that every
-sample shares: a sample is valid until the next one is mapped, so an
-observer that keeps a sample keeps a copy of its factor.  Every state built
-here is one: the Gibbs, uniform and stationary states have an empty factor,
-and a hot spot adds its heating as F^T F.  The stationary state solves the
+F <- F P^T row by row on the rFFT over sites, each of a row's x and p parts
+by the matching column of the 2 x 2 block of each mode.  `evolve` keeps the
+rFFT of the parts that each row of the start holds (one part per row for a
+hot spot) and maps it into one buffer that every sample shares: a sample is
+valid until the next one is mapped, so an observer that keeps a sample
+keeps a copy of its factor.  Every state built here is one: the Gibbs,
+uniform and stationary states have an empty factor, and a hot spot adds its
+heating as F^T F.  The stationary state solves the
 continuous Lyapunov equation mode by mode.
 
 Site energies, currents and the on-site energy balance read bands
@@ -26,6 +28,7 @@ A, D, moment right-hand side and Van Loan map are oracles: `heatchain.verify`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,7 +41,7 @@ from .diffusion import _diagonal_blocks, gibbs_covariance, mode_thermal_variance
 from .params import ChainParams
 
 GRID_FRACTION = 0.05  # sample-grid step dt <= 0.05 / (fastest rate)
-DOUBLINGS = 30  # mode_propagator: Q starts from its Taylor polynomial at h / 2^30
+DOUBLINGS = 30  # mode_propagator: Q starts from its Taylor polynomial at h / 2^30 or below
 FACTOR_BLOCK_BYTES = 2**18  # _samples maps the factor's spectrum in row blocks of at most this size
 
 
@@ -82,6 +85,21 @@ def step_bound(matrices: ModelMatrices, dt_max: float | None = None) -> float:
     return bound
 
 
+def sample_grid(matrices: ModelMatrices, span: float, dt_max: float | None = None,
+                sample_stride: int = 10) -> "tuple[int, float]":
+    """The grid of `evolve` over a time span >= 0: the fewest equal steps, n
+    of them, of length dt <= `step_bound(matrices, dt_max)`.  `evolve` takes
+    1 + ceil(n / sample_stride) samples on it.  ValueError for dt_max <= 0
+    or sample_stride < 1."""
+    if dt_max is not None and dt_max <= 0:
+        raise ValueError(f"dt_max must be > 0, got {dt_max}")
+    if sample_stride < 1:
+        raise ValueError("sample_stride must be >= 1")
+    dt = step_bound(matrices, dt_max)
+    n_steps = max(1, int(np.ceil(span / dt - 1e-12))) if span > 0 else 0
+    return n_steps, (span / n_steps if n_steps else 0.0)
+
+
 def mode_propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
     """Per-mode blocks P_q and Q_q, each of shape (N, 2, 2) in `mode_grid`
     order, of the exact map Sigma(t + h) = P Sigma(t) P^T + Q.
@@ -93,13 +111,18 @@ def mode_propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
     and sin(ws)/(m w) -> s/m at w = 0.  The noise term
     Q_q(s) = int_0^s P_q(u) 2 D_q P_q(u)^T du obeys
     Q_q(2s) = Q_q(s) + P_q(s) Q_q(s) P_q(s)^T.  Every mode starts from the
-    4th-order Taylor polynomial of Q_q at s = h / 2^DOUBLINGS and doubles
-    DOUBLINGS times up to h, so nothing is subtracted whatever the damping.
+    4th-order Taylor polynomial of Q_q at s = h / 2^n and doubles n times up
+    to h, so nothing is subtracted whatever the damping.  n is DOUBLINGS plus
+    ceil(log2(h rate)) where that is positive, rate the fastest of omega(pi)
+    and |lambda_q|, so that the Taylor step stays below 2^-DOUBLINGS / rate
+    for any h.
     """
     m, k, lam = matrices.mass, matrices.stiffness, matrices.friction
     dxx, dpp = matrices.diffusion_xx, matrices.diffusion_pp
     w = np.sqrt(k / m)
-    s = np.ldexp(h, np.arange(-DOUBLINGS, 1))[:, None]  # the levels h / 2^DOUBLINGS .. h, exactly
+    h_rate = h * max(matrices.omega_max, float(np.max(np.abs(lam))))  # h times the fastest rate
+    doublings = DOUBLINGS + (math.ceil(math.log2(h_rate)) if h_rate > 1.0 else 0)
+    s = np.ldexp(h, np.arange(-doublings, 1))[:, None]  # the levels h / 2^doublings .. h, exactly
     decay, cos, sin = np.exp(-lam * s), np.cos(w * s), np.sin(w * s)
     sin_over = np.divide(sin, m * w, out=np.broadcast_to(s / m, sin.shape).copy(), where=w > 0.0)
     p = np.moveaxis(decay * np.array([[cos, sin_over], [-m * w * sin, cos]]), (0, 1), (-2, -1))
@@ -119,14 +142,18 @@ def _samples(state: FactoredState, matrices: ModelMatrices, dt: float, sample_st
     """The samples of a factored state: B_q <- P_q B_q P_q^T + Q_q for every
     mode, and F <- F P^T on the rFFT of F's rows over sites, modes 0..N/2.
 
-    The start is yielded first.  Its factor's rFFT is then taken once, in
-    blocks of rows of at most FACTOR_BLOCK_BYTES, and the start is dropped.
-    Each interval multiplies the per-mode map since the start, T_q <- P_q
-    T_q, O(N); each sample maps every block by T_q and inverts it into one
-    (r, 2N) factor buffer that all samples share, O(N r log N), through
-    block-sized buffers: nothing the size of F is allocated per sample.  So
-    a sample's factor is valid until the next sample is mapped; a caller
-    that keeps a sample keeps a copy of its factor.
+    The start is yielded first.  Its factor's rows are then cut into blocks
+    of at most FACTOR_BLOCK_BYTES of spectrum, each block a run of rows that
+    hold the same parts, x (the first N columns), p (the last N) or both;
+    only the rFFT of the parts a block holds is kept, and the start is
+    dropped.  A hot spot's rows each hold one part, so this keeps half of
+    their spectrum; rows that hold neither stay zero.  Each interval
+    multiplies the per-mode map since the start, T_q <- P_q T_q, O(N); each
+    sample maps every block's parts by the matching columns of T_q, one part
+    of the mapped rows at a time, into a buffer of one part of a block, and
+    inverts it into one (r, 2N) factor buffer that all samples share,
+    O(N r log N): nothing the size of F is allocated per sample.  So a sample's factor is valid until the next sample is mapped;
+    a caller that keeps a sample keeps a copy of its factor.
     """
     n, t0, r = state.n_sites, state.time, len(state.factor)
     half = n // 2 + 1
@@ -135,27 +162,39 @@ def _samples(state: FactoredState, matrices: ModelMatrices, dt: float, sample_st
     maps = {steps: mode_propagator(matrices, steps * dt) for steps in set(intervals)}
     yield state
     step = max(1, FACTOR_BLOCK_BYTES // (2 * half * 16))  # rows of F per block
-    blocks = [slice(lo, min(lo + step, r)) for lo in range(0, r, step)]
-    # each block (mode, x or p, row) and contiguous, so that one 2 x 2 real
-    # product per mode maps the real and imaginary parts of its rows at once
-    spectra = [np.ascontiguousarray(np.fft.rfft(state.factor[b].reshape(-1, 2, n), axis=-1).transpose(2, 1, 0))
-               for b in blocks]
+    parts = state.factor.reshape(r, 2, n)
+    held = np.any(parts, axis=-1)  # (r, 2): the row holds an x part, a p part
+    kind = held[:, 0] + 2 * held[:, 1]
+    # the starts of the runs of rows that hold the same parts, then r
+    runs = np.flatnonzero(np.diff(kind, prepend=-1, append=-1))
+    # (rows of F, [(j, real view of the rFFT of part j) for each part j they hold]);
+    # contiguous, as the rFFT of a column-major factor (L.T, say) is column-major
+    blocks = []
+    for lo_run, hi_run in zip(runs, runs[1:]):
+        kept = [j for j in (0, 1) if held[lo_run, j]]
+        for lo in range(lo_run, hi_run, step) if kept else ():
+            b = slice(lo, min(lo + step, hi_run))
+            blocks.append((b, [(j, np.ascontiguousarray(np.fft.rfft(parts[b, j])).view(float)) for j in kept]))
     background = state.background
-    del state  # the start is held by its caller alone from here
-    factor = np.empty((r, 2 * n))
-    mapped = np.empty(4 * half * min(step, r))
-    rows = np.empty(2 * half * min(step, r), dtype=complex)
+    del state, parts  # the start is held by its caller alone from here
+    factor = np.zeros((r, 2 * n))  # rows that hold neither part stay zero
+    rows = np.empty((min(step, r), half), dtype=complex)  # one part of a block's mapped rows
     total = np.broadcast_to(np.eye(2), (half, 2, 2))
     for i, steps in zip(sample_steps, intervals):
         p, q = maps[steps]
         total = p[:half] @ total
         background = p @ background @ p.transpose(0, 2, 1) + q
-        for b, spectrum in zip(blocks, spectra):
-            m = b.stop - b.start
-            block = np.matmul(total, spectrum.view(float), out=mapped[: 4 * half * m].reshape(half, 2, 2 * m))
-            block_rows = rows[: 2 * half * m].reshape(m, 2, half)
-            np.copyto(block_rows, block.view(complex).T)
-            np.fft.irfft(block_rows, n, axis=-1, out=factor[b].reshape(m, 2, n))  # out=: NumPy 2.0
+        # columns[i, j]: T_q[i, j] for the real and imaginary parts of each mode
+        columns = np.repeat(total.transpose(1, 2, 0), 2, axis=-1)
+        for b, spectra in blocks:
+            block_rows = rows[: b.stop - b.start]
+            out, mapped = block_rows.view(float), factor[b].reshape(-1, 2, n)
+            for part in (0, 1):  # the x and p parts of the mapped rows
+                (j, spectrum), *rest = spectra
+                np.multiply(spectrum, columns[part, j], out=out)
+                for j, spectrum in rest:
+                    out += spectrum * columns[part, j]
+                np.fft.irfft(block_rows, n, axis=-1, out=mapped[:, part])  # out=: NumPy 2.0
         sample = FactoredState(background, factor, t0 + i * dt)
         background = sample.background
         yield sample
@@ -187,8 +226,9 @@ def evolve(
     `observer` is valid until the next sample is mapped, so an observer that
     keeps a sample past its call keeps a copy of its factor; the last sample
     stays valid after `evolve` returns.  Retained states are copies.  Apart
-    from the start, the map holds two arrays the size of F: the start's
-    rFFT and that buffer.
+    from the start, the map holds that buffer, the size of F, and the rFFT
+    of the parts that the start's rows hold: half the size of F for a hot
+    spot, whose rows each hold an x or a p part.
 
     Every sample passes `check_psd` first, which raises PSDViolationError if
     the state has a non-finite entry or drops below -covariance.PSD_TOL times
@@ -198,17 +238,10 @@ def evolve(
     """
     if not isinstance(state, FactoredState):
         raise TypeError(f"evolve takes a FactoredState, got {type(state).__name__}")
-    if dt_max is not None and dt_max <= 0:
-        raise ValueError(f"dt_max must be > 0, got {dt_max}")
     if t_final < state.time:
         raise ValueError(f"t_final {t_final} precedes state time {state.time}")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
 
-    dt = step_bound(matrices, dt_max)
-    span = t_final - state.time
-    n_steps = max(1, int(np.ceil(span / dt - 1e-12))) if span > 0 else 0
-    dt = span / n_steps if n_steps else 0.0
+    n_steps, dt = sample_grid(matrices, t_final - state.time, dt_max, sample_stride)
     sample_steps = list(range(sample_stride, n_steps + 1, sample_stride))
     if n_steps % sample_stride:
         sample_steps.append(n_steps)

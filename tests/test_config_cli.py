@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,6 +23,8 @@ from heatchain import (
     gibbs_energy_density,
     heat_capacity_density,
     klemens_conductivity,
+    step_bound,
+    thermal_matrices,
     transport_coefficients,
 )
 from heatchain.cli import main
@@ -145,10 +149,10 @@ class TestReport:
         assert path.read_bytes() == b"c\n5e-324\n"
 
     def test_csv_memory_does_not_grow_with_the_table(self, tmp_path):
-        # about 25 chunks of lines; the writer holds one chunk's text at a time,
-        # where formatting the whole table at once read tens of MB
+        # 102400 lines, 100 chunks; the writer holds one chunk's text at a time
+        # (0.3 MB measured), where formatting the whole table at once read tens of MB
         n = 64
-        samples = 25 * CHUNK_LINES // n
+        samples = 1600
         times = np.linspace(0.0, 1.0, samples)[:, None]
         rng = np.random.default_rng(3)
         energies, currents = rng.standard_normal((2, samples, n))
@@ -159,8 +163,8 @@ class TestReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert path.stat().st_size > 4e6
-        assert peak < 2e6
+        assert path.stat().st_size > 4e6 and samples * n > 50 * CHUNK_LINES
+        assert peak < 1e6
 
     def test_csv_deterministic_bytes(self, tmp_path):
         columns = [[0.1, 2.0], [1 / 3, np.pi]]
@@ -334,9 +338,9 @@ class TestCli:
                                          "conductivity"])
     def test_ring_too_large_for_memory_is_config_error(self, tmp_path, capsys, command):
         # the estimate alone decides, so nothing of the ring is allocated: at
-        # N = 1e15 the 6 dense 2N x 2N matrices of verify need 1.8e23 GiB, the 2
-        # factored-state arrays of compare and relax 6e22 GiB and the mode
-        # grid and frequencies of the others 1.5e7 GiB
+        # N = 1e15 the 6 dense 2N x 2N matrices of verify need 1.8e23 GiB, the
+        # 1.5 factored-state arrays of compare and relax 4.5e22 GiB and the
+        # mode grid and frequencies of the others 1.5e7 GiB
         n = 10**15
         body = BASE_CONFIG.replace("n_sites = 16", f"n_sites = {n}") + (
             "\n[run]\nscenario = uniform\nhotspot_width = 4.0\nt_hot = 3.0\nt_cold = 2.0\n"
@@ -345,9 +349,9 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         need, what = {
-            "relax": (2 * 8 * (2 * n) ** 2, "2 2N x 2N arrays of the factored state"),
+            "relax": (1.5 * (8 * (2 * n) ** 2), "1.5 2N x 2N arrays of the factored state"),
             "verify": (6 * 8 * (2 * n) ** 2, "6 dense 2N x 2N matrices"),
-            "compare": (2 * 8 * (2 * n) ** 2, "2 2N x 2N arrays of the factored state"),
+            "compare": (1.5 * (8 * (2 * n) ** 2), "1.5 2N x 2N arrays of the factored state"),
         }.get(command, (2 * 8 * n, "the mode grid and its frequencies, 2 length-N arrays"))
         assert record["error"] == "config"
         assert record["detail"] == [
@@ -369,11 +373,11 @@ class TestCli:
             "chain.n_sites: 100000 sites need at least 0.00149 GiB for the mode grid and its "
             "frequencies, 2 length-N arrays, above the 0.000977 GiB of physical memory"]}
 
-    def test_relax_counts_two_factored_arrays(self, tmp_path, capsys, monkeypatch):
-        # 3 MiB of memory: at N = 256 a 2N x 2N array is 2 MiB, so one of
-        # them fits but the two that relax holds (measured 2.64 for compare) do not
+    def test_relax_counts_its_factored_arrays(self, tmp_path, capsys, monkeypatch):
+        # 2.5 MiB of memory: at N = 256 a 2N x 2N array is 2 MiB, so one of
+        # them fits but the 1.5 that relax holds (measured 1.99 for compare) do not
         sysconf = os.sysconf
-        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 768}
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 640}
                             .get(name) or sysconf(name))
         body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 256") + (
             "\n[run]\nscenario = uniform\nt_hot = 3.0\nt_final = 0.5\n")
@@ -381,26 +385,50 @@ class TestCli:
         assert main(["relax", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "config", "detail": [
-            "chain.n_sites: 256 sites need at least 0.00391 GiB for 2 2N x 2N arrays of the "
-            "factored state, above the 0.00293 GiB of physical memory"]}
+            "chain.n_sites: 256 sites need at least 0.00293 GiB for 1.5 2N x 2N arrays of the "
+            "factored state, above the 0.00244 GiB of physical memory"]}
 
-    @pytest.mark.parametrize("command, columns", [("coefficients", 13), ("conductivity", 6)])
+    @pytest.mark.parametrize("command, columns", [("coefficients", 12), ("conductivity", 6)])
     def test_sweep_counts_its_temperature_columns(self, tmp_path, capsys, monkeypatch, command, columns):
         # 64 KiB of memory: a sweep whose t_steps-long columns fit runs; one
-        # step more than fits is refused before anything is allocated
+        # step more than fits is refused before anything is allocated, for
+        # each quadrature of coefficients (conductivity reads no method)
         sysconf = os.sysconf
         monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}
                             .get(name) or sysconf(name))
         fits = 2**16 // (8 * columns)
-        for steps, code in ((fits, 0), (fits + 1, 2)):
-            body = BASE_CONFIG + f"\n[run]\nt_min = 0.5\nt_max = 50.0\nt_steps = {steps}\nmethod = mode_sum\n"
-            cfg = write_config(tmp_path, body)
-            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        for method in ("quad", "mode_sum") if command == "coefficients" else ("mode_sum",):
+            for steps, code in ((fits, 0), (fits + 1, 2)):
+                body = BASE_CONFIG + f"\n[run]\nt_min = 0.5\nt_max = 50.0\nt_steps = {steps}\nmethod = {method}\n"
+                cfg = write_config(tmp_path, body)
+                assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+            record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            need = 8 * columns * (fits + 1)
+            assert record == {"error": "config", "detail": [
+                f"run.t_steps: {fits + 1} temperatures need at least {need / 2**30:.3g} GiB for {columns} "
+                "columns of the sweep, above the 6.1e-05 GiB of physical memory"]}
+
+    @pytest.mark.parametrize("command, keys, floats", [
+        ("relax", "", 5), ("compare", "sample_interval = 1.0\n", 10)])
+    def test_run_too_long_for_memory_is_config_error(self, tmp_path, capsys, command, keys, floats):
+        # the toy configs at t_final = 1e12, sampled every second grid step
+        # (relax) or every unit of time (compare): counted on the grid that
+        # evolve sets, and refused before its sample list is built
+        toy = Path(__file__).resolve().parents[1] / "benchmarks" / "configs" / "toy"
+        body = (toy / f"{'relax_hotspot_n64' if command == 'relax' else 'compare_n128'}.ini").read_text()
+        body = re.sub(r"(?m)^t_final = .*$", "t_final = 1e12\n" + keys, body)
+        cfg = write_config(tmp_path, body)
+        p = load_config(cfg).chain
+        dt = step_bound(thermal_matrices(p))
+        stride = 2 if command == "relax" else round(1.0 / dt)
+        samples = 1 + math.ceil(math.ceil(1e12 / dt) / stride)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        need = 8 * columns * (fits + 1)
+        need = 8 * floats * p.n_sites * samples
         assert record == {"error": "config", "detail": [
-            f"run.t_steps: {fits + 1} temperatures need at least {need / 2**30:.3g} GiB for {columns} "
-            "columns of the sweep, above the 6.1e-05 GiB of physical memory"]}
+            f"run.t_final: {samples} samples need at least {need / 2**30:.3g} GiB for {floats} N floats "
+            f"each, above the {os.sysconf('SC_PAGE_SIZE') * os.sysconf('SC_PHYS_PAGES') / 2**30:.3g} GiB "
+            "of physical memory"]}
 
     def test_memory_error_is_a_run_error(self, tmp_path, capsys, monkeypatch):
         # an allocation that fails past the guard: a JSON record with exit 3,

@@ -177,6 +177,19 @@ class TestPropagator:
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
 
 
+    def test_long_interval_noise_is_the_stationary_covariance(self):
+        # the toy compare_n128 chain: every mode has relaxed long before
+        # h = 1e10, so Q_q is the stationary block; starting its Taylor
+        # polynomial at h / 2^30 whatever h read an error of 3.7 there
+        p = ChainParams(n_sites=8, mass=1.0, omega0=0.05, xi=1.0, lattice_const=1.0,
+                        lambda_fric=0.2, gamma_fric=0.0, bath_temp=200.0)
+        mats = thermal_matrices(p)
+        stationary = stationary_covariance(mats).background
+        p_h, q_h = mode_propagator(mats, 1e10)
+        assert not p_h.any()
+        assert np.max(np.abs(q_h - stationary)) <= 1e-12 * np.max(np.abs(stationary))
+
+
 class TestEvolve:
     def test_undamped_energy_conservation(self):
         p = params(n_sites=16)
@@ -247,8 +260,9 @@ class TestEvolve:
         assert all(np.shares_memory(shared[1], f) for f in shared[2:])
 
     def test_factor_blocks_match_one_block(self, monkeypatch):
-        # r = 32 rows of 2 x 9 modes, 288 bytes of spectrum each: one block by
-        # default, then blocks of 5 rows, the last one of 2
+        # r = 32 rows of 2 x 9 modes, 288 bytes of spectrum each, in a run of
+        # 16 rows that hold an x part and one of 16 that hold a p part: one
+        # block per run by default, then blocks of 5 rows, the last of each run of 1
         p = params(n_sites=16)
         mats = thermal_matrices(p)
         start = hotspot_state(p, 1.0, 3.0, gaussian_site_weights(16, 8.0, 2.0))
@@ -261,6 +275,41 @@ class TestEvolve:
             assert np.array_equal(a.background, b.background)
             assert np.max(np.abs(a.factor - b.factor)) <= 1e-15 * np.max(np.abs(a.factor))
 
+    @pytest.mark.parametrize("start", ["thermal", "hot_sites", "dense"])
+    def test_factor_maps_the_parts_each_row_holds(self, monkeypatch, start):
+        # a thermal hot spot's rows each hold an x part or a p part; diagonal
+        # mode over a hot_sites window leaves rows that hold neither; a random
+        # factor holds both in every row.  Blocks of 3 rows split each run of
+        # rows that hold the same parts.  Every sample against the dense map
+        # Sigma <- P Sigma P^T + Q of `dense_propagator` over each interval
+        p = params(n_sites=16, gamma_fric=0.03)
+        n = p.n_sites
+        mats = thermal_matrices(p)
+        if start == "dense":
+            state0 = FactoredState(gibbs_covariance(p, p.bath_temp).background,
+                                   np.random.default_rng(5).normal(size=(2 * n, 2 * n)))
+        else:
+            window = np.zeros(n)
+            window[5:11] = 1.0
+            weights = gaussian_site_weights(n, n / 2.0, 2.0) if start == "thermal" else window
+            state0 = hotspot_state(p, 1.0, 3.0, weights, mode="thermal" if start == "thermal" else "diagonal")
+        held = np.any(state0.factor.reshape(2 * n, 2, n) != 0.0, axis=-1)
+        kinds = {"thermal": {(True, False), (False, True)},
+                 "hot_sites": {(False, False), (True, False), (False, True)},
+                 "dense": {(True, True)}}[start]
+        assert set(map(tuple, held)) == kinds
+        monkeypatch.setattr(heatchain.dynamics, "FACTOR_BLOCK_BYTES", 3 * 2 * (n // 2 + 1) * 16)
+        states = evolve(state0, mats, t_final=5.0, sample_stride=7).states
+        assert len(states) > 3
+        sigma = state0.sigma
+        for prev, f in zip(states, states[1:]):
+            p_h, q_h = dense_propagator(mats, f.time - prev.time)
+            sigma = p_h @ sigma @ p_h.T + q_h
+            assert f.factor.shape == (2 * n, 2 * n)
+            assert np.max(np.abs(f.sigma - sigma)) <= 1e-14 * np.max(np.abs(sigma))
+            if start == "hot_sites":  # a row that holds neither part maps to zero
+                assert not f.factor[~held.any(axis=1)].any()
+
     @pytest.mark.parametrize("kind", ["uniform", "gibbs"])
     def test_empty_factor_start_runs(self, kind):
         p = params()
@@ -272,11 +321,13 @@ class TestEvolve:
                           observer=lambda s: total_energy(s, p)).observations
         assert energies == [total_energy(s, p) for s in traj.states]
 
-    def test_evolve_holds_two_factor_sized_arrays(self):
+    def test_evolve_holds_the_factor_buffer_and_half_the_start_spectrum(self):
         # on the compare_n128 chain, above the start (built before tracing):
-        # the start's rFFT and the factor buffer every sample shares, about
-        # 2.02 (2N)^2 float arrays, plus the map's two block buffers; keeping
-        # each sample's rFFT, its row-major copy and a fresh factor read 4.6
+        # the factor buffer every sample shares, the rFFT of the one part that
+        # each hot-spot row holds (half the size of F) and a buffer of one part
+        # of a block read 1.97 (2N)^2 float arrays, where a block is 0.5; the
+        # rFFT of both parts of every row and two block buffers read 3.11, and
+        # keeping each sample's rFFT, its row-major copy and a fresh factor 4.6
         n = 128
         p = ChainParams(n_sites=n, mass=1.0, omega0=0.05, xi=1.0, lattice_const=1.0,
                         lambda_fric=0.2, gamma_fric=0.0, bath_temp=200.0)
@@ -288,7 +339,7 @@ class TestEvolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * (2 * n) ** 2 + 2 * heatchain.dynamics.FACTOR_BLOCK_BYTES
+        assert peak <= 1.5 * 8 * (2 * n) ** 2 + 2 * heatchain.dynamics.FACTOR_BLOCK_BYTES
 
     def test_psd_violation_aborts_with_diagnostic(self):
         p = params()
