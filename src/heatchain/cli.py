@@ -56,12 +56,12 @@ OUT_ENV = "HEATCHAIN_OUT"
 # its observers read each sample's eigenvalues densely (tracemalloc read 6.19
 # and 6.09 such arrays at N = 256 and 512 on the compare_n128 chain).
 DENSE_MATRICES = {"verify": 6}
-# compare and relax: 1.5 arrays of (2N)^2 floats alive together in a map of the
-# factored state, the factor buffer every sample shares and the rFFT of the one
-# part each hot-spot row holds (tracemalloc read 1.99, 1.66 and 1.57 such arrays
-# for compare at N = 256, 512 and 1024 on the compare_n128 chain, relax more with
-# its observations; relax reads its final deviation from Gibbs blockwise)
-FACTORED_ARRAYS = 1.5
+# compare and relax from a hot spot: its heating's Fourier Gram, 2 part pairs (x-x
+# and p-p) of (N/2 + 1) x N complex, and one N x N float array, the diagonal layout
+# of a pair while the Gram is built, or the block of a deviation relax reads at the
+# end (tracemalloc read 3.08 N^2 floats for compare and 3.64 for relax at N = 1024,
+# the Gram alone 2.02); a uniform relax holds no heating
+GRAM_PAIRS = 2
 # relax and compare, also: floats per site and sample alive together, the
 # observations that evolve collects and the arrays stacked from them (tracemalloc
 # read 8.3 and 5.8 for relax at N = 16 and 64 on the relax_hotspot_n64 chain, and
@@ -100,12 +100,15 @@ def _require_fits(command: str, cfg: ScenarioConfig) -> None:
     (`chain.n_sites`), for the samples of a run (`run.t_final`) or for a
     sweep's length (`run.t_steps`)."""
     p = cfg.chain
-    square = 8 * (2 * p.n_sites) ** 2
-    dense = {c: (k * square, f"{k} dense 2N x 2N matrices") for c, k in DENSE_MATRICES.items()}
-    factored = (FACTORED_ARRAYS * square, f"{FACTORED_ARRAYS} 2N x 2N arrays of the factored state")
+    n = p.n_sites
+    dense = {c: (k * 8 * (2 * n) ** 2, f"{k} dense 2N x 2N matrices") for c, k in DENSE_MATRICES.items()}
+    heated = (GRAM_PAIRS * 16 * (n // 2 + 1) * n + 8 * n**2,
+              f"the heating's Fourier Gram, {GRAM_PAIRS} part pairs of (N/2 + 1) x N complex, "
+              f"and an N x N float array")
     # the others: their CSV text is written in chunks (`report.CHUNK_LINES`)
-    modes = (8 * 2 * p.n_sites, "the mode grid and its frequencies, 2 length-N arrays")
-    need, what = {**dense, "compare": factored, "relax": factored}.get(command, modes)
+    modes = (8 * 2 * n, "the mode grid and its frequencies, 2 length-N arrays")
+    uniform = command == "relax" and str(cfg.run.get("scenario")) != "hotspot"
+    need, what = {**dense, "compare": heated, "relax": modes if uniform else heated}.get(command, modes)
     steps, columns = run_value(cfg, "t_steps", int, 0), SWEEP_COLUMNS.get(command, 0)
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     above = f"above the {total / 2**30:.3g} GiB of physical memory"
@@ -215,13 +218,10 @@ def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     last = []
 
     def observer(state):
-        # evolve reuses each sample's factor buffer for the next one; the last
-        # sample is never overwritten, so its deviation below reads it as is
-        last[:] = [state]
+        last[:] = [state]  # its deviation from Gibbs is read below
         obs = site_observables(state, p)
         return obs.energies, obs.currents, obs.total_energy
 
-    # the start is built in the call, so that no local holds it for the whole run
     traj = evolve(_relax_start(cfg, p), thermal_matrices(p), t_final=t_final, dt_max=dt_max,
                   sample_stride=stride, observer=observer)
     energies, currents, u = (np.array(c) for c in zip(*traj.observations))

@@ -295,7 +295,6 @@ def compare_discrete_continuum(
         obs = site_observables(state, run)
         return obs.densities, obs.currents
 
-    # the start is built in the call, so that no local holds it for the whole run
     traj = evolve(
         hotspot_state(run, scenario.t_cold, scenario.t_hot, weights, mode=scenario.hotspot_mode),
         matrices,

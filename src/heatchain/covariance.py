@@ -1,14 +1,16 @@
 """Second-moment state of the chain, the symmetric 2N x 2N covariance matrix
-Sigma ordered (x_1..x_N, p_1..p_N): a block-circulant background plus a Gram
-factor (`FactoredState`) for every state the dynamics builds or evolves, or a
+Sigma ordered (x_1..x_N, p_1..p_N): a block-circulant background plus a mapped
+heating (`FactoredState`) for every state the dynamics builds or evolves, or a
 plain dense array, such as the moment equation's right-hand side (built, with
 the rest of the dense model, by the oracles of `heatchain.verify`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import InitVar, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 
 from .chain import circulant_blocks
@@ -16,22 +18,147 @@ from .chain import circulant_blocks
 Array = NDArray[np.float64]
 
 PSD_TOL = 1e-10
-DEVIATION_COLUMNS = 128  # columns per block of `FactoredState.max_deviation`
+DEVIATION_OFFSETS = 128  # offsets m per block of `FactoredState.max_deviation`
+# multiply-adds per matmul of a band read.  OpenBLAS hands a larger matmul to its threads
+# (and a dot product of more than 10^4 entries), whose spinning after the call halved the
+# speed of the elementwise steps that follow on a 2-vCPU Xeon host (compare_n128: 0.31
+# against 0.60 ms per `_bands` call), so the band read and the Gram's build stay below both
+MATMUL_MACS = 2**16
+UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
+PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the (x, p) part pairs of a 2N x 2N matrix
 
 
 class PSDViolationError(RuntimeError):
     """Covariance lost positive semidefiniteness beyond tolerance."""
 
 
+def fft_rounding(n: int) -> float:
+    """eta(N) = 8 u ceil(log2 2N): a bound on the normwise relative error of one
+    length-N FFT.  Radix 2 gives log2(N) (mu + gamma_4 (sqrt 2 + mu)), about
+    6.7 u log2 N with twiddle factors good to mu ~ u (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 24.2); the extra stage in
+    log2 2N covers a mixed-radix or Bluestein length."""
+    return 8.0 * UNIT_ROUNDOFF * math.ceil(math.log2(2 * n))
+
+
+def row_blocks(n: int, width: int = 1) -> "list[slice]":
+    """The rows s = 0..N/2 of a `FourierGram` in near-equal blocks, each of
+    whose mapped rows, 2N entries a row, times `width` columns stays within
+    MATMUL_MACS (a block's `left` map is then at most 16 MATMUL_MACS bytes)."""
+    half = n // 2 + 1
+    count = -(-half // max(1, MATMUL_MACS // (2 * n * width)))
+    step = -(-half // count)
+    return [slice(lo, min(lo + step, half)) for lo in range(0, half, step)]
+
+
+def transfer_hankel(transfer: Array) -> np.ndarray:
+    """The zero-copy Hankel view [i, a, s, v] = T[(s + v) mod N, i, a] of the
+    per-mode blocks T_q, shape (N, 2, 2), for rows s = 0..N/2: contiguous in v."""
+    n = len(transfer)
+    ring = np.empty((2, 2, n + n // 2))  # [i, a, u] = T[u mod N, i, a]
+    ring[..., :n] = transfer.transpose(1, 2, 0)
+    ring[..., n:] = ring[..., : n // 2]
+    return as_strided(ring, (2, 2, n // 2 + 1, n), ring.strides + ring.strides[-1:], writeable=False)
+
+
+@dataclass(frozen=True, eq=False)
+class FourierGram:
+    """A heating H0, a real symmetric 2N x 2N matrix, PSD up to rounding, by
+    the two-sided DFT of each N x N block H0_ab (z^0 = x, z^1 = p),
+
+        H_ab[q, q'] = sum_kl e^{-iqk} H0_ab[k, l] e^{iq'l},
+
+    stored skewed: `skewed` maps each pair (a, b) that H0 holds to
+    K_ab[s, v] = H_ab[(s + v) mod N, v], complex, rows s = 0..N/2 of the N
+    columns v; the other pairs are zero.  H0 is real, so row N - s is row s
+    conjugated with v reversed.  With the diagonal layout
+    E_ab[k, m] = H0_ab[k, (k - m) mod N], K_ab is the rFFT of E_ab over k and
+    then its FFT over m (`of_diagonals`).
+
+    `bound` is an eps0 with H0 >= -eps0 I, for the matrix that the stored
+    K_ab represent, and is finite exactly when every E_ab entry was, short of
+    an overflow of its Frobenius norm.  The diagonal layouts come from a PSD
+    matrix within `build_error` in the 2-norm (given by each construction).
+    The two transforms move K in the Frobenius norm by at most
+    2 eta(N) ||K||_F to first order (`fft_rounding`: eta ||K||_F for the FFT,
+    sqrt(N) eta ||rFFT E||_F = eta ||K||_F for the rFFT before it).  The rows
+    s > N/2 double that at most, and the 2-D Parseval identity
+    ||H||_F = N ||H0||_F turns it into 2 sqrt(2) eta ||E||_F in the 2-norm of
+    H0, which 4 eta(N) ||E||_F covers with the higher orders.  So
+
+        eps0 = build_error + 4 eta(N) ||E||_F,  ||E||_F^2 = sum_ab ||E_ab||_F^2.
+
+    A hot spot on the compare_n128 chain reads eps0 = 8.7e-10, 1.1e-12 of its
+    largest entry and 4.7e-14 of its largest eigenvalue.
+    """
+
+    skewed: "dict[tuple[int, int], np.ndarray]"
+    bound: float
+
+    @classmethod
+    def of_diagonals(cls, diagonals, build_error: float = 0.0) -> "FourierGram":
+        """From ((a, b), E_ab) pairs, each E_ab real (N, N), which may be
+        yielded one at a time so that only one is alive."""
+        skewed, squares, n = {}, 0.0, 0
+        for pair, layout in diagonals:
+            n = len(layout)
+            squares += float(np.einsum("km,km->", layout, layout))  # no BLAS dot: see MATMUL_MACS
+            spectrum = np.fft.rfft(layout, axis=0)
+            del layout
+            skewed[pair] = np.fft.fft(spectrum, axis=1, out=spectrum)  # out=: NumPy 2.0
+        return cls(skewed, build_error + 4.0 * fft_rounding(n) * math.sqrt(squares))
+
+    @classmethod
+    def of_factor(cls, factor: Array) -> "FourierGram | None":
+        """H0 = F^T F of a real (r, 2N) factor, over the pairs of the parts,
+        x (the first N columns) or p (the last N), that F holds; None for an
+        all-zero or empty F.  fl(F^T F) is within gamma_r ||F||_F^2 of F^T F
+        in the 2-norm, gamma_r = r u / (1 - r u)."""
+        r, n = factor.shape[0], factor.shape[1] // 2
+        held = [a for a in (0, 1) if factor[:, a * n:(a + 1) * n].any()]
+        if not held:
+            return None
+        skew = (np.arange(n)[:, None] - np.arange(n)) % n  # E[k, m] = H0[k, (k - m) mod N]
+        gamma = r * UNIT_ROUNDOFF / (1.0 - r * UNIT_ROUNDOFF)
+        with np.errstate(invalid="ignore"):  # a non-finite F leaves a non-finite bound (`check_psd`)
+            gram = factor.T @ factor
+            layouts = (((a, b), np.take_along_axis(gram[a * n:(a + 1) * n, b * n:(b + 1) * n], skew, axis=1))
+                       for a in held for b in held)
+            return cls.of_diagonals(layouts, gamma * float(np.vdot(factor, factor)))
+
+    def left(self, hankel: np.ndarray, rows: slice, i: int) -> np.ndarray:
+        """Y[s, b, v] = sum_a T_{s+v}[i, a] K_ab[s, v] for the rows s in
+        `rows`, shape (rows, 2, N) complex: part i of H0 mapped on its left by
+        P, the block circulant of the per-mode blocks T_q, read through their
+        `transfer_hankel`."""
+        block = hankel[i, :, rows]
+        out = np.empty((block.shape[1], 2, block.shape[2]), dtype=complex)
+        written = set()
+        for (a, b), skewed in self.skewed.items():
+            if b in written:
+                out[:, b] += block[a] * skewed[rows]
+            else:
+                np.multiply(block[a], skewed[rows], out=out[:, b])
+                written.add(b)
+        for b in {0, 1} - written:
+            out[:, b] = 0.0
+        return out
+
+
 @dataclass
 class FactoredState:
-    """Second moments Sigma = B + F^T F at a time stamp, never stored densely.
+    """Second moments Sigma = B + P H0 P^T at a time stamp, never stored densely.
 
     `background` holds the Fourier blocks B_q of the block circulant B, shape
     (N, 2, 2) in `mode_grid` order: B_q[0, 0], B_q[1, 1] and B_q[0, 1] are the
-    symbols of its x-x, p-p and x-p circulants.  `factor` is a real (r, 2N)
-    matrix F in the coordinate order (x_1..x_N, p_1..p_N); r = 0 leaves B
-    alone.  `sigma` forms the dense matrix each time it is read.
+    symbols of its x-x, p-p and x-p circulants.  `heating` is H0, the heating
+    of the start, as its `FourierGram` (None for none): the samples of a run
+    share their start's.  `transfer` holds the blocks T_q of the block
+    circulant P, the map since the start, shape (N, 2, 2) in `mode_grid`
+    order, real and even in q; None reads as the identity.  A start may be
+    given by a real (r, 2N) `factor` F in the coordinate order instead,
+    H0 = F^T F, converted once (`FourierGram.of_factor`).  `sigma` forms the
+    dense matrix each time it is read.
 
     B is read as a real symmetric matrix, whose blocks are symmetric and even
     in q, so the constructor keeps that part of the blocks given, E + E^T over
@@ -40,44 +167,82 @@ class FactoredState:
     """
 
     background: Array
-    factor: Array
+    factor: InitVar["Array | None"] = None
     time: float = 0.0
+    heating: "FourierGram | None" = None
+    transfer: "Array | None" = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, factor: "Array | None") -> None:
         b = np.asarray(self.background, dtype=float)
-        f = np.asarray(self.factor, dtype=float)
         n = len(b)
-        if b.shape != (n, 2, 2) or f.ndim != 2 or f.shape[1] != 2 * n:
+        f = None if factor is None else np.asarray(factor, dtype=float)
+        if b.shape != (n, 2, 2) or (f is not None and (f.ndim != 2 or f.shape[1] != 2 * n)):
             raise ValueError(f"background must have shape (N, 2, 2) and factor (r, 2N), "
-                             f"got {b.shape} and {f.shape}")
+                             f"got {b.shape} and {np.shape(factor)}")
+        if f is not None:
+            if self.heating is not None:
+                raise ValueError("a state takes a factor or a heating, not both")
+            self.heating = FourierGram.of_factor(f)
+        if self.transfer is None:
+            self.transfer = np.broadcast_to(np.eye(2), (n, 2, 2))
+        if self.transfer.shape != (n, 2, 2):
+            raise ValueError(f"transfer must have shape ({n}, 2, 2), got {self.transfer.shape}")
         even = 0.5 * (b + b[-np.arange(n)])  # b[-k] is the block of mode -q_k
         self.background = 0.5 * (even + even.swapaxes(-1, -2))
-        self.factor = f
 
     @property
     def n_sites(self) -> int:
         return len(self.background)
 
+    def _diagonals(self, i: int, j: int, minus: "FactoredState | None" = None) -> np.ndarray:
+        """The (i, j) block of P H0 P^T, less that of `minus`, in the diagonal
+        layout E[k, m] = (P H0 P^T)_ij[k, (k - m) mod N] = irfft_s(X[:, m])[k]:
+        returns X, shape (N/2 + 1, N), the inverse FFT over v of
+        Z[s, v] = sum_b Y[s, b, v] T_v[j, b] (`FourierGram.left`), built
+        in `row_blocks`."""
+        n = self.n_sites
+        out = np.empty((n // 2 + 1, n), dtype=complex)
+        heated = [(state, transfer_hankel(state.transfer), sign) for state, sign in ((self, 1.0), (minus, -1.0))
+                  if state is not None and state.heating is not None]
+        for rows in row_blocks(n):
+            z = np.zeros((rows.stop - rows.start, n), dtype=complex)
+            for state, hankel, sign in heated:
+                z += sign * np.einsum("sbv,vb->sv", state.heating.left(hankel, rows, i), state.transfer[:, j])
+            out[rows] = np.fft.ifft(z, axis=-1)
+        return out
+
     @property
     def sigma(self) -> Array:
-        background = circulant_blocks(np.moveaxis(self.background, 0, -1))
-        return symmetrize(background + self.factor.T @ self.factor)
+        n = self.n_sites
+        dense = circulant_blocks(np.moveaxis(self.background, 0, -1))
+        if self.heating is not None:
+            skew = (np.arange(n)[:, None] - np.arange(n)) % n  # Sigma[k, l] = E[k, (k - l) mod N]
+            for i, j in PAIRS:
+                layout = np.fft.irfft(self._diagonals(i, j), n, axis=0)
+                dense[i * n:(i + 1) * n, j * n:(j + 1) * n] += np.take_along_axis(layout, skew, axis=1)
+        return symmetrize(dense)
 
     def max_deviation(self, other: "FactoredState") -> float:
         """max |Sigma - Sigma_other| over the entries, without forming a 2N x 2N
-        matrix: DEVIATION_COLUMNS columns at a time, each the circulant rows of
-        B - B_other read at its offsets plus those columns of F^T F - G^T G."""
+        matrix: the circulant rows of B - B_other, and where either state has
+        a heating, each (i, j) block of the difference in the diagonal layout
+        (`_diagonals`), DEVIATION_OFFSETS offsets m at a time."""
         n = self.n_sites
-        rows = np.fft.ifft(np.moveaxis(self.background - other.background, 0, -1)).real  # (2, 2, N)
+        rows = np.fft.ifft(self.background - other.background, axis=0).real  # rows[d][i, j]: entry (k, k + d)
+        if self.heating is None and other.heating is None:
+            return float(np.max(np.abs(rows)))
         worst = 0.0
-        for start in range(0, 2 * n, DEVIATION_COLUMNS):
-            cols = np.arange(start, min(start + DEVIATION_COLUMNS, 2 * n))
-            block, j = np.divmod(cols, n)
-            offset = (j - np.arange(n)[:, None]) % n  # circulant C[k, j] = row[(j - k) mod N]
-            part = np.concatenate([rows[0, block, offset], rows[1, block, offset]])
-            part += self.factor.T @ self.factor[:, cols] - other.factor.T @ other.factor[:, cols]
-            worst = max(worst, float(np.max(np.abs(part))))
+        for i, j in PAIRS:
+            spectrum = self._diagonals(i, j, other)
+            for lo in range(0, n, DEVIATION_OFFSETS):
+                m = np.arange(lo, min(lo + DEVIATION_OFFSETS, n))
+                part = np.fft.irfft(spectrum[:, m], n, axis=0) + rows[-m, i, j]  # entries (k, k - m)
+                worst = max(worst, float(np.max(np.abs(part))))
+            del spectrum  # before the next block's is built
         return worst
+
+
+del FactoredState.factor  # init-only, so that reading a state's factor raises: it holds none
 
 
 def symmetrize(sigma: Array) -> Array:
@@ -91,33 +256,39 @@ def min_eig_ratio(sigma: Array) -> float:
     return float(eig[0] / scale) if scale != 0.0 else 0.0
 
 
-def _blocks_certify(blocks: Array, tol: float) -> bool:
-    """True if the background blocks alone prove min eigenvalue >= -tol * max
-    |eigenvalue| for B + F^T F, whatever the factor F.
+def _blocks_certify(blocks: Array, tol: float, margin: float = 0.0) -> bool:
+    """True if the background blocks prove min eigenvalue >= -tol * max
+    |eigenvalue| for Sigma = B + P H0 P^T, whatever P, for any heating with
+    P H0 P^T >= -margin I.
+
+    A heating held as a `FourierGram` has H0 >= -eps0 I (its `bound`), so
+    P H0 P^T >= -eps0 ||P||^2 I, and ||P|| = max_q ||T_q|| <= max_q ||T_q||_F:
+    `check_psd` passes margin m = eps0 max_q ||T_q||_F^2, zero for no heating.
 
     The blocks are symmetric and even in q (`FactoredState`), so the spectrum
     of B is the union of theirs.  Let D be the largest diagonal entry of any
     block.  Each is a Rayleigh quotient of its block, so D <= lambda_max(B),
-    and lambda_max(B) <= lambda_max(B + F^T F) <= rho(B + F^T F) because F^T F
-    is PSD (Weyl).  The smaller eigenvalue of each block [[a, b], [b, c]] is
-    evaluated as (a/2 + c/2) - hypot(a/2 - c/2, b).  With every entry at most
-    D in magnitude that value is off by at most 8 u D: u D for the half-sum
-    and for the half-difference, 2 u relative to hypot's result of at most
+    and lambda_max(B) <= lambda_max(Sigma) + m <= rho(Sigma) + m (Weyl).  The
+    smaller eigenvalue of each block [[a, b], [b, c]] is evaluated as
+    (a/2 + c/2) - hypot(a/2 - c/2, b).  With every entry at most D in
+    magnitude that value is off by at most 8 u D: u D for the half-sum and
+    for the half-difference, 2 u relative to hypot's result of at most
     sqrt(2) D plus its input's error, (1 + sqrt(2)) u D for the subtraction.
-    The test passes when every value is >= -tol D / 2 and 16 u D <= tol D / 2,
-    so lambda_min(B + F^T F) >= lambda_min(B) >= -tol D >= -tol rho(B + F^T F).
-    It is attempted only for D >= sqrt(tiny), where underflow stays far below
-    u D.  Expects finite entries.
+    The test passes when every value is >= -tol D / 2 + m, 16 u D <= tol D / 2
+    and m <= D / 4.  Then lambda_min(B) >= -3 tol D / 4 + m, so
+    lambda_min(Sigma) >= lambda_min(B) - m >= -3 tol D / 4
+    >= -3 tol (rho(Sigma) + m) / 4 >= -tol rho(Sigma), the last step as
+    3 m <= D - m <= rho(Sigma).  It is attempted only for D >= sqrt(tiny),
+    where underflow stays far below u D.  Expects finite entries.
     """
     a, b, c = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
     d = float(np.max(np.maximum(a, c)))
     half = 0.5 * tol * d
-    u = 0.5 * np.finfo(float).eps
-    if not (np.sqrt(np.finfo(float).tiny) <= d and 16.0 * u * d <= half
-            and np.max(np.abs(blocks)) <= d):
+    if not (np.sqrt(np.finfo(float).tiny) <= d and 16.0 * UNIT_ROUNDOFF * d <= half
+            and margin <= 0.25 * d and np.max(np.abs(blocks)) <= d):
         return False
     low = (0.5 * a + 0.5 * c) - np.hypot(0.5 * a - 0.5 * c, b)
-    return bool(np.min(low) >= -half)
+    return bool(np.min(low) >= margin - half)
 
 
 def check_psd(state: "Array | FactoredState", context: str = "") -> None:
@@ -125,22 +296,29 @@ def check_psd(state: "Array | FactoredState", context: str = "") -> None:
     eigenvalue ratio (`min_eig_ratio`) is below -PSD_TOL.
 
     `state` is a `FactoredState` or a dense covariance matrix.  A factored
-    state: its background blocks certify it in O(N) (`_blocks_certify`);
-    the dense rule on `state.sigma` decides the rest.  A dense matrix: the
-    ratio from `eigvalsh`, which reads the lower triangle.
+    state: its background, its transfer and its heating's `bound` must be
+    finite, and its background blocks certify it in O(N), with the margin its
+    heating's bound leaves (`_blocks_certify`); the dense rule on
+    `state.sigma` decides the rest.  A dense matrix: the ratio from
+    `eigvalsh`, which reads the lower triangle.
     """
     where = f" ({context})" if context else ""
-    arrays = (state.background, state.factor) if isinstance(state, FactoredState) else (state,)
+    factored = isinstance(state, FactoredState)
+    arrays = (state.background, state.transfer) if factored else (state,)
+    heating = state.heating if factored else None
     # min and max are finite exactly when every entry is (a NaN propagates):
     # nothing the size of the state is allocated unless an entry is not finite
-    if not all(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)) for a in arrays):
+    if not (all(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)) for a in arrays)
+            and (heating is None or np.isfinite(heating.bound))):
+        arrays += tuple(heating.skewed.values()) if heating is not None else ()
         bad = sum(a.size - np.count_nonzero(np.isfinite(a)) for a in arrays)
         raise PSDViolationError(
             f"covariance matrix not PSD{where}: non-finite entries, "
             f"{bad} of {sum(a.size for a in arrays)}"
         )
-    if isinstance(state, FactoredState):
-        if not _blocks_certify(state.background, PSD_TOL):
+    if factored:
+        margin = 0.0 if heating is None else heating.bound * float(np.max(np.sum(state.transfer**2, axis=(1, 2))))
+        if not _blocks_certify(state.background, PSD_TOL, margin):
             check_psd(state.sigma, context)
         return
     ratio = min_eig_ratio(state)

@@ -367,11 +367,11 @@ def gibbs_covariance(params: ChainParams, temp: float) -> FactoredState:
 
     <x_k x_j> and <p_k p_j> are mode sums of the per-mode thermal variances
     with cos(q (k-j)) kernels; the x-p cross block vanishes.  The result is
-    the factored state whose background blocks are diag(c_x, c_p) and whose
-    factor is empty.
+    the factored state whose background blocks are diag(c_x, c_p), with no
+    heating.
     """
     _, _, c_x, c_p = mode_thermal_variances(params, temp)
-    return FactoredState(_diagonal_blocks(c_x, c_p), np.zeros((0, 2 * params.n_sites)))
+    return FactoredState(_diagonal_blocks(c_x, c_p))
 
 
 def gibbs_energy_density(params: ChainParams, temp: "float | Array") -> "float | Array":

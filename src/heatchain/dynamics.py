@@ -8,41 +8,43 @@ with constant coefficients, so between samples the state follows the exact
 map Sigma(t + h) = P Sigma(t) P^T + Q(h), P = e^{A h}.  The ring is
 translation invariant: P and Q are block circulant, given by the 2 x 2
 blocks P_q and Q_q of each Fourier mode (`mode_propagator`).  A
-`FactoredState` Sigma = B + F^T F keeps that structure: its block-circulant
-background maps mode by mode, B_q <- P_q B_q P_q^T + Q_q, and its factor
-F <- F P^T row by row on the rFFT over sites, each of a row's x and p parts
-by the matching column of the 2 x 2 block of each mode.  `evolve` keeps the
-rFFT of the parts that each row of the start holds (one part per row for a
-hot spot) and maps it into one buffer that every sample shares: a sample is
-valid until the next one is mapped, so an observer that keeps a sample
-keeps a copy of its factor.  Every state built here is one: the Gibbs,
-uniform and stationary states have an empty factor, and a hot spot adds its
-heating as F^T F.  The stationary state solves the
-continuous Lyapunov equation mode by mode.
+`FactoredState` Sigma = B + P H0 P^T keeps that structure: its block-circulant
+background maps mode by mode, B_q <- P_q B_q P_q^T + Q_q, and its heating H0,
+fixed at the start, is held once as its two-sided Fourier transform (a
+`FourierGram`) that every sample shares, while a sample carries only the
+per-mode map since the start, T_q <- P_q T_q.  So a sample costs O(N) and
+holds O(N) of its own: samples are independent, and an observer may keep
+any of them.  Every state built here is one: the Gibbs, uniform and
+stationary states have no heating, and a hot spot adds its heating H0 as a
+Gram.  The stationary state solves the continuous Lyapunov equation mode by
+mode.
 
 Site energies, currents and the on-site energy balance read bands
-<z^i_k z^j_{k+d}> of Sigma (`_bands`), O(N r) each on a factored state, which
-is never formed densely; they also take a dense Sigma as an array.  The dense
-A, D, moment right-hand side and Van Loan map are oracles: `heatchain.verify`.
+<z^i_k z^j_{k+d}> of Sigma (`_bands`), O(N^2) each on a heated state, from
+the Gram, which is never formed densely; they also take a dense Sigma as an
+array.  The dense A, D, moment right-hand side and Van Loan map are oracles:
+`heatchain.verify`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .chain import ModelMatrices, circulant, circulant_row_from_symbol
-from .covariance import Array, FactoredState, check_psd
+from .chain import ModelMatrices, circulant_row_from_symbol
+from .covariance import (Array, FactoredState, FourierGram, check_psd, fft_rounding, row_blocks,
+                         transfer_hankel)
 # gibbs_covariance is looked up here by the benchmark's tracer (benchmarks/run.py)
 from .diffusion import _diagonal_blocks, gibbs_covariance, mode_thermal_variances
 from .params import ChainParams
 
 GRID_FRACTION = 0.05  # sample-grid step dt <= 0.05 / (fastest rate)
 DOUBLINGS = 30  # mode_propagator: Q starts from its Taylor polynomial at h / 2^30 or below
-FACTOR_BLOCK_BYTES = 2**18  # _samples maps the factor's spectrum in row blocks of at most this size
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,7 @@ class Trajectory:
     """Sampled evolution: the sample times and either the observer's return
     value for each sample or, without an observer, every `FactoredState`.
 
-    The library always passes an observer, so it holds one sample at a time;
-    retained states are for small runs (tests, demos, the quick start).
+    A retained state holds O(N) of its own and shares the start's heating.
     """
 
     times: Array
@@ -138,68 +139,6 @@ def mode_propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
     return p[-1].copy(), q  # a copy, so that the other levels are freed
 
 
-def _samples(state: FactoredState, matrices: ModelMatrices, dt: float, sample_steps):
-    """The samples of a factored state: B_q <- P_q B_q P_q^T + Q_q for every
-    mode, and F <- F P^T on the rFFT of F's rows over sites, modes 0..N/2.
-
-    The start is yielded first.  Its factor's rows are then cut into blocks
-    of at most FACTOR_BLOCK_BYTES of spectrum, each block a run of rows that
-    hold the same parts, x (the first N columns), p (the last N) or both;
-    only the rFFT of the parts a block holds is kept, and the start is
-    dropped.  A hot spot's rows each hold one part, so this keeps half of
-    their spectrum; rows that hold neither stay zero.  Each interval
-    multiplies the per-mode map since the start, T_q <- P_q T_q, O(N); each
-    sample maps every block's parts by the matching columns of T_q, one part
-    of the mapped rows at a time, into a buffer of one part of a block, and
-    inverts it into one (r, 2N) factor buffer that all samples share,
-    O(N r log N): nothing the size of F is allocated per sample.  So a sample's factor is valid until the next sample is mapped;
-    a caller that keeps a sample keeps a copy of its factor.
-    """
-    n, t0, r = state.n_sites, state.time, len(state.factor)
-    half = n // 2 + 1
-    intervals = [i - prev for prev, i in zip([0] + sample_steps, sample_steps)]
-    # every distinct interval's map, built before any array the size of F
-    maps = {steps: mode_propagator(matrices, steps * dt) for steps in set(intervals)}
-    yield state
-    step = max(1, FACTOR_BLOCK_BYTES // (2 * half * 16))  # rows of F per block
-    parts = state.factor.reshape(r, 2, n)
-    held = np.any(parts, axis=-1)  # (r, 2): the row holds an x part, a p part
-    kind = held[:, 0] + 2 * held[:, 1]
-    # the starts of the runs of rows that hold the same parts, then r
-    runs = np.flatnonzero(np.diff(kind, prepend=-1, append=-1))
-    # (rows of F, [(j, real view of the rFFT of part j) for each part j they hold]);
-    # contiguous, as the rFFT of a column-major factor (L.T, say) is column-major
-    blocks = []
-    for lo_run, hi_run in zip(runs, runs[1:]):
-        kept = [j for j in (0, 1) if held[lo_run, j]]
-        for lo in range(lo_run, hi_run, step) if kept else ():
-            b = slice(lo, min(lo + step, hi_run))
-            blocks.append((b, [(j, np.ascontiguousarray(np.fft.rfft(parts[b, j])).view(float)) for j in kept]))
-    background = state.background
-    del state, parts  # the start is held by its caller alone from here
-    factor = np.zeros((r, 2 * n))  # rows that hold neither part stay zero
-    rows = np.empty((min(step, r), half), dtype=complex)  # one part of a block's mapped rows
-    total = np.broadcast_to(np.eye(2), (half, 2, 2))
-    for i, steps in zip(sample_steps, intervals):
-        p, q = maps[steps]
-        total = p[:half] @ total
-        background = p @ background @ p.transpose(0, 2, 1) + q
-        # columns[i, j]: T_q[i, j] for the real and imaginary parts of each mode
-        columns = np.repeat(total.transpose(1, 2, 0), 2, axis=-1)
-        for b, spectra in blocks:
-            block_rows = rows[: b.stop - b.start]
-            out, mapped = block_rows.view(float), factor[b].reshape(-1, 2, n)
-            for part in (0, 1):  # the x and p parts of the mapped rows
-                (j, spectrum), *rest = spectra
-                np.multiply(spectrum, columns[part, j], out=out)
-                for j, spectrum in rest:
-                    out += spectrum * columns[part, j]
-                np.fft.irfft(block_rows, n, axis=-1, out=mapped[:, part])  # out=: NumPy 2.0
-        sample = FactoredState(background, factor, t0 + i * dt)
-        background = sample.background
-        yield sample
-
-
 def evolve(
     state: FactoredState,
     matrices: ModelMatrices,
@@ -215,20 +154,15 @@ def evolve(
     lambda_q).  The grid only places the samples: the initial state, every
     `sample_stride`-th grid point and the final one.  Each interval between
     samples is one exact map, built once per distinct interval length.  The
-    state is mapped mode by mode (`mode_propagator`) and stays factored,
-    O(N r log N) per sample with no dense matrix.  `state` must be a
+    state is mapped mode by mode (`mode_propagator`): B_q <- P_q B_q P_q^T +
+    Q_q and T_q <- P_q T_q, O(N) per sample with no dense matrix and no
+    transform; every sample shares the start's heating.  `state` must be a
     `FactoredState` (TypeError otherwise): an arbitrary PSD Sigma is
     `FactoredState(np.zeros((N, 2, 2)), L.T)`, with L its Cholesky factor.
     Each sample is handed to `observer`, whose return values are collected
-    in place of the states, so only one sample is alive at a time; without
-    an observer every sample is retained, one r x 2N factor each.  The
-    mapped samples share one factor buffer (`_samples`): a sample handed to
-    `observer` is valid until the next sample is mapped, so an observer that
-    keeps a sample past its call keeps a copy of its factor; the last sample
-    stays valid after `evolve` returns.  Retained states are copies.  Apart
-    from the start, the map holds that buffer, the size of F, and the rFFT
-    of the parts that the start's rows hold: half the size of F for a hot
-    spot, whose rows each hold an x or a p part.
+    in place of the states; without an observer every sample is retained.
+    Samples are independent of each other and hold O(N) of their own, so
+    an observer may keep any of them.
 
     Every sample passes `check_psd` first, which raises PSDViolationError if
     the state has a non-finite entry or drops below -covariance.PSD_TOL times
@@ -245,17 +179,19 @@ def evolve(
     sample_steps = list(range(sample_stride, n_steps + 1, sample_stride))
     if n_steps % sample_stride:
         sample_steps.append(n_steps)
+    intervals = [i - prev for prev, i in zip([0] + sample_steps, sample_steps)]
+    maps = {steps: mode_propagator(matrices, steps * dt) for steps in set(intervals)}
 
-    times = []
-    kept = []
-    samples = _samples(state, matrices, dt, sample_steps)
-    del state  # so the start is held by `samples` alone, until its first interval is mapped
-    for sample in samples:
+    times, kept = [], []
+    sample = state
+    for i, steps in zip([0] + sample_steps, [0] + intervals):
+        if steps:
+            p, q = maps[steps]
+            sample = FactoredState(p @ sample.background @ p.transpose(0, 2, 1) + q, time=state.time + i * dt,
+                                   heating=state.heating, transfer=p @ sample.transfer)
         times.append(sample.time)
         check_psd(sample, context=f"t = {sample.time:.6g}")
-        kept.append(observer(sample) if observer is not None
-                    else FactoredState(sample.background, sample.factor.copy(), sample.time))
-        del sample  # so that no sample outlives its observer call while the next is mapped
+        kept.append(observer(sample) if observer is not None else sample)
 
     if observer is not None:
         return Trajectory(times=np.array(times), observations=kept)
@@ -276,7 +212,7 @@ def stationary_covariance(matrices: ModelMatrices) -> FactoredState:
 
     The drift is block circulant, so the site index is Fourier transformed
     and N independent 2x2 Lyapunov problems are solved; their solutions are
-    the background blocks of a factored state with an empty factor.  Rejects
+    the background blocks of a factored state with no heating.  Rejects
     a non-Hurwitz drift.
     """
     lam = matrices.friction
@@ -287,7 +223,21 @@ def stationary_covariance(matrices: ModelMatrices) -> FactoredState:
         )
     blocks = _stationary_blocks(matrices.mass, matrices.stiffness, lam,
                                 matrices.diffusion_xx, matrices.diffusion_pp)
-    return FactoredState(blocks, np.zeros((0, 2 * matrices.n_sites)))
+    return FactoredState(blocks)
+
+
+@functools.lru_cache(maxsize=8)
+def _band_plan(n: int, wanted: "tuple[tuple[int, int, int], ...]") -> tuple:
+    """The (i, j, d) of `wanted` as three index arrays, and for each part i
+    that they read: (i, the indices of its bands in `wanted`, their j, their
+    e^{-2 pi i v d / N} / N at [v, band])."""
+    i, j, d = np.array(wanted).T
+    parts = [(part, np.flatnonzero(i == part)) for part in (0, 1)]
+    plan = (i, j, d), [(part, cols, j[cols], np.exp(-2j * np.pi / n * (np.outer(np.arange(n), d[cols]) % n)) / n)
+                       for part, cols in parts if cols.size]
+    for array in (i, j, d, *(a for group in plan[1] for a in group[1:])):
+        array.flags.writeable = False  # shared by every caller of the cache
+    return plan
 
 
 def _bands(state: "Array | FactoredState", *wanted: "tuple[int, int, int]") -> "list[Array]":
@@ -296,26 +246,36 @@ def _bands(state: "Array | FactoredState", *wanted: "tuple[int, int, int]") -> "
 
     A dense covariance gives them by index.  A factored state gives them as
     the background's row entry at offset d (one inverse FFT of its blocks)
-    plus lagged dot products of the factor's columns, O(N r): `sigma` is
-    never formed.  Each of the d sites whose partner k + d wraps around
-    costs one dot call, cheaper than a second einsum for the small d read here.
+    plus the band of P H0 P^T, read from the heating's `FourierGram`:
+
+        irfft_s(sum_v sum_b Y[i][s, b, v] T_v[j, b] e^{-2 pi i v d / N}) / N,
+
+    Y[i] = `FourierGram.left` of T for part i.  Each block of rows s
+    (`row_blocks`) is, for each part i read, a multiply of the Hankel view of
+    T by the Gram and one complex matmul of Y[i], rows s, against the
+    (2N, bands) weights T_v[j, b] e^{-2 pi i v d / N} of its bands: O(N^2)
+    per sample, one block up to N = 128, and `sigma` is never formed.
     """
     if not isinstance(state, FactoredState):
         n = len(state) // 2
         k = np.arange(n)
         return [state[i * n + k, j * n + (k + d) % n] for i, j, d in wanted]
     n = state.n_sites
-    rows = np.fft.ifft(state.background, axis=0).real  # rows[d][i, j]: entry (k, k + d) of block (i, j)
-    z = state.factor.reshape(-1, 2, n)
-    bands = []
-    for i, j, d in wanted:
-        band = np.empty(n)
-        np.einsum("rk,rk->k", z[:, i, : n - d], z[:, j, d:], out=band[: n - d])
-        for k in range(n - d, n):
-            band[k] = z[:, i, k] @ z[:, j, k + d - n]
-        band += rows[d, i, j]
-        bands.append(band)
-    return bands
+    (i, j, d), plan = _band_plan(n, wanted)
+    rows = np.fft.ifft(state.background, axis=0).real  # rows[d][i, j]: entry (k, k + d)
+    bands = np.empty((len(d), n))
+    bands[:] = rows[d, i, j][:, None]
+    if state.heating is not None:
+        t = state.transfer
+        weights = [np.multiply(t[:, js].transpose(2, 0, 1), phase, order="C").reshape(2 * n, -1)
+                   for _, _, js, phase in plan]  # [(b, v), band] for each part
+        sums = np.empty((len(d), n // 2 + 1), dtype=complex)  # [band, s]
+        hankel = transfer_hankel(t)
+        for block in row_blocks(n, max(len(cols) for _, cols, _, _ in plan)):
+            for (part, cols, _, _), columns in zip(plan, weights):
+                sums[cols, block] = (state.heating.left(hankel, block, part).reshape(-1, 2 * n) @ columns).T
+        bands += np.fft.irfft(sums, n)
+    return list(bands)
 
 
 def _over(band: Array, s: int) -> Array:
@@ -401,19 +361,21 @@ def hotspot_state(
 ) -> FactoredState:
     """Cold thermal background with a locally heated region.
 
-    The cold Gibbs state is the background B; the heating is the Gram
-    matrix F^T F of a factor F with r = 2N rows.
+    The cold Gibbs state is the background B; the heating H0 is held as its
+    `FourierGram`, built from the diagonal layout of each of its two blocks
+    H0_aa (a = x, p) with no 2N x 2N matrix.
 
     weights:
         Per-site envelope w_k in [0, 1] of the hot region.
     mode:
         "thermal" windows the full covariance difference Delta between the
-        hot and cold Gibbs states, S Delta S with S = diag(sqrt(w), sqrt(w)):
-        F = G S, with G the block circulant of the per-mode square roots of
-        Delta (diagonal, nonnegative).  The heated region is locally thermal
-        with flat per-mode energy weights.  "diagonal" adds only the
-        single-site variance differences w_k * (dx^2, dp^2) to the diagonals:
-        F is diagonal.
+        hot and cold Gibbs states: H0_aa = S C_a S with S = diag(sqrt(w)) and
+        C_a the circulant of the per-mode differences d_a of the x (p)
+        variances, nonnegative.  The heated region is locally thermal with
+        flat per-mode energy weights.  C_a's row comes from an inverse FFT of
+        d_a, so S C_a S is within eta(N) ||d_a||_2 (`fft_rounding`) of a PSD
+        matrix.  "diagonal" adds only the single-site variance differences
+        w_k * (dx^2, dp^2) to the diagonals: H0_aa = diag(w mean(d_a)).
     """
     if t_hot < t_cold:
         raise ValueError("t_hot must be >= t_cold")
@@ -427,14 +389,23 @@ def hotspot_state(
 
     _, _, c_x, c_p = mode_thermal_variances(params, np.array([t_cold, t_hot]))
     background = _diagonal_blocks(c_x[0], c_p[0])
-    # the variances grow with T; the clip keeps a last-bit rounding from a sqrt of < 0
+    # the variances grow with T; the clip keeps a last-bit rounding below zero out of the heating
     d_x, d_p = (np.maximum(c[1] - c[0], 0.0) for c in (c_x, c_p))
     n = params.n_sites
-    if mode == "thermal":
-        factor = np.zeros((2 * n, 2 * n))
-        root = np.sqrt(w)
-        factor[:n, :n] = circulant(circulant_row_from_symbol(np.sqrt(d_x))) * root
-        factor[n:, n:] = circulant(circulant_row_from_symbol(np.sqrt(d_p))) * root
-    else:
-        factor = np.diag(np.sqrt(np.concatenate([w * np.mean(d_x), w * np.mean(d_p)])))
-    return FactoredState(background, factor)
+    root = np.sqrt(w)
+    # root[(k - m) mod N] at [k, m], a view: the reversed ring read N - 1 - k sites on
+    shifted = sliding_window_view(np.concatenate((root, root))[::-1], n)[n - 1::-1]
+
+    def layouts():  # E_aa[k, m] = H0_aa[k, (k - m) mod N], one part at a time
+        for a, d in enumerate((d_x, d_p)):
+            if mode == "thermal":
+                row = circulant_row_from_symbol(d)  # C_a[k, l] = row[(l - k) mod N]
+                layout = np.multiply.outer(root, row[-np.arange(n)])
+                layout *= shifted
+            else:
+                layout = np.zeros((n, n))
+                layout[:, 0] = w * np.mean(d)
+            yield (a, a), layout
+
+    build_error = fft_rounding(n) * max(np.linalg.norm(d_x), np.linalg.norm(d_p)) if mode == "thermal" else 0.0
+    return FactoredState(background, heating=FourierGram.of_diagonals(layouts(), build_error))

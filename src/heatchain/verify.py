@@ -213,12 +213,12 @@ def exact_energy_rate(sigma, params: ChainParams, matrices: ModelMatrices):
 
 
 def injection_error(params: ChainParams, matrices: ModelMatrices, diff: DiffusionSet) -> float:
-    """Bath injection of `energy_balance_rhs` (its value at Sigma = 0, the empty
-    factored state) against s a of `diff`, relative to the sum of the magnitudes
-    of the three terms of s a (they cancel on a soft, stiff chain), or absolute
-    where `diff` is zero."""
+    """Bath injection of `energy_balance_rhs` (its value at Sigma = 0, a
+    factored state of zero background and no heating) against s a of `diff`,
+    relative to the sum of the magnitudes of the three terms of s a (they
+    cancel on a soft, stiff chain), or absolute where `diff` is zero."""
     n = params.n_sites
-    injection = energy_balance_rhs(FactoredState(np.zeros((n, 2, 2)), np.zeros((0, 2 * n))), params, matrices)
+    injection = energy_balance_rhs(FactoredState(np.zeros((n, 2, 2))), params, matrices)
     error = np.max(np.abs(injection - source_density(params, diff) * params.lattice_const))
     # s weighs D_pp, D_xx and -D_ex by nonnegative factors, so s of these is that sum
     magnitudes = replace(diff, d_xx=abs(diff.d_xx), d_pp=abs(diff.d_pp), d_ex=-abs(diff.d_ex))
@@ -319,7 +319,6 @@ def check_heat_capacity(params: ChainParams) -> CheckResult:
 def check_conservation(params: ChainParams) -> CheckResult:
     """Undamped, noiseless chain conserves energy; states stay PSD."""
     n = params.n_sites
-    # the start is built in the call, so that no local holds it for the whole run
     traj = evolve(hotspot_state(params, params.bath_temp, 2.0 * params.bath_temp + 1.0,
                                 gaussian_site_weights(n, n / 2, 4.0)),
                   undamped_matrices(params), t_final=100.0 / params.omega_max,

@@ -339,8 +339,9 @@ class TestCli:
     def test_ring_too_large_for_memory_is_config_error(self, tmp_path, capsys, command):
         # the estimate alone decides, so nothing of the ring is allocated: at
         # N = 1e15 the 6 dense 2N x 2N matrices of verify need 1.8e23 GiB, the
-        # 1.5 factored-state arrays of compare and relax 4.5e22 GiB and the
-        # mode grid and frequencies of the others 1.5e7 GiB
+        # hot spot's Fourier Gram and one N x N array of compare 2.2e22 GiB and
+        # the mode grid and frequencies of the others 1.5e7 GiB, a uniform
+        # relax among them
         n = 10**15
         body = BASE_CONFIG.replace("n_sites = 16", f"n_sites = {n}") + (
             "\n[run]\nscenario = uniform\nhotspot_width = 4.0\nt_hot = 3.0\nt_cold = 2.0\n"
@@ -349,9 +350,9 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         need, what = {
-            "relax": (1.5 * (8 * (2 * n) ** 2), "1.5 2N x 2N arrays of the factored state"),
             "verify": (6 * 8 * (2 * n) ** 2, "6 dense 2N x 2N matrices"),
-            "compare": (1.5 * (8 * (2 * n) ** 2), "1.5 2N x 2N arrays of the factored state"),
+            "compare": (2 * 16 * (n // 2 + 1) * n + 8 * n**2, "the heating's Fourier Gram, 2 part pairs "
+                        "of (N/2 + 1) x N complex, and an N x N float array"),
         }.get(command, (2 * 8 * n, "the mode grid and its frequencies, 2 length-N arrays"))
         assert record["error"] == "config"
         assert record["detail"] == [
@@ -374,19 +375,22 @@ class TestCli:
             "frequencies, 2 length-N arrays, above the 0.000977 GiB of physical memory"]}
 
     def test_relax_counts_its_factored_arrays(self, tmp_path, capsys, monkeypatch):
-        # 2.5 MiB of memory: at N = 256 a 2N x 2N array is 2 MiB, so one of
-        # them fits but the 1.5 that relax holds (measured 1.99 for compare) do not
+        # 2.5 MiB of memory at N = 512: a hot spot's heating, its Fourier Gram
+        # of 2 pairs of 257 x 512 complex (4.2 MB) and one N x N float array
+        # (2.1 MB), does not fit; a uniform start holds no heating and runs
         sysconf = os.sysconf
         monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 640}
                             .get(name) or sysconf(name))
-        body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 256") + (
-            "\n[run]\nscenario = uniform\nt_hot = 3.0\nt_final = 0.5\n")
-        cfg = write_config(tmp_path, body)
+        body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 512") + "\n[run]\nt_hot = 3.0\nt_final = 0.5\n"
+        cfg = write_config(tmp_path, body.replace("[run]", "[run]\nscenario = hotspot\nhotspot_width = 4.0"))
         assert main(["relax", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "config", "detail": [
-            "chain.n_sites: 256 sites need at least 0.00293 GiB for 1.5 2N x 2N arrays of the "
-            "factored state, above the 0.00244 GiB of physical memory"]}
+            "chain.n_sites: 512 sites need at least 0.00587 GiB for the heating's Fourier Gram, 2 part "
+            "pairs of (N/2 + 1) x N complex, and an N x N float array, above the 0.00244 GiB of physical "
+            "memory"]}
+        cfg = write_config(tmp_path, body.replace("[run]", "[run]\nscenario = uniform"))
+        assert main(["relax", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command, columns", [("coefficients", 12), ("conductivity", 6)])
     def test_sweep_counts_its_temperature_columns(self, tmp_path, capsys, monkeypatch, command, columns):

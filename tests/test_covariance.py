@@ -22,7 +22,8 @@ from heatchain import (
     hotspot_state,
     min_eig_ratio,
 )
-from heatchain.covariance import PSD_TOL
+from heatchain.chain import circulant_blocks
+from heatchain.covariance import PSD_TOL, FourierGram
 
 SIZES = [8, 64, 256]
 
@@ -130,13 +131,95 @@ def test_factored_state_not_covered_raises_with_the_dense_ratio(rows):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("part", ["background", "factor"])
+@pytest.mark.parametrize("part", ["background", "factor", "transfer"])
 def test_factored_non_finite_entry_raises(value, part):
+    # 32 background and 32 transfer entries, and the 5 x 8 complex x-x pair
+    # of the Gram of factor rows c u; a non-finite factor entry reaches
+    # every entry of that Gram through its transforms, and its bound
     state = factored(1.0, [1.0])
-    entries = getattr(state, part)
-    entries[(0,) * entries.ndim] = value
-    with pytest.raises(PSDViolationError, match=r"not PSD \(t = 0\): non-finite entries, 1 of 48"):
+    if part == "factor":
+        factor = np.concatenate([np.ones(8), np.zeros(8)])[None] / np.sqrt(8.0)
+        factor[0, 0] = value
+        state = FactoredState(state.background, factor)
+        assert not np.isfinite(state.heating.bound)
+    elif part == "background":
+        state.background[0, 0, 0] = value
+    else:
+        state.transfer = np.tile(np.eye(2), (8, 1, 1))
+        state.transfer[0, 0, 0] = value
+    bad = 40 if part == "factor" else 1
+    with pytest.raises(PSDViolationError, match=rf"not PSD \(t = 0\): non-finite entries, {bad} of 104$"):
         check_psd(state, context="t = 0")
+
+
+def heated(x0: float, eig: float, bound: float) -> FactoredState:
+    """`factored`'s background with diag(x0, 1) at q = 0 and a heating of
+    eigenvalues 1 and `eig` on the uniform x and p vectors, built from its
+    diagonal layouts with the given `bound`: H0 >= -bound I is the promise."""
+    state = factored(x0, [])
+    layouts = (((a, a), np.full((8, 8), e / 8.0)) for a, e in ((0, eig), (1, 1.0)))
+    return FactoredState(state.background, heating=FourierGram.of_diagonals(layouts, build_error=bound))
+
+
+def test_heating_inside_the_margin_is_certified(monkeypatch):
+    # the heating's x-x eigenvalue -1e-6 is within its bound, 2e-6 plus the
+    # transforms' rounding, and the margin that bound leaves, 2 bound, is far
+    # below the background's lowest block eigenvalue 1e-2: certified with no
+    # eigenvalue, and the dense matrix agrees
+    state = heated(1e-2, -1e-6, 2e-6)
+    assert 2e-6 < state.heating.bound < 2.1e-6
+    calls = count_eigvalsh(monkeypatch)
+    check_psd(state)
+    assert calls[0] == 0
+    assert min_eig_ratio(state.sigma) > 0.0
+
+
+@pytest.mark.parametrize("eig", [-2e-3, 0.0])
+def test_heating_outside_the_margin_raises_with_the_dense_ratio(monkeypatch, eig):
+    # a bound of 1e-3 leaves a margin of 2e-3 (max_q ||T_q||_F^2 = 2 at the
+    # start), above the background's lowest block eigenvalue 1e-4, so the
+    # blocks cannot decide and the dense rule does: the heating's -2e-3
+    # breaks it with its ratio, a PSD heating of the same bound passes
+    state = heated(1e-4, eig, 1e-3)
+    calls = count_eigvalsh(monkeypatch)
+    if eig < 0.0:
+        with pytest.raises(PSDViolationError) as err:
+            check_psd(state, context="t = 3")
+        assert str(err.value) == (f"covariance matrix not PSD (t = 3): min/max eigenvalue ratio "
+                                  f"{min_eig_ratio(state.sigma):.3e} below tolerance -1.0e-10")
+    else:
+        check_psd(state)
+    assert calls[0] >= 1
+
+
+def test_sigma_and_max_deviation_of_mapped_states_equal_the_dense_formula():
+    # N = 16: a hot spot and a random factor start, each mapped by random
+    # per-mode blocks T_q (even in q), against B + P H0 P^T formed densely
+    # with P the block circulant of T, and their deviation from each other
+    # and from the Gibbs state
+    p = ChainParams(n_sites=16, mass=1.0, omega0=0.5, xi=1.0, lattice_const=1.0,
+                    lambda_fric=0.1, gamma_fric=0.04, bath_temp=2.0)
+    rng = np.random.default_rng(3)
+    gibbs = gibbs_covariance(p, p.bath_temp)
+    factor = rng.standard_normal((7, 32))
+    starts = (hotspot_state(p, 2.0, 7.0, gaussian_site_weights(16, 8.0, 2.0)),
+              FactoredState(rng.standard_normal((16, 2, 2)), factor))
+    heatings = (starts[0].sigma - gibbs.sigma, factor.T @ factor)
+    states, dense = [], []
+    for start, heating in zip(starts, heatings):
+        transfer = rng.standard_normal((16, 2, 2))
+        transfer = 0.5 * (transfer + transfer[-np.arange(16)])
+        state = FactoredState(start.background, time=1.0, heating=start.heating, transfer=transfer)
+        mapped = circulant_blocks(np.moveaxis(transfer, 0, -1))
+        want = circulant_blocks(np.moveaxis(state.background, 0, -1)) + mapped @ heating @ mapped.T
+        assert np.max(np.abs(state.sigma - want)) <= 1e-13 * np.max(np.abs(want))
+        states.append(state)
+        dense.append(want)
+    pairs = [(states[0], dense[0], states[1], dense[1]), (states[0], dense[0], gibbs, gibbs.sigma),
+             (gibbs, gibbs.sigma, states[1], dense[1])]
+    for a, sa, b, sb in pairs:
+        want = np.max(np.abs(sa - sb))
+        assert a.max_deviation(b) == pytest.approx(want, rel=0.0, abs=1e-13 * max(np.max(np.abs(sa)), np.max(np.abs(sb))))
 
 
 @pytest.mark.parametrize("rank", [0, 5, 32])

@@ -29,8 +29,11 @@ from heatchain import (
 )
 import heatchain
 import heatchain.chain
+import heatchain.covariance
 import heatchain.dynamics
-from heatchain.chain import ModelMatrices, circulant_blocks
+from heatchain.chain import ModelMatrices, circulant, circulant_blocks, circulant_row_from_symbol
+from heatchain.covariance import row_blocks
+from heatchain.dynamics import _bands
 from heatchain.diffusion import mode_thermal_variances
 from heatchain.verify import (
     check_moment_fidelity,
@@ -232,13 +235,18 @@ class TestEvolve:
         assert len(traj.observations) == len(traj.times)
 
     def test_factored_state_stays_factored(self):
+        # every sample is the start's heating, shared, and its own map T_q
         p = params()
-        traj = evolve(hotspot_state(p, 1.0, 3.0, gaussian_site_weights(8, 4.0, 1.5)),
-                      thermal_matrices(p), t_final=2.0, sample_stride=5)
-        assert all(isinstance(s, FactoredState) and s.factor.shape == (16, 16) for s in traj.states)
+        start = hotspot_state(p, 1.0, 3.0, gaussian_site_weights(8, 4.0, 1.5))
+        traj = evolve(start, thermal_matrices(p), t_final=2.0, sample_stride=5)
+        assert all(isinstance(s, FactoredState) and s.heating is start.heating and s.transfer.shape == (8, 2, 2)
+                   for s in traj.states)
         assert [s.time for s in traj.states] == traj.times.tolist()
 
     def test_retained_states_are_copies_equal_to_observed_samples(self):
+        # the retained states are the samples an observer sees: each holds its
+        # own background and map, and all share the start's heating, so an
+        # observer may keep any of them
         p = params(n_sites=16)
         mats = thermal_matrices(p)
 
@@ -247,40 +255,41 @@ class TestEvolve:
             return evolve(start, mats, t_final=2.0, sample_stride=5, observer=observer)
 
         kept = run().states
-        seen = run(lambda s: (s.background.copy(), s.factor.copy(), s.time)).observations
+        seen = run(lambda s: s).observations
         assert len(kept) == len(seen) > 3
-        for a, b in itertools.combinations(kept, 2):
-            assert not np.shares_memory(a.factor, b.factor)
-        for state, (background, factor, time) in zip(kept, seen):
-            assert state.time == time
-            assert np.array_equal(state.background, background) and np.array_equal(state.factor, factor)
-        # the observed samples after the start share one factor buffer: each is
-        # valid until the next is mapped
-        shared = run(lambda s: s.factor).observations
-        assert all(np.shares_memory(shared[1], f) for f in shared[2:])
+        for a, b in itertools.combinations(seen, 2):
+            assert not np.shares_memory(a.transfer, b.transfer)
+            assert not np.shares_memory(a.background, b.background)
+        assert all(s.heating is seen[0].heating for s in seen)
+        for state, sample in zip(kept, seen):
+            assert state.time == sample.time
+            assert np.array_equal(state.background, sample.background)
+            assert np.array_equal(state.transfer, sample.transfer)
 
-    def test_factor_blocks_match_one_block(self, monkeypatch):
-        # r = 32 rows of 2 x 9 modes, 288 bytes of spectrum each, in a run of
-        # 16 rows that hold an x part and one of 16 that hold a p part: one
-        # block per run by default, then blocks of 5 rows, the last of each run of 1
-        p = params(n_sites=16)
+    def test_band_blocks_match_one_block(self, monkeypatch):
+        # N = 16 has 9 rows s of the Gram, read in one block by default, then
+        # in blocks of 2 rows (the last of 1), against every sample's dense sigma
+        p = params(n_sites=16, gamma_fric=0.03)
         mats = thermal_matrices(p)
         start = hotspot_state(p, 1.0, 3.0, gaussian_site_weights(16, 8.0, 2.0))
-        assert heatchain.dynamics.FACTOR_BLOCK_BYTES >= 32 * 288
-        one = evolve(start, mats, t_final=5.0, sample_stride=7).states
-        monkeypatch.setattr(heatchain.dynamics, "FACTOR_BLOCK_BYTES", 5 * 288)
-        blocked = evolve(start, mats, t_final=5.0, sample_stride=7).states
-        assert len(one) == len(blocked) > 3
-        for a, b in zip(one, blocked):
-            assert np.array_equal(a.background, b.background)
-            assert np.max(np.abs(a.factor - b.factor)) <= 1e-15 * np.max(np.abs(a.factor))
+        states = evolve(start, mats, t_final=5.0, sample_stride=7).states
+        wanted = [(i, j, d) for i in (0, 1) for j in (0, 1) for d in (0, 1, 2)]
+        assert len(row_blocks(16, len(wanted))) == 1
+        one = [_bands(s, *wanted) for s in states]
+        monkeypatch.setattr(heatchain.covariance, "MATMUL_MACS", 2 * 32 * len(wanted))
+        assert [b.stop - b.start for b in row_blocks(16, len(wanted))] == [2, 2, 2, 2, 1]
+        assert len(states) > 3
+        for state, bands in zip(states, one):
+            scale = np.max(np.abs(state.sigma))
+            for a, b, dense in zip(bands, _bands(state, *wanted), _bands(state.sigma, *wanted)):
+                assert np.max(np.abs(a - b)) <= 1e-15 * scale
+                assert np.max(np.abs(b - dense)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("start", ["thermal", "hot_sites", "dense"])
-    def test_factor_maps_the_parts_each_row_holds(self, monkeypatch, start):
-        # a thermal hot spot's rows each hold an x part or a p part; diagonal
-        # mode over a hot_sites window leaves rows that hold neither; a random
-        # factor holds both in every row.  Blocks of 3 rows split each run of
-        # rows that hold the same parts.  Every sample against the dense map
+    def test_gram_maps_the_pairs_each_start_holds(self, start):
+        # a hot spot's heating holds its x-x and p-p pairs, in thermal mode or
+        # in diagonal mode over a hot_sites window; a random factor whose rows
+        # hold both parts holds all four.  Every sample against the dense map
         # Sigma <- P Sigma P^T + Q of `dense_propagator` over each interval
         p = params(n_sites=16, gamma_fric=0.03)
         n = p.n_sites
@@ -293,22 +302,16 @@ class TestEvolve:
             window[5:11] = 1.0
             weights = gaussian_site_weights(n, n / 2.0, 2.0) if start == "thermal" else window
             state0 = hotspot_state(p, 1.0, 3.0, weights, mode="thermal" if start == "thermal" else "diagonal")
-        held = np.any(state0.factor.reshape(2 * n, 2, n) != 0.0, axis=-1)
-        kinds = {"thermal": {(True, False), (False, True)},
-                 "hot_sites": {(False, False), (True, False), (False, True)},
-                 "dense": {(True, True)}}[start]
-        assert set(map(tuple, held)) == kinds
-        monkeypatch.setattr(heatchain.dynamics, "FACTOR_BLOCK_BYTES", 3 * 2 * (n // 2 + 1) * 16)
+        pairs = {(0, 0), (0, 1), (1, 0), (1, 1)} if start == "dense" else {(0, 0), (1, 1)}
+        assert set(state0.heating.skewed) == pairs
+        assert all(k.shape == (n // 2 + 1, n) for k in state0.heating.skewed.values())
         states = evolve(state0, mats, t_final=5.0, sample_stride=7).states
         assert len(states) > 3
         sigma = state0.sigma
         for prev, f in zip(states, states[1:]):
             p_h, q_h = dense_propagator(mats, f.time - prev.time)
             sigma = p_h @ sigma @ p_h.T + q_h
-            assert f.factor.shape == (2 * n, 2 * n)
             assert np.max(np.abs(f.sigma - sigma)) <= 1e-14 * np.max(np.abs(sigma))
-            if start == "hot_sites":  # a row that holds neither part maps to zero
-                assert not f.factor[~held.any(axis=1)].any()
 
     @pytest.mark.parametrize("kind", ["uniform", "gibbs"])
     def test_empty_factor_start_runs(self, kind):
@@ -316,30 +319,34 @@ class TestEvolve:
         mats = thermal_matrices(p)
         start = uniform_state(p, 3.0) if kind == "uniform" else gibbs_covariance(p, p.bath_temp)
         traj = evolve(start, mats, t_final=2.0, sample_stride=5)
-        assert len(traj.states) > 2 and all(s.factor.shape == (0, 16) for s in traj.states)
+        assert len(traj.states) > 2 and all(s.heating is None for s in traj.states)
         energies = evolve(start, mats, t_final=2.0, sample_stride=5,
                           observer=lambda s: total_energy(s, p)).observations
         assert energies == [total_energy(s, p) for s in traj.states]
 
-    def test_evolve_holds_the_factor_buffer_and_half_the_start_spectrum(self):
-        # on the compare_n128 chain, above the start (built before tracing):
-        # the factor buffer every sample shares, the rFFT of the one part that
-        # each hot-spot row holds (half the size of F) and a buffer of one part
-        # of a block read 1.97 (2N)^2 float arrays, where a block is 0.5; the
-        # rFFT of both parts of every row and two block buffers read 3.11, and
-        # keeping each sample's rFFT, its row-major copy and a fresh factor 4.6
-        n = 128
+    def test_evolve_holds_the_gram_and_no_factor(self):
+        # the compare_n128 chain at N = 512, above the start (built before
+        # tracing), with each of its 18 samples kept and its energy read:
+        # 1.56 MB, 0.19 (2N)^2 float arrays, mostly `mode_propagator`'s levels
+        # and one block of the band read (`FourierGram.left`); every sample
+        # shares the start's Gram, and holds O(N) of its own.  The per-sample
+        # factor map that this replaces read 1.97 such arrays keeping no
+        # sample, and a kept factor adds one array per sample
+        n = 512
         p = ChainParams(n_sites=n, mass=1.0, omega0=0.05, xi=1.0, lattice_const=1.0,
                         lambda_fric=0.2, gamma_fric=0.0, bath_temp=200.0)
         mats = thermal_matrices(p)
         start = hotspot_state(p, 200.0, 280.0, gaussian_site_weights(n, n / 2.0, 20.0))
+        assert sum(k.nbytes for k in start.heating.skewed.values()) == 2 * (n // 2 + 1) * n * 16
         tracemalloc.start()
         try:
-            evolve(start, mats, t_final=4.0, sample_stride=30, observer=lambda s: total_energy(s, p))
+            traj = evolve(start, mats, t_final=4.0, sample_stride=10, observer=lambda s: (total_energy(s, p), s))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * (2 * n) ** 2 + 2 * heatchain.dynamics.FACTOR_BLOCK_BYTES
+        assert len(traj.observations) == 18
+        assert all(s.heating is start.heating for _, s in traj.observations)
+        assert peak <= 0.5 * 8 * (2 * n) ** 2
 
     def test_psd_violation_aborts_with_diagnostic(self):
         p = params()
@@ -358,7 +365,7 @@ class TestEvolve:
         with pytest.raises(ValueError, match="dt_max"):
             evolve(state, mats, 1.0, dt_max=0.0)
         with pytest.raises(ValueError, match="precedes"):
-            evolve(FactoredState(state.background, state.factor, time=2.0), mats, 1.0)
+            evolve(FactoredState(state.background, time=2.0), mats, 1.0)
         with pytest.raises(ValueError, match="sample_stride"):
             evolve(state, mats, 1.0, sample_stride=0)
 
@@ -505,18 +512,27 @@ class TestInitialStates:
             assert eig.min() >= -1e-12 * eig.max()
 
     def test_factored_states_are_gibbs_background_plus_gram(self):
+        # the heating of a thermal hot spot is S C_a S per part, C_a the
+        # circulant of the variance differences d_a and S = diag(sqrt(w)); in
+        # diagonal mode it is diag(w mean(d_a)); held as the x-x and p-p pairs
         p = params(n_sites=8)
         w = gaussian_site_weights(8, 4.0, 1.5)
         _, _, c_x, c_p = mode_thermal_variances(p, 1.0)
+        _, _, h_x, h_p = mode_thermal_variances(p, 4.0)
+        zero = np.zeros((8, 8))
         cold = circulant_blocks([[c_x, np.zeros(8)], [np.zeros(8), c_p]])
         for state in (gibbs_covariance(p, 1.0), uniform_state(p, 1.0),
                       stationary_covariance(thermal_matrices(p))):
-            assert isinstance(state, FactoredState) and state.factor.shape == (0, 16)
+            assert isinstance(state, FactoredState) and state.heating is None
         assert np.max(np.abs(uniform_state(p, 1.0).sigma - cold)) <= 1e-14 * np.max(np.abs(cold))
-        for mode in ("thermal", "diagonal"):
+        root = np.sqrt(w)
+        thermal = [root[:, None] * circulant(circulant_row_from_symbol(h - c)) * root for h, c in ((h_x, c_x), (h_p, c_p))]
+        diagonal = [np.diag(w * np.mean(h - c)) for h, c in ((h_x, c_x), (h_p, c_p))]
+        for mode, (hx, hp) in (("thermal", thermal), ("diagonal", diagonal)):
             s = hotspot_state(p, 1.0, 4.0, w, mode=mode)
-            assert np.max(np.abs(s.sigma - cold - s.factor.T @ s.factor)) <= 1e-14 * np.max(np.abs(cold))
-        assert np.count_nonzero(hotspot_state(p, 1.0, 4.0, w, mode="diagonal").factor) == 16
+            assert set(s.heating.skewed) == {(0, 0), (1, 1)}
+            heating = np.block([[hx, zero], [zero, hp]])
+            assert np.max(np.abs(s.sigma - cold - heating)) <= 1e-14 * np.max(np.abs(cold))
 
     def test_factored_background_keeps_the_symmetric_even_part(self):
         rng = np.random.default_rng(2)
@@ -524,7 +540,7 @@ class TestInitialStates:
         state = FactoredState(blocks, np.zeros((0, 12)))
         even = 0.5 * (blocks + blocks[[0, 5, 4, 3, 2, 1]])
         assert np.allclose(state.background, 0.5 * (even + even.swapaxes(1, 2)), rtol=0, atol=1e-15)
-        again = FactoredState(state.background, state.factor)
+        again = FactoredState(state.background)
         assert np.array_equal(again.background, state.background)
         dense = circulant_blocks(np.moveaxis(blocks, 0, -1))
         assert np.allclose(state.sigma, symmetrize(dense), rtol=0, atol=1e-14)

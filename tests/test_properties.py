@@ -36,8 +36,10 @@ from heatchain import (
     step_bound,
     thermal_matrices,
 )
+from heatchain.chain import circulant_blocks
 from heatchain.config import load_config
 from heatchain.covariance import PSD_TOL
+from heatchain.dynamics import _bands
 from heatchain.verify import exact_energy_rate, injection_error, undamped_matrices, van_loan_map
 from test_chain import stiffness_row
 from test_diffusion import assert_matches_oracle, quad_oracle
@@ -214,6 +216,34 @@ def test_factored_evolution_matches_dense(p):
                 rate_scale = max(np.max(np.abs(rate)), mats.omega_max * scale)
                 assert np.max(np.abs(energy_balance_rhs(f, p, mats) - rate)) <= 1e-12 * rate_scale
                 assert np.max(np.abs(f.sigma - sigma)) <= 1e-12 * np.max(np.abs(sigma))
+
+
+@SETTINGS
+@given(chains(), st.sampled_from([(0,), (1,), (0, 1)]), st.integers(1, 6), st.floats(0.01, 2.0),
+       st.integers(0, 2**32 - 1))
+def test_gram_bands_match_dense_bands(p, parts, rank, tau, seed):
+    # a Gibbs background and a random factor of `rank` rows that hold the x
+    # part, the p part or both, held as its Fourier Gram (N odd and even):
+    # every band (i, j, d), d = 0, 1, 2, of the start and of its map over
+    # tau / lambda, and `sigma`, against the dense B + F^T F mapped by
+    # `dense_propagator`, at 1e-13 of max |Sigma|
+    n = p.n_sites
+    mats = thermal_matrices(p)
+    factor = np.zeros((rank, 2, n))
+    factor[:, parts] = np.random.default_rng(seed).normal(size=(rank, len(parts), n))
+    factor = factor.reshape(rank, 2 * n)
+    start = FactoredState(gibbs_covariance(p, p.bath_temp).background, factor)
+    assert set(start.heating.skewed) == {(a, b) for a in parts for b in parts}
+    states = evolve(start, mats, t_final=tau / p.lambda_fric, sample_stride=2**30).states
+    assert len(states) == 2
+    p_h, q_h = dense_propagator(mats, states[1].time)
+    sigma = circulant_blocks(np.moveaxis(start.background, 0, -1)) + factor.T @ factor
+    wanted = [(i, j, d) for i in (0, 1) for j in (0, 1) for d in (0, 1, 2)]
+    for state, dense in zip(states, (sigma, p_h @ sigma @ p_h.T + q_h)):
+        scale = np.max(np.abs(dense))
+        for got, want in zip(_bands(state, *wanted), _bands(dense, *wanted)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert np.max(np.abs(state.sigma - dense)) <= 1e-13 * scale
 
 
 @st.composite
