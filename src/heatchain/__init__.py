@@ -16,6 +16,7 @@ from .chain import (
 )
 from .covariance import (
     FactoredState,
+    FourierGram,
     PSDViolationError,
     check_psd,
     min_eig_ratio,

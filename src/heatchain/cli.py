@@ -177,11 +177,11 @@ def cmd_coefficients(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     columns = (temps, diff.d_xx, diff.d_pp, diff.d_ex, source_density(p, diff),
                gibbs_energy_density(p, temps), heat_capacity_density(p, temps))
     path = write_csv(outdir / "coefficients.csv", ["T", "D_xx", "D_pp", "D_ex", "s", "u_eq", "C"], columns)
-    t_max, s_max = float(temps[-1]), float(columns[4][-1])
+    newton = 2.0 * p.lambda_fric * p.k_boltz * float(temps[-1])  # the high-T limit of s a, 0 at T = 0
     summary = {
         "temperatures": len(temps),
         "method": method,
-        "source_over_newton_limit_at_t_max": s_max * p.lattice_const / (2.0 * p.lambda_fric * p.k_boltz * t_max),
+        "source_over_newton_limit_at_t_max": float(columns[4][-1]) * p.lattice_const / newton if newton else None,
     }
     return RunReport("coefficients", _config_echo(cfg), summary, artifacts=[str(path)])
 
@@ -197,6 +197,8 @@ def _relax_start(cfg: ScenarioConfig, p: ChainParams):
         t_hot = run_value(cfg, "t_hot")
         t_cold = run_value(cfg, "t_cold", float, p.bath_temp)
         if "hotspot_width" in cfg.run:
+            if "hot_sites" in cfg.run:
+                raise ConfigError(["run.hot_sites, run.hotspot_width: a hot spot takes one of them, not both"])
             weights = gaussian_site_weights(p.n_sites, p.n_sites / 2.0, run_value(cfg, "hotspot_width"))
         else:
             require_run_keys(cfg, ["hot_sites"], "relax")
@@ -237,7 +239,7 @@ def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
         slope = float(np.linalg.lstsq(a, np.log(np.abs(u[mask] - u_eq)), rcond=None)[0][0])
     final_dev = last[0].max_deviation(gibbs_covariance(p, p.bath_temp))
     summary = {
-        "decay_rate_fit": -slope if np.isfinite(slope) else slope,
+        "decay_rate_fit": -slope,
         "decay_rate_expected": 2.0 * p.lambda_fric,
         "total_energy_initial": float(u[0]),
         "total_energy_equilibrium": u_eq,
@@ -375,7 +377,7 @@ def main(argv: "list[str] | None" = None) -> int:
         report = COMMANDS[args.subcommand](cfg, outdir)
     except ConfigError as exc:
         return _error_record("config", exc.problems, 2)
-    except (PSDViolationError, ValueError, RuntimeError) as exc:
+    except (PSDViolationError, ValueError, RuntimeError, ArithmeticError) as exc:
         return _error_record(type(exc).__name__, str(exc), 3)
     except MemoryError as exc:  # NumPy's allocation failures among them
         return _error_record("MemoryError", str(exc) or "out of memory", 3)

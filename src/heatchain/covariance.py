@@ -2,12 +2,17 @@
 Sigma ordered (x_1..x_N, p_1..p_N): a block-circulant background plus a mapped
 heating (`FactoredState`) for every state the dynamics builds or evolves, or a
 plain dense array, such as the moment equation's right-hand side (built, with
-the rest of the dense model, by the oracles of `heatchain.verify`)."""
+the rest of the dense model, by the oracles of `heatchain.verify`).
+
+This module alone knows how a heating's Fourier Gram is stored (`FourierGram`)
+and reads it: a factored state's dense `sigma`, its `max_deviation` and the
+site bands that the observables are built from (`FactoredState.bands`)."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -19,11 +24,11 @@ Array = NDArray[np.float64]
 
 PSD_TOL = 1e-10
 DEVIATION_OFFSETS = 128  # offsets m per block of `FactoredState.max_deviation`
-# multiply-adds per matmul of a band read.  OpenBLAS hands a larger matmul to its threads
-# (and a dot product of more than 10^4 entries), whose spinning after the call halved the
-# speed of the elementwise steps that follow on a 2-vCPU Xeon host (compare_n128: 0.31
-# against 0.60 ms per `_bands` call), so the band read and the Gram's build stay below both
-MATMUL_MACS = 2**16
+# multiply-adds per matmul of a band read (`FactoredState.bands`).  OpenBLAS hands a larger
+# matmul (or a dot product of over 10^4 entries) to its threads, whose spinning after the call
+# halved the speed of the elementwise steps that follow on a 2-vCPU Xeon host (compare_n128:
+# 0.31 against 0.60 ms per band read), so the band read and the Gram's build stay below both
+_MATMUL_MACS = 2**16
 UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the (x, p) part pairs of a 2N x 2N matrix
 
@@ -41,17 +46,17 @@ def fft_rounding(n: int) -> float:
     return 8.0 * UNIT_ROUNDOFF * math.ceil(math.log2(2 * n))
 
 
-def row_blocks(n: int, width: int = 1) -> "list[slice]":
+def _row_blocks(n: int, width: int = 1) -> "list[slice]":
     """The rows s = 0..N/2 of a `FourierGram` in near-equal blocks, each of
     whose mapped rows, 2N entries a row, times `width` columns stays within
-    MATMUL_MACS (a block's `left` map is then at most 16 MATMUL_MACS bytes)."""
+    _MATMUL_MACS (a block's `_left` map is then at most 16 _MATMUL_MACS bytes)."""
     half = n // 2 + 1
-    count = -(-half // max(1, MATMUL_MACS // (2 * n * width)))
+    count = -(-half // max(1, _MATMUL_MACS // (2 * n * width)))
     step = -(-half // count)
     return [slice(lo, min(lo + step, half)) for lo in range(0, half, step)]
 
 
-def transfer_hankel(transfer: Array) -> np.ndarray:
+def _transfer_hankel(transfer: Array) -> np.ndarray:
     """The zero-copy Hankel view [i, a, s, v] = T[(s + v) mod N, i, a] of the
     per-mode blocks T_q, shape (N, 2, 2), for rows s = 0..N/2: contiguous in v."""
     n = len(transfer)
@@ -102,7 +107,7 @@ class FourierGram:
         skewed, squares, n = {}, 0.0, 0
         for pair, layout in diagonals:
             n = len(layout)
-            squares += float(np.einsum("km,km->", layout, layout))  # no BLAS dot: see MATMUL_MACS
+            squares += float(np.einsum("km,km->", layout, layout))  # no BLAS dot: see _MATMUL_MACS
             spectrum = np.fft.rfft(layout, axis=0)
             del layout
             skewed[pair] = np.fft.fft(spectrum, axis=1, out=spectrum)  # out=: NumPy 2.0
@@ -114,6 +119,9 @@ class FourierGram:
         x (the first N columns) or p (the last N), that F holds; None for an
         all-zero or empty F.  fl(F^T F) is within gamma_r ||F||_F^2 of F^T F
         in the 2-norm, gamma_r = r u / (1 - r u)."""
+        factor = np.asarray(factor, dtype=float)
+        if factor.ndim != 2 or factor.shape[1] % 2:
+            raise ValueError(f"factor must have shape (r, 2N), got {factor.shape}")
         r, n = factor.shape[0], factor.shape[1] // 2
         held = [a for a in (0, 1) if factor[:, a * n:(a + 1) * n].any()]
         if not held:
@@ -126,11 +134,11 @@ class FourierGram:
                        for a in held for b in held)
             return cls.of_diagonals(layouts, gamma * float(np.vdot(factor, factor)))
 
-    def left(self, hankel: np.ndarray, rows: slice, i: int) -> np.ndarray:
+    def _left(self, hankel: np.ndarray, rows: slice, i: int) -> np.ndarray:
         """Y[s, b, v] = sum_a T_{s+v}[i, a] K_ab[s, v] for the rows s in
         `rows`, shape (rows, 2, N) complex: part i of H0 mapped on its left by
         P, the block circulant of the per-mode blocks T_q, read through their
-        `transfer_hankel`."""
+        `_transfer_hankel`."""
         block = hankel[i, :, rows]
         out = np.empty((block.shape[1], 2, block.shape[2]), dtype=complex)
         written = set()
@@ -145,6 +153,20 @@ class FourierGram:
         return out
 
 
+@functools.lru_cache(maxsize=8)
+def _band_plan(n: int, wanted: "tuple[tuple[int, int, int], ...]") -> tuple:
+    """The (i, j, d) of `wanted` as three index arrays, and for each part i
+    that they read: (i, the indices of its bands in `wanted`, their j, their
+    e^{-2 pi i v d / N} / N at [v, band])."""
+    i, j, d = np.array(wanted).T
+    parts = [(part, np.flatnonzero(i == part)) for part in (0, 1)]
+    plan = (i, j, d), [(part, cols, j[cols], np.exp(-2j * np.pi / n * (np.outer(np.arange(n), d[cols]) % n)) / n)
+                       for part, cols in parts if cols.size]
+    for array in (i, j, d, *(a for group in plan[1] for a in group[1:])):
+        array.flags.writeable = False  # shared by every caller of the cache
+    return plan
+
+
 @dataclass
 class FactoredState:
     """Second moments Sigma = B + P H0 P^T at a time stamp, never stored densely.
@@ -152,13 +174,12 @@ class FactoredState:
     `background` holds the Fourier blocks B_q of the block circulant B, shape
     (N, 2, 2) in `mode_grid` order: B_q[0, 0], B_q[1, 1] and B_q[0, 1] are the
     symbols of its x-x, p-p and x-p circulants.  `heating` is H0, the heating
-    of the start, as its `FourierGram` (None for none): the samples of a run
-    share their start's.  `transfer` holds the blocks T_q of the block
-    circulant P, the map since the start, shape (N, 2, 2) in `mode_grid`
-    order, real and even in q; None reads as the identity.  A start may be
-    given by a real (r, 2N) `factor` F in the coordinate order instead,
-    H0 = F^T F, converted once (`FourierGram.of_factor`).  `sigma` forms the
-    dense matrix each time it is read.
+    of the start, as its `FourierGram` (None for none), which the samples of a
+    run share; a start H0 = F^T F is `heating=FourierGram.of_factor(F)`.
+    `transfer` holds the blocks T_q of the block circulant P, the map since
+    the start, shape (N, 2, 2) in `mode_grid` order, real and even in q; None
+    reads as the identity.  `sigma` forms the dense matrix each time it is
+    read; `bands` reads the site bands without it.
 
     B is read as a real symmetric matrix, whose blocks are symmetric and even
     in q, so the constructor keeps that part of the blocks given, E + E^T over
@@ -167,22 +188,16 @@ class FactoredState:
     """
 
     background: Array
-    factor: InitVar["Array | None"] = None
+    _: KW_ONLY
     time: float = 0.0
     heating: "FourierGram | None" = None
     transfer: "Array | None" = None
 
-    def __post_init__(self, factor: "Array | None") -> None:
+    def __post_init__(self) -> None:
         b = np.asarray(self.background, dtype=float)
         n = len(b)
-        f = None if factor is None else np.asarray(factor, dtype=float)
-        if b.shape != (n, 2, 2) or (f is not None and (f.ndim != 2 or f.shape[1] != 2 * n)):
-            raise ValueError(f"background must have shape (N, 2, 2) and factor (r, 2N), "
-                             f"got {b.shape} and {np.shape(factor)}")
-        if f is not None:
-            if self.heating is not None:
-                raise ValueError("a state takes a factor or a heating, not both")
-            self.heating = FourierGram.of_factor(f)
+        if b.shape != (n, 2, 2):
+            raise ValueError(f"background must have shape (N, 2, 2), got {b.shape}")
         if self.transfer is None:
             self.transfer = np.broadcast_to(np.eye(2), (n, 2, 2))
         if self.transfer.shape != (n, 2, 2):
@@ -198,16 +213,16 @@ class FactoredState:
         """The (i, j) block of P H0 P^T, less that of `minus`, in the diagonal
         layout E[k, m] = (P H0 P^T)_ij[k, (k - m) mod N] = irfft_s(X[:, m])[k]:
         returns X, shape (N/2 + 1, N), the inverse FFT over v of
-        Z[s, v] = sum_b Y[s, b, v] T_v[j, b] (`FourierGram.left`), built
-        in `row_blocks`."""
+        Z[s, v] = sum_b Y[s, b, v] T_v[j, b] (`FourierGram._left`), built
+        in `_row_blocks`."""
         n = self.n_sites
         out = np.empty((n // 2 + 1, n), dtype=complex)
-        heated = [(state, transfer_hankel(state.transfer), sign) for state, sign in ((self, 1.0), (minus, -1.0))
+        heated = [(state, _transfer_hankel(state.transfer), sign) for state, sign in ((self, 1.0), (minus, -1.0))
                   if state is not None and state.heating is not None]
-        for rows in row_blocks(n):
+        for rows in _row_blocks(n):
             z = np.zeros((rows.stop - rows.start, n), dtype=complex)
             for state, hankel, sign in heated:
-                z += sign * np.einsum("sbv,vb->sv", state.heating.left(hankel, rows, i), state.transfer[:, j])
+                z += sign * np.einsum("sbv,vb->sv", state.heating._left(hankel, rows, i), state.transfer[:, j])
             out[rows] = np.fft.ifft(z, axis=-1)
         return out
 
@@ -241,8 +256,30 @@ class FactoredState:
             del spectrum  # before the next block's is built
         return worst
 
-
-del FactoredState.factor  # init-only, so that reading a state's factor raises: it holds none
+    def bands(self, *wanted: "tuple[int, int, int]") -> "list[Array]":
+        """<z^i_k z^j_{k+d}> over sites k, periodic in k, for each (i, j, d) in
+        `wanted` with 0 <= d < N, z^0 = x and z^1 = p, without forming `sigma`:
+        the background's row entry at offset d plus the band of P H0 P^T,
+        irfft_s(sum_v sum_b Y[i][s, b, v] T_v[j, b] e^{-2 pi i v d / N}) / N
+        with Y[i] = `FourierGram._left` of T.  Each block of rows s
+        (`_row_blocks`) and part i read is one complex matmul of Y[i] against
+        the (2N, bands) weights of its bands: O(N^2), one block up to N = 128."""
+        n = self.n_sites
+        (i, j, d), plan = _band_plan(n, wanted)
+        rows = np.fft.ifft(self.background, axis=0).real  # rows[d][i, j]: entry (k, k + d)
+        bands = np.empty((len(d), n))
+        bands[:] = rows[d, i, j][:, None]
+        if self.heating is not None:
+            t = self.transfer
+            weights = [np.multiply(t[:, js].transpose(2, 0, 1), phase, order="C").reshape(2 * n, -1)
+                       for _, _, js, phase in plan]  # [(b, v), band] for each part
+            sums = np.empty((len(d), n // 2 + 1), dtype=complex)  # [band, s]
+            hankel = _transfer_hankel(t)
+            for block in _row_blocks(n, max(len(cols) for _, cols, _, _ in plan)):
+                for (part, cols, _, _), columns in zip(plan, weights):
+                    sums[cols, block] = (self.heating._left(hankel, block, part).reshape(-1, 2 * n) @ columns).T
+            bands += np.fft.irfft(sums, n)
+        return list(bands)
 
 
 def symmetrize(sigma: Array) -> Array:

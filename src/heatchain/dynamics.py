@@ -7,28 +7,24 @@ The second moments obey the closed linear equation
 with constant coefficients, so between samples the state follows the exact
 map Sigma(t + h) = P Sigma(t) P^T + Q(h), P = e^{A h}.  The ring is
 translation invariant: P and Q are block circulant, given by the 2 x 2
-blocks P_q and Q_q of each Fourier mode (`mode_propagator`).  A
-`FactoredState` Sigma = B + P H0 P^T keeps that structure: its block-circulant
-background maps mode by mode, B_q <- P_q B_q P_q^T + Q_q, and its heating H0,
-fixed at the start, is held once as its two-sided Fourier transform (a
-`FourierGram`) that every sample shares, while a sample carries only the
-per-mode map since the start, T_q <- P_q T_q.  So a sample costs O(N) and
-holds O(N) of its own: samples are independent, and an observer may keep
-any of them.  Every state built here is one: the Gibbs, uniform and
-stationary states have no heating, and a hot spot adds its heating H0 as a
-Gram.  The stationary state solves the continuous Lyapunov equation mode by
-mode.
+blocks P_q and Q_q of each Fourier mode (`mode_propagator`).  Every state
+built here is a `FactoredState` Sigma = B + P H0 P^T: its block-circulant
+background maps mode by mode, B_q <- P_q B_q P_q^T + Q_q, its heating H0 (a
+hot spot's; the Gibbs, uniform and stationary states have none) is fixed at
+the start and shared by every sample, and a sample carries only the per-mode
+map since the start, T_q <- P_q T_q.  So a sample costs O(N) and holds O(N)
+of its own: samples are independent, and an observer may keep any of them.
+The stationary state solves the continuous Lyapunov equation mode by mode.
 
 Site energies, currents and the on-site energy balance read bands
-<z^i_k z^j_{k+d}> of Sigma (`_bands`), O(N^2) each on a heated state, from
-the Gram, which is never formed densely; they also take a dense Sigma as an
-array.  The dense A, D, moment right-hand side and Van Loan map are oracles:
-`heatchain.verify`.
+<z^i_k z^j_{k+d}> of Sigma (`_bands`): a factored state reads its own
+(`FactoredState.bands`, from its heating's Fourier Gram, whose storage only
+`heatchain.covariance` knows), a dense Sigma is read by index.  The dense A,
+D, moment right-hand side and Van Loan map are oracles: `heatchain.verify`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -37,8 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import ModelMatrices, circulant_row_from_symbol
-from .covariance import (Array, FactoredState, FourierGram, check_psd, fft_rounding, row_blocks,
-                         transfer_hankel)
+from .covariance import Array, FactoredState, FourierGram, check_psd, fft_rounding
 # gibbs_covariance is looked up here by the benchmark's tracer (benchmarks/run.py)
 from .diffusion import _diagonal_blocks, gibbs_covariance, mode_thermal_variances
 from .params import ChainParams
@@ -153,16 +148,14 @@ def evolve(
     `step_bound(matrices, dt_max)` = min(dt_max, 0.05/omega(pi), 0.05/max_q
     lambda_q).  The grid only places the samples: the initial state, every
     `sample_stride`-th grid point and the final one.  Each interval between
-    samples is one exact map, built once per distinct interval length.  The
-    state is mapped mode by mode (`mode_propagator`): B_q <- P_q B_q P_q^T +
-    Q_q and T_q <- P_q T_q, O(N) per sample with no dense matrix and no
-    transform; every sample shares the start's heating.  `state` must be a
+    samples is one exact map (`mode_propagator`), built once per distinct
+    interval length, that maps B_q and T_q mode by mode: O(N) per sample, and
+    every sample shares the start's heating.  `state` must be a
     `FactoredState` (TypeError otherwise): an arbitrary PSD Sigma is
-    `FactoredState(np.zeros((N, 2, 2)), L.T)`, with L its Cholesky factor.
-    Each sample is handed to `observer`, whose return values are collected
-    in place of the states; without an observer every sample is retained.
-    Samples are independent of each other and hold O(N) of their own, so
-    an observer may keep any of them.
+    `FactoredState(np.zeros((N, 2, 2)), heating=FourierGram.of_factor(L.T))`,
+    with L its Cholesky factor.  Each sample is handed to `observer`, whose
+    return values are collected in place of the states; without an observer
+    every sample is retained.
 
     Every sample passes `check_psd` first, which raises PSDViolationError if
     the state has a non-finite entry or drops below -covariance.PSD_TOL times
@@ -226,56 +219,15 @@ def stationary_covariance(matrices: ModelMatrices) -> FactoredState:
     return FactoredState(blocks)
 
 
-@functools.lru_cache(maxsize=8)
-def _band_plan(n: int, wanted: "tuple[tuple[int, int, int], ...]") -> tuple:
-    """The (i, j, d) of `wanted` as three index arrays, and for each part i
-    that they read: (i, the indices of its bands in `wanted`, their j, their
-    e^{-2 pi i v d / N} / N at [v, band])."""
-    i, j, d = np.array(wanted).T
-    parts = [(part, np.flatnonzero(i == part)) for part in (0, 1)]
-    plan = (i, j, d), [(part, cols, j[cols], np.exp(-2j * np.pi / n * (np.outer(np.arange(n), d[cols]) % n)) / n)
-                       for part, cols in parts if cols.size]
-    for array in (i, j, d, *(a for group in plan[1] for a in group[1:])):
-        array.flags.writeable = False  # shared by every caller of the cache
-    return plan
-
-
 def _bands(state: "Array | FactoredState", *wanted: "tuple[int, int, int]") -> "list[Array]":
-    """<z^i_k z^j_{k+d}> over sites k, periodic in k, for each (i, j, d) in
-    `wanted` with 0 <= d < N, z^0 = x and z^1 = p.
-
-    A dense covariance gives them by index.  A factored state gives them as
-    the background's row entry at offset d (one inverse FFT of its blocks)
-    plus the band of P H0 P^T, read from the heating's `FourierGram`:
-
-        irfft_s(sum_v sum_b Y[i][s, b, v] T_v[j, b] e^{-2 pi i v d / N}) / N,
-
-    Y[i] = `FourierGram.left` of T for part i.  Each block of rows s
-    (`row_blocks`) is, for each part i read, a multiply of the Hankel view of
-    T by the Gram and one complex matmul of Y[i], rows s, against the
-    (2N, bands) weights T_v[j, b] e^{-2 pi i v d / N} of its bands: O(N^2)
-    per sample, one block up to N = 128, and `sigma` is never formed.
-    """
-    if not isinstance(state, FactoredState):
-        n = len(state) // 2
-        k = np.arange(n)
-        return [state[i * n + k, j * n + (k + d) % n] for i, j, d in wanted]
-    n = state.n_sites
-    (i, j, d), plan = _band_plan(n, wanted)
-    rows = np.fft.ifft(state.background, axis=0).real  # rows[d][i, j]: entry (k, k + d)
-    bands = np.empty((len(d), n))
-    bands[:] = rows[d, i, j][:, None]
-    if state.heating is not None:
-        t = state.transfer
-        weights = [np.multiply(t[:, js].transpose(2, 0, 1), phase, order="C").reshape(2 * n, -1)
-                   for _, _, js, phase in plan]  # [(b, v), band] for each part
-        sums = np.empty((len(d), n // 2 + 1), dtype=complex)  # [band, s]
-        hankel = transfer_hankel(t)
-        for block in row_blocks(n, max(len(cols) for _, cols, _, _ in plan)):
-            for (part, cols, _, _), columns in zip(plan, weights):
-                sums[cols, block] = (state.heating.left(hankel, block, part).reshape(-1, 2 * n) @ columns).T
-        bands += np.fft.irfft(sums, n)
-    return list(bands)
+    """<z^i_k z^j_{k+d}> over sites k, periodic in k, for each (i, j, d) in `wanted`
+    with 0 <= d < N, z^0 = x and z^1 = p: by index from a dense covariance, and
+    from a factored state by `FactoredState.bands`, which never forms `sigma`."""
+    if isinstance(state, FactoredState):
+        return state.bands(*wanted)
+    n = len(state) // 2
+    k = np.arange(n)
+    return [state[i * n + k, j * n + (k + d) % n] for i, j, d in wanted]
 
 
 def _over(band: Array, s: int) -> Array:

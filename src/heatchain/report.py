@@ -70,7 +70,9 @@ class RunReport:
             self.created_utc = datetime.now(timezone.utc).isoformat()
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """The report as JSON data, each non-finite number (an undefined fit, say) as None:
+        strict JSON has no NaN or Infinity, so they are written as null."""
+        d = json.loads(json.dumps(asdict(self)), parse_constant=lambda name: None)
         if d["criteria"] is None:
             del d["criteria"]
         return d
@@ -78,10 +80,11 @@ class RunReport:
     def write(self, path: "str | Path") -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        problems = validate_report(self.to_dict())
+        data = self.to_dict()
+        problems = validate_report(data)
         if problems:
             raise ValueError("report does not match its schema: " + "; ".join(problems))
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(data, indent=2, allow_nan=False) + "\n", encoding="utf-8")
         return path
 
 
@@ -92,6 +95,10 @@ def load_schema() -> dict:
 
 def _check_node(value, schema: dict, where: str, problems: "list[str]") -> None:
     expected = schema.get("type")
+    if isinstance(expected, list):  # a union such as ["number", "null"]
+        if value is None and "null" in expected:
+            return
+        expected = next(t for t in expected if t != "null")
     if expected == "object":
         if not isinstance(value, dict):
             problems.append(f"{where}: expected object")

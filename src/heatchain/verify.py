@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import ModelMatrices, circulant_blocks
-from .covariance import PSD_TOL, FactoredState, min_eig_ratio, symmetrize
+from .covariance import PSD_TOL, FactoredState, FourierGram, min_eig_ratio, symmetrize
 from .diffusion import (
     DiffusionSet,
     gibbs_covariance,
@@ -198,7 +198,7 @@ def check_moment_fidelity(params: ChainParams, seed: int = 1234, trials: int = 1
                     float(np.max(np.abs(rhs[idx, (idx + 1) % n] - dxnext))))
         worst = max(worst, delta / float(np.max(np.abs(rhs))))
         want = p_vl @ sigma @ p_vl.T + q_vl
-        state = FactoredState(np.zeros((n, 2, 2)), raw.T / np.sqrt(2 * n))
+        state = FactoredState(np.zeros((n, 2, 2)), heating=FourierGram.of_factor(raw.T / np.sqrt(2 * n)))
         got = evolve(state, mats, t_final=h, sample_stride=stride, observer=lambda s: s.sigma).observations[-1]
         step_err = max(step_err, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
     return CheckResult.from_clauses("moment-equation-fidelity", [(worst, 1e-14), (step_err, 1e-13)],
@@ -237,7 +237,7 @@ def check_energy_balance(params: ChainParams, seed: int = 1234, trials: int = 10
     worst = 0.0
     for raw in np.random.default_rng(seed).normal(size=(trials, len(u), len(u))):
         dense = symmetrize(raw @ raw.T) / len(u) * np.outer(u, u)
-        factored = FactoredState(background, raw.T * (u / np.sqrt(len(u))))
+        factored = FactoredState(background, heating=FourierGram.of_factor(raw.T * (u / np.sqrt(len(u)))))
         for state, sigma in ((dense, dense), (factored, factored.sigma)):
             want = exact_energy_rate(sigma, small, mats)
             got = energy_balance_rhs(state, small, mats)

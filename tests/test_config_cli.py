@@ -51,6 +51,13 @@ def write_config(tmp_path, body, name="run.ini"):
     return path
 
 
+def read_report(path):
+    """A run report parsed as strict JSON: NaN and Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"{path.name}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def read_csv_columns(path):
     header, *rows = path.read_text().splitlines()
     return dict(zip(header.split(","), map(list, zip(*(map(float, r.split(",")) for r in rows)))))
@@ -176,8 +183,20 @@ class TestReport:
     def test_report_schema_roundtrip(self, tmp_path):
         rep = RunReport("dispersion", {"chain": {}}, {"value": 1.0})
         path = rep.write(tmp_path / "r.json")
-        data = json.loads(path.read_text())
+        data = read_report(path)
         assert validate_report(data) == []
+
+    def test_undefined_numbers_are_written_as_null(self, tmp_path):
+        # a NaN or infinite summary or criterion value is written as null, which
+        # the schema accepts for a criterion's value; a string there is refused
+        criteria = [{"name": "c", "passed": False, "value": np.nan, "tolerance": 1.0, "detail": ""}]
+        rep = RunReport("verify", {"chain": {}}, {"slope": np.float64(np.nan), "rate": -np.inf,
+                                                  "pair": (1.0, np.inf), "n": 3}, criteria=criteria)
+        data = read_report(rep.write(tmp_path / "r.json"))
+        assert data["summary"] == {"slope": None, "rate": None, "pair": [1.0, None], "n": 3}
+        assert data["criteria"][0]["value"] is None and validate_report(data) == []
+        data["criteria"][0]["value"] = "nan"
+        assert validate_report(data) == ["report.criteria[0].value: expected number"]
 
     def test_schema_catches_missing_fields(self):
         assert any("summary" in p for p in validate_report({"schema_version": "1"}))
@@ -199,7 +218,7 @@ class TestCli:
         q_edge = max(rows)
         assert q_edge == pytest.approx(np.pi)
         assert rows[q_edge] == pytest.approx(2.0, rel=1e-12)
-        report = json.loads((out / "dispersion_report.json").read_text())
+        report = read_report(out / "dispersion_report.json")
         assert validate_report(report) == []
 
     def test_coefficients_single_row_newton_ratio(self, tmp_path):
@@ -227,11 +246,29 @@ class TestCli:
         cfg = write_config(tmp_path, body)
         out = tmp_path / "out"
         assert main(["relax", "--config", str(cfg), "--out", str(out)]) == 0
-        rep = json.loads((out / "relax_report.json").read_text())
+        rep = read_report(out / "relax_report.json")
         assert rep["summary"]["decay_rate_fit"] == pytest.approx(0.2, rel=1e-3)
         lines = (out / "relax_sites.csv").read_text().splitlines()
         assert lines[0] == "t,k,E_k,J_k,u_k"
         assert len(lines) > 16
+
+    def test_relax_with_one_sample_has_no_decay_fit(self, tmp_path):
+        body = BASE_CONFIG + "\n[run]\nscenario = uniform\nt_hot = 4.0\nt_final = 0.0\n"
+        out = tmp_path / "out"
+        assert main(["relax", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == 0
+        summary = read_report(out / "relax_report.json")["summary"]
+        assert summary["decay_rate_fit"] is None and summary["decay_rate_expected"] == 0.2
+
+    def test_coefficients_at_zero_temperature_has_no_newton_ratio(self, tmp_path):
+        # the toy sweep cut to its one row at T = 0, where the Newton limit
+        # 2 lambda k_B T of the source is zero
+        toy = Path(__file__).resolve().parents[1] / "benchmarks" / "configs" / "toy" / "coefficients_sweep.ini"
+        body = toy.read_text().replace("t_min = 0.01\n", "t_min = 0.0\n").replace("t_steps = 5\n", "t_steps = 1\n")
+        assert "t_min = 0.0\n" in body and "t_steps = 1\n" in body
+        out = tmp_path / "out"
+        assert main(["coefficients", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == 0
+        summary = read_report(out / "coefficients_report.json")["summary"]
+        assert summary["source_over_newton_limit_at_t_max"] is None and summary["temperatures"] == 1
 
     def test_relax_hotspot_tophat(self, tmp_path):
         body = BASE_CONFIG + ("\n[run]\nscenario = hotspot\nt_hot = 4.0\nt_cold = 2.0\n"
@@ -457,7 +494,7 @@ class TestCli:
         cfg = write_config(tmp_path, body)
         out = tmp_path / "out"
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
-        rep = json.loads((out / "compare_report.json").read_text())
+        rep = read_report(out / "compare_report.json")
         assert rep["summary"]["max_dev_field"] < 0.05
         assert (out / "compare_chain.csv").exists()
         assert (out / "compare_pde.csv").exists()
@@ -489,6 +526,18 @@ class TestCli:
         assert record["error"] == "ValueError"
         assert "fit_t_min" in record["detail"] and "fit_t_max" in record["detail"]
 
+    def test_compare_with_an_empty_default_fit_window_writes_null(self, tmp_path):
+        # the toy compare_n128.ini run to t = 0.01, before its default window
+        # [0.5 / lambda, t_final] = [2.5, 0.01] holds a sample: no fitted slope
+        toy = Path(__file__).resolve().parents[1] / "benchmarks" / "configs" / "toy" / "compare_n128.ini"
+        body = toy.read_text().replace("t_final = 4.0\n", "t_final = 0.01\n")
+        assert "t_final = 0.01\n" in body
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == 0
+        summary = read_report(out / "compare_report.json")["summary"]
+        assert summary["fourier_fit_slope"] is None and summary["slope_over_predicted"] is None
+        assert summary["max_dev_field"] >= 0.0
+
     def test_bad_config_machine_readable_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[chain]\nn_sites = 2\n")
         code = main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -518,6 +567,8 @@ class TestCli:
          "run.scale: expected 'linear' or 'log', got 'bogus'"),
         ("conductivity", "t_min = 0.5\nt_max = 8.0\nt_steps = 1\nscale = bogus\n",
          "run.scale: expected 'linear' or 'log', got 'bogus'"),
+        ("relax", "scenario = hotspot\nt_hot = 4.0\nhotspot_width = 2.0\nhot_sites = 4\nt_final = 1.0\n",
+         "run.hot_sites, run.hotspot_width: a hot spot takes one of them, not both"),
     ])
     def test_malformed_run_value_is_config_error(self, tmp_path, capsys, command, run, problem):
         cfg = write_config(tmp_path, BASE_CONFIG + "\n[run]\n" + run)
@@ -580,7 +631,7 @@ class TestCli:
     def test_verify_runs_clean(self, tmp_path):
         out = tmp_path / "out"
         assert main(["verify", "--out", str(out)]) == 0
-        rep = json.loads((out / "verify_report.json").read_text())
+        rep = read_report(out / "verify_report.json")
         assert validate_report(rep) == []
         # adding or dropping a check is a deliberate change to this list
         assert [c["name"] for c in rep["criteria"]] == [

@@ -5,6 +5,10 @@ keeps its verdict.
 matrices here have a prescribed spectrum in a random orthogonal basis, with
 max |eig| = 1 and min eig = ratio.  A `FactoredState` B + F^T F is certified
 by the blocks of B without eigenvalues, or falls back to the dense rule.
+
+Also how a factored state holds its heating's Fourier Gram, which only
+`heatchain.covariance` reads: the part pairs and rows it stores, the row
+blocks of its band read, and its one way to take a heating.
 """
 
 import numpy as np
@@ -12,18 +16,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heatchain.covariance
 from heatchain import (
     ChainParams,
     FactoredState,
     PSDViolationError,
     check_psd,
+    evolve,
     gaussian_site_weights,
     gibbs_covariance,
     hotspot_state,
     min_eig_ratio,
+    thermal_matrices,
 )
 from heatchain.chain import circulant_blocks
-from heatchain.covariance import PSD_TOL, FourierGram
+from heatchain.covariance import PSD_TOL, FourierGram, _row_blocks
+from heatchain.dynamics import _bands
+from test_dynamics import params
 
 SIZES = [8, 64, 256]
 
@@ -99,7 +108,7 @@ def factored(x0: float, rows: "list[float]") -> FactoredState:
     blocks = np.tile(np.eye(2), (8, 1, 1))
     blocks[0, 0, 0] = x0
     u = np.concatenate([np.ones(8), np.zeros(8)]) / np.sqrt(8.0)
-    return FactoredState(blocks, np.array([c * u for c in rows]).reshape(-1, 16))
+    return FactoredState(blocks, heating=FourierGram.of_factor(np.array([c * u for c in rows]).reshape(-1, 16)))
 
 
 def test_factored_state_certified_by_its_blocks(monkeypatch):
@@ -140,7 +149,7 @@ def test_factored_non_finite_entry_raises(value, part):
     if part == "factor":
         factor = np.concatenate([np.ones(8), np.zeros(8)])[None] / np.sqrt(8.0)
         factor[0, 0] = value
-        state = FactoredState(state.background, factor)
+        state = FactoredState(state.background, heating=FourierGram.of_factor(factor))
         assert not np.isfinite(state.heating.bound)
     elif part == "background":
         state.background[0, 0, 0] = value
@@ -203,7 +212,7 @@ def test_sigma_and_max_deviation_of_mapped_states_equal_the_dense_formula():
     gibbs = gibbs_covariance(p, p.bath_temp)
     factor = rng.standard_normal((7, 32))
     starts = (hotspot_state(p, 2.0, 7.0, gaussian_site_weights(16, 8.0, 2.0)),
-              FactoredState(rng.standard_normal((16, 2, 2)), factor))
+              FactoredState(rng.standard_normal((16, 2, 2)), heating=FourierGram.of_factor(factor)))
     heatings = (starts[0].sigma - gibbs.sigma, factor.T @ factor)
     states, dense = [], []
     for start, heating in zip(starts, heatings):
@@ -232,8 +241,64 @@ def test_max_deviation_equals_the_dense_formula(rank):
     gibbs = gibbs_covariance(p, p.bath_temp)
     hot = hotspot_state(p, 2.0, 7.0, gaussian_site_weights(16, 8.0, 2.0))
     rng = np.random.default_rng(rank)
-    other = FactoredState(rng.standard_normal((16, 2, 2)), rng.standard_normal((rank, 32)))
-    state = FactoredState(rng.standard_normal((16, 2, 2)), rng.standard_normal((32 - rank, 32)))
+    other = FactoredState(rng.standard_normal((16, 2, 2)),
+                          heating=FourierGram.of_factor(rng.standard_normal((rank, 32))))
+    state = FactoredState(rng.standard_normal((16, 2, 2)),
+                          heating=FourierGram.of_factor(rng.standard_normal((32 - rank, 32))))
     for a, b in ((hot, gibbs), (state, other), (other, gibbs)):
         want = np.max(np.abs(a.sigma - b.sigma))
         assert a.max_deviation(b) == pytest.approx(want, rel=0.0, abs=1e-14 * np.max(np.abs(a.sigma)))
+
+
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("start", ["thermal", "hot_sites", "x", "p", "both"])
+def test_gram_holds_the_pairs_its_start_holds(n, start):
+    # a hot spot's heating holds its x-x and p-p pairs, in thermal mode or in
+    # diagonal mode over a hot_sites window; a factor holds the pairs of the
+    # parts its rows hold.  Each pair is rows s = 0..N/2 of N complex columns
+    p = params(n_sites=n, gamma_fric=0.03)
+    if start in ("thermal", "hot_sites"):
+        window = np.zeros(n)
+        window[5:11] = 1.0
+        weights = gaussian_site_weights(n, n / 2.0, 2.0) if start == "thermal" else window
+        state = hotspot_state(p, 1.0, 3.0, weights, mode="thermal" if start == "thermal" else "diagonal")
+        pairs = {(0, 0), (1, 1)}
+    else:
+        parts = {"x": (0,), "p": (1,), "both": (0, 1)}[start]
+        factor = np.zeros((3, 2, n))
+        factor[:, parts] = np.random.default_rng(n).normal(size=(3, len(parts), n))
+        state = FactoredState(gibbs_covariance(p, p.bath_temp).background,
+                              heating=FourierGram.of_factor(factor.reshape(3, 2 * n)))
+        pairs = {(a, b) for a in parts for b in parts}
+    assert set(state.heating.skewed) == pairs
+    assert all(k.shape == (n // 2 + 1, n) and k.dtype == complex for k in state.heating.skewed.values())
+
+
+def test_band_blocks_match_one_block(monkeypatch):
+    # N = 16 has 9 rows s of the Gram, read in one block by default, then
+    # in blocks of 2 rows (the last of 1), against every sample's dense sigma
+    p = params(n_sites=16, gamma_fric=0.03)
+    start = hotspot_state(p, 1.0, 3.0, gaussian_site_weights(16, 8.0, 2.0))
+    states = evolve(start, thermal_matrices(p), t_final=5.0, sample_stride=7).states
+    wanted = [(i, j, d) for i in (0, 1) for j in (0, 1) for d in (0, 1, 2)]
+    assert len(_row_blocks(16, len(wanted))) == 1
+    one = [s.bands(*wanted) for s in states]
+    monkeypatch.setattr(heatchain.covariance, "_MATMUL_MACS", 2 * 32 * len(wanted))
+    assert [b.stop - b.start for b in _row_blocks(16, len(wanted))] == [2, 2, 2, 2, 1]
+    assert len(states) > 3
+    for state, bands in zip(states, one):
+        scale = np.max(np.abs(state.sigma))
+        for a, b, dense in zip(bands, state.bands(*wanted), _bands(state.sigma, *wanted)):
+            assert np.max(np.abs(a - b)) <= 1e-15 * scale
+            assert np.max(np.abs(b - dense)) <= 1e-13 * scale
+
+
+def test_a_state_takes_its_heating_one_way():
+    # the heating is a keyword: a positional factor is refused, not read as the
+    # time stamp; a factor must have 2N columns
+    blocks = np.tile(np.eye(2), (6, 1, 1))
+    with pytest.raises(TypeError):
+        FactoredState(blocks, np.ones((3, 12)))
+    with pytest.raises(ValueError, match=r"factor must have shape \(r, 2N\)"):
+        FourierGram.of_factor(np.ones((3, 11)))
+    assert FourierGram.of_factor(np.zeros((0, 12))) is None

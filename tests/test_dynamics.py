@@ -9,6 +9,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 from heatchain import (
     ChainParams,
     FactoredState,
+    FourierGram,
     PSDViolationError,
     build_matrices,
     energy_balance_rhs,
@@ -29,11 +30,8 @@ from heatchain import (
 )
 import heatchain
 import heatchain.chain
-import heatchain.covariance
 import heatchain.dynamics
 from heatchain.chain import ModelMatrices, circulant, circulant_blocks, circulant_row_from_symbol
-from heatchain.covariance import row_blocks
-from heatchain.dynamics import _bands
 from heatchain.diffusion import mode_thermal_variances
 from heatchain.verify import (
     check_moment_fidelity,
@@ -266,45 +264,25 @@ class TestEvolve:
             assert np.array_equal(state.background, sample.background)
             assert np.array_equal(state.transfer, sample.transfer)
 
-    def test_band_blocks_match_one_block(self, monkeypatch):
-        # N = 16 has 9 rows s of the Gram, read in one block by default, then
-        # in blocks of 2 rows (the last of 1), against every sample's dense sigma
-        p = params(n_sites=16, gamma_fric=0.03)
-        mats = thermal_matrices(p)
-        start = hotspot_state(p, 1.0, 3.0, gaussian_site_weights(16, 8.0, 2.0))
-        states = evolve(start, mats, t_final=5.0, sample_stride=7).states
-        wanted = [(i, j, d) for i in (0, 1) for j in (0, 1) for d in (0, 1, 2)]
-        assert len(row_blocks(16, len(wanted))) == 1
-        one = [_bands(s, *wanted) for s in states]
-        monkeypatch.setattr(heatchain.covariance, "MATMUL_MACS", 2 * 32 * len(wanted))
-        assert [b.stop - b.start for b in row_blocks(16, len(wanted))] == [2, 2, 2, 2, 1]
-        assert len(states) > 3
-        for state, bands in zip(states, one):
-            scale = np.max(np.abs(state.sigma))
-            for a, b, dense in zip(bands, _bands(state, *wanted), _bands(state.sigma, *wanted)):
-                assert np.max(np.abs(a - b)) <= 1e-15 * scale
-                assert np.max(np.abs(b - dense)) <= 1e-13 * scale
-
     @pytest.mark.parametrize("start", ["thermal", "hot_sites", "dense"])
     def test_gram_maps_the_pairs_each_start_holds(self, start):
         # a hot spot's heating holds its x-x and p-p pairs, in thermal mode or
         # in diagonal mode over a hot_sites window; a random factor whose rows
-        # hold both parts holds all four.  Every sample against the dense map
-        # Sigma <- P Sigma P^T + Q of `dense_propagator` over each interval
+        # hold both parts holds all four (`test_covariance`).  Every sample
+        # against the dense map Sigma <- P Sigma P^T + Q of `dense_propagator`
+        # over each interval
         p = params(n_sites=16, gamma_fric=0.03)
         n = p.n_sites
         mats = thermal_matrices(p)
         if start == "dense":
+            factor = np.random.default_rng(5).normal(size=(2 * n, 2 * n))
             state0 = FactoredState(gibbs_covariance(p, p.bath_temp).background,
-                                   np.random.default_rng(5).normal(size=(2 * n, 2 * n)))
+                                   heating=FourierGram.of_factor(factor))
         else:
             window = np.zeros(n)
             window[5:11] = 1.0
             weights = gaussian_site_weights(n, n / 2.0, 2.0) if start == "thermal" else window
             state0 = hotspot_state(p, 1.0, 3.0, weights, mode="thermal" if start == "thermal" else "diagonal")
-        pairs = {(0, 0), (0, 1), (1, 0), (1, 1)} if start == "dense" else {(0, 0), (1, 1)}
-        assert set(state0.heating.skewed) == pairs
-        assert all(k.shape == (n // 2 + 1, n) for k in state0.heating.skewed.values())
         states = evolve(state0, mats, t_final=5.0, sample_stride=7).states
         assert len(states) > 3
         sigma = state0.sigma
@@ -328,7 +306,7 @@ class TestEvolve:
         # the compare_n128 chain at N = 512, above the start (built before
         # tracing), with each of its 18 samples kept and its energy read:
         # 1.56 MB, 0.19 (2N)^2 float arrays, mostly `mode_propagator`'s levels
-        # and one block of the band read (`FourierGram.left`); every sample
+        # and one block of the band read (`FactoredState.bands`); every sample
         # shares the start's Gram, and holds O(N) of its own.  The per-sample
         # factor map that this replaces read 1.97 such arrays keeping no
         # sample, and a kept factor adds one array per sample
@@ -337,7 +315,6 @@ class TestEvolve:
                         lambda_fric=0.2, gamma_fric=0.0, bath_temp=200.0)
         mats = thermal_matrices(p)
         start = hotspot_state(p, 200.0, 280.0, gaussian_site_weights(n, n / 2.0, 20.0))
-        assert sum(k.nbytes for k in start.heating.skewed.values()) == 2 * (n // 2 + 1) * n * 16
         tracemalloc.start()
         try:
             traj = evolve(start, mats, t_final=4.0, sample_stride=10, observer=lambda s: (total_energy(s, p), s))
@@ -354,7 +331,7 @@ class TestEvolve:
         blocks = np.tile(np.eye(2), (p.n_sites, 1, 1))
         blocks[0, 0, 0] = -1.0
         with pytest.raises(PSDViolationError, match="t = "):
-            evolve(FactoredState(blocks, np.zeros((0, 2 * p.n_sites))), mats, t_final=1.0)
+            evolve(FactoredState(blocks), mats, t_final=1.0)
         with pytest.raises(TypeError, match="FactoredState"):
             evolve(np.eye(2 * p.n_sites), mats, t_final=1.0)
 
@@ -472,7 +449,8 @@ class TestEnergyBalance:
         p = params(n_sites=n, gamma_fric=0.03)
         mats = thermal_matrices(p)
         rng = np.random.default_rng(n)
-        state = FactoredState(rng.normal(size=(n, 2, 2)), rng.normal(size=(2 * n, 2 * n)))
+        background, factor = rng.normal(size=(n, 2, 2)), rng.normal(size=(2 * n, 2 * n))
+        state = FactoredState(background, heating=FourierGram.of_factor(factor))
         sigma = state.sigma
         want, want_rate = site_observables(sigma, p), energy_balance_rhs(sigma, p, mats)
 
@@ -514,7 +492,7 @@ class TestInitialStates:
     def test_factored_states_are_gibbs_background_plus_gram(self):
         # the heating of a thermal hot spot is S C_a S per part, C_a the
         # circulant of the variance differences d_a and S = diag(sqrt(w)); in
-        # diagonal mode it is diag(w mean(d_a)); held as the x-x and p-p pairs
+        # diagonal mode it is diag(w mean(d_a))
         p = params(n_sites=8)
         w = gaussian_site_weights(8, 4.0, 1.5)
         _, _, c_x, c_p = mode_thermal_variances(p, 1.0)
@@ -530,14 +508,13 @@ class TestInitialStates:
         diagonal = [np.diag(w * np.mean(h - c)) for h, c in ((h_x, c_x), (h_p, c_p))]
         for mode, (hx, hp) in (("thermal", thermal), ("diagonal", diagonal)):
             s = hotspot_state(p, 1.0, 4.0, w, mode=mode)
-            assert set(s.heating.skewed) == {(0, 0), (1, 1)}
             heating = np.block([[hx, zero], [zero, hp]])
             assert np.max(np.abs(s.sigma - cold - heating)) <= 1e-14 * np.max(np.abs(cold))
 
     def test_factored_background_keeps_the_symmetric_even_part(self):
         rng = np.random.default_rng(2)
         blocks = rng.normal(size=(6, 2, 2))
-        state = FactoredState(blocks, np.zeros((0, 12)))
+        state = FactoredState(blocks)
         even = 0.5 * (blocks + blocks[[0, 5, 4, 3, 2, 1]])
         assert np.allclose(state.background, 0.5 * (even + even.swapaxes(1, 2)), rtol=0, atol=1e-15)
         again = FactoredState(state.background)
@@ -545,7 +522,7 @@ class TestInitialStates:
         dense = circulant_blocks(np.moveaxis(blocks, 0, -1))
         assert np.allclose(state.sigma, symmetrize(dense), rtol=0, atol=1e-14)
         with pytest.raises(ValueError, match="shape"):
-            FactoredState(blocks, np.zeros((3, 11)))
+            FactoredState(blocks[:, :1])
 
     def test_uniform_thermal_window_is_exact_hot_gibbs(self):
         p = params(n_sites=8)

@@ -20,6 +20,7 @@ from heatchain import (
     ChainParams,
     DiffusionSet,
     FactoredState,
+    FourierGram,
     build_matrices,
     dispersion,
     energy_balance_rhs,
@@ -164,7 +165,7 @@ def test_evolution_stays_psd(p):
     t_final = 1.0 / p.lambda_fric
     states = (hotspot_state(p, p.bath_temp, 2.0 * p.bath_temp + 1.0,
                             gaussian_site_weights(n, n / 2, n / 6)),
-              FactoredState(np.zeros((n, 2, 2)), np.zeros((0, 2 * n))))
+              FactoredState(np.zeros((n, 2, 2))))
 
     def assert_psd_along(mats):
         stride = max(1, int(t_final / step_bound(mats, t_final)) // 20)
@@ -224,7 +225,8 @@ def test_factored_evolution_matches_dense(p):
 def test_gram_bands_match_dense_bands(p, parts, rank, tau, seed):
     # a Gibbs background and a random factor of `rank` rows that hold the x
     # part, the p part or both, held as its Fourier Gram (N odd and even):
-    # every band (i, j, d), d = 0, 1, 2, of the start and of its map over
+    # every band (i, j, d), d over the whole ring 0..N - 1, so that every
+    # phase e^{-2 pi i v d / N} is read, of the start and of its map over
     # tau / lambda, and `sigma`, against the dense B + F^T F mapped by
     # `dense_propagator`, at 1e-13 of max |Sigma|
     n = p.n_sites
@@ -232,13 +234,12 @@ def test_gram_bands_match_dense_bands(p, parts, rank, tau, seed):
     factor = np.zeros((rank, 2, n))
     factor[:, parts] = np.random.default_rng(seed).normal(size=(rank, len(parts), n))
     factor = factor.reshape(rank, 2 * n)
-    start = FactoredState(gibbs_covariance(p, p.bath_temp).background, factor)
-    assert set(start.heating.skewed) == {(a, b) for a in parts for b in parts}
+    start = FactoredState(gibbs_covariance(p, p.bath_temp).background, heating=FourierGram.of_factor(factor))
     states = evolve(start, mats, t_final=tau / p.lambda_fric, sample_stride=2**30).states
     assert len(states) == 2
     p_h, q_h = dense_propagator(mats, states[1].time)
     sigma = circulant_blocks(np.moveaxis(start.background, 0, -1)) + factor.T @ factor
-    wanted = [(i, j, d) for i in (0, 1) for j in (0, 1) for d in (0, 1, 2)]
+    wanted = [(i, j, d) for i in (0, 1) for j in (0, 1) for d in range(n)]
     for state, dense in zip(states, (sigma, p_h @ sigma @ p_h.T + q_h)):
         scale = np.max(np.abs(dense))
         for got, want in zip(_bands(state, *wanted), _bands(dense, *wanted)):
