@@ -28,7 +28,7 @@ from .continuum import (
     diffusion_constant,
     klemens_conductivity,
 )
-from .covariance import PSDViolationError
+from .covariance import FourierGram, PSDViolationError
 from .diffusion import (
     gibbs_covariance,
     gibbs_energy_density,
@@ -56,12 +56,7 @@ OUT_ENV = "HEATCHAIN_OUT"
 # its observers read each sample's eigenvalues densely (tracemalloc read 6.19
 # and 6.09 such arrays at N = 256 and 512 on the compare_n128 chain).
 DENSE_MATRICES = {"verify": 6}
-# compare and relax from a hot spot: its heating's Fourier Gram, 2 part pairs (x-x
-# and p-p) of (N/2 + 1) x N complex, and one N x N float array, the diagonal layout
-# of a pair while the Gram is built, or the block of a deviation relax reads at the
-# end (tracemalloc read 3.08 N^2 floats for compare and 3.64 for relax at N = 1024,
-# the Gram alone 2.02); a uniform relax holds no heating
-GRAM_PAIRS = 2
+# compare and relax from a hot spot: `FourierGram.window_bytes`; a uniform relax holds no heating
 # relax and compare, also: floats per site and sample alive together, the
 # observations that evolve collects and the arrays stacked from them (tracemalloc
 # read 8.3 and 5.8 for relax at N = 16 and 64 on the relax_hotspot_n64 chain, and
@@ -81,8 +76,7 @@ def _relax_grid(cfg: ScenarioConfig) -> "tuple[float, float | None, int]":
 
 
 def _sample_count(command: str, cfg: ScenarioConfig) -> int:
-    """The samples that `evolve` takes in a relax or compare run of `cfg`, on
-    the grid it sets (`dynamics.sample_grid`)."""
+    """The samples that `evolve` takes in a relax or compare run of `cfg` (`dynamics.sample_grid`)."""
     zero = np.zeros(cfg.chain.n_sites)
     matrices = ModelMatrices.of_chain(cfg.chain, zero, zero)  # the grid reads stiffness and friction alone
     if command == "relax":
@@ -90,8 +84,7 @@ def _sample_count(command: str, cfg: ScenarioConfig) -> int:
     else:
         scenario = _compare_scenario(cfg)
         t_final, dt_max, stride = scenario.t_final, scenario.dt_max, scenario.sample_stride(matrices)
-    n_steps = sample_grid(matrices, t_final, dt_max, stride)[0]
-    return 1 + -(-n_steps // stride)
+    return len(sample_grid(matrices, t_final, dt_max, stride)[0]) + 1
 
 
 def _require_fits(command: str, cfg: ScenarioConfig) -> None:
@@ -99,12 +92,9 @@ def _require_fits(command: str, cfg: ScenarioConfig) -> None:
     `command` holds at once exceed physical memory, for the ring's size
     (`chain.n_sites`), for the samples of a run (`run.t_final`) or for a
     sweep's length (`run.t_steps`)."""
-    p = cfg.chain
-    n = p.n_sites
+    n = cfg.chain.n_sites
     dense = {c: (k * 8 * (2 * n) ** 2, f"{k} dense 2N x 2N matrices") for c, k in DENSE_MATRICES.items()}
-    heated = (GRAM_PAIRS * 16 * (n // 2 + 1) * n + 8 * n**2,
-              f"the heating's Fourier Gram, {GRAM_PAIRS} part pairs of (N/2 + 1) x N complex, "
-              f"and an N x N float array")
+    heated = FourierGram.window_bytes(n)
     # the others: their CSV text is written in chunks (`report.CHUNK_LINES`)
     modes = (8 * 2 * n, "the mode grid and its frequencies, 2 length-N arrays")
     uniform = command == "relax" and str(cfg.run.get("scenario")) != "hotspot"
@@ -114,19 +104,26 @@ def _require_fits(command: str, cfg: ScenarioConfig) -> None:
     above = f"above the {total / 2**30:.3g} GiB of physical memory"
     problems = []
     if need > total:
-        problems.append(f"chain.n_sites: {p.n_sites} sites need at least {need / 2**30:.3g} GiB "
+        problems.append(f"chain.n_sites: {n} sites need at least {need / 2**30:.3g} GiB "
                         f"for {what}, {above}")
     elif command in SAMPLE_FLOATS:  # counted once the ring fits, as the count builds its symbols
         samples, floats = _sample_count(command, cfg), SAMPLE_FLOATS[command]
-        if 8 * floats * p.n_sites * samples > total:
-            problems.append(f"run.t_final: {samples} samples need at least "
-                            f"{8 * floats * p.n_sites * samples / 2**30:.3g} GiB for {floats} N floats "
-                            f"each, {above}")
+        if 8 * floats * n * samples > total:
+            problems.append(f"run.t_final: {samples} samples need at least {8 * floats * n * samples / 2**30:.3g} "
+                            f"GiB for {floats} N floats each, {above}")
     if 8 * columns * steps > total:
         problems.append(f"run.t_steps: {steps} temperatures need at least "
                         f"{8 * columns * steps / 2**30:.3g} GiB for {columns} columns of the sweep, {above}")
     if problems:
         raise ConfigError(problems)
+
+
+def _run_choice(cfg: ScenarioConfig, key: str, choices: "tuple[str, str]", default: "str | None" = None) -> str:
+    """`cfg.run[key]` (`default` if absent) as a string; ConfigError naming the key unless in `choices`."""
+    value = str(cfg.run.get(key, default))
+    if value not in choices:
+        raise ConfigError([f"run.{key}: expected {choices[0]!r} or {choices[1]!r}, got {value!r}"])
+    return value
 
 
 def _config_echo(cfg: ScenarioConfig) -> dict:
@@ -138,11 +135,9 @@ def _temperature_sweep(cfg: ScenarioConfig, subcommand: str) -> np.ndarray:
     t_min = run_value(cfg, "t_min")
     t_max = run_value(cfg, "t_max")
     steps = run_value(cfg, "t_steps", int)
-    scale = str(cfg.run.get("scale", "linear"))
     if steps < 1:
         raise ConfigError(["run.t_steps: must be >= 1"])
-    if scale not in ("linear", "log"):
-        raise ConfigError([f"run.scale: expected 'linear' or 'log', got {scale!r}"])
+    scale = _run_choice(cfg, "scale", ("linear", "log"), "linear")
     bounds = {"t_min": t_min} if steps == 1 else {"t_min": t_min, "t_max": t_max}
     log = steps > 1 and scale == "log"
     bad = [f"run.{key}: must be {'> 0 for log scale' if log else '>= 0'}, got {value}"
@@ -170,9 +165,7 @@ def cmd_dispersion(cfg: ScenarioConfig, outdir: Path) -> RunReport:
 def cmd_coefficients(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     p = cfg.chain
     temps = _temperature_sweep(cfg, "coefficients")
-    method = str(cfg.run.get("method", "quad"))
-    if method not in ("quad", "mode_sum"):
-        raise ConfigError([f"run.method: expected 'quad' or 'mode_sum', got {method!r}"])
+    method = _run_choice(cfg, "method", ("quad", "mode_sum"), "quad")
     diff = quad_diffusion(p, temps) if method == "quad" else mode_sum_diffusion(p, temps)
     columns = (temps, diff.d_xx, diff.d_pp, diff.d_ex, source_density(p, diff),
                gibbs_energy_density(p, temps), heat_capacity_density(p, temps))
@@ -188,29 +181,26 @@ def cmd_coefficients(cfg: ScenarioConfig, outdir: Path) -> RunReport:
 
 def _relax_start(cfg: ScenarioConfig, p: ChainParams):
     """The initial state of a relax run, as its config's scenario describes it."""
-    scenario = str(cfg.run["scenario"])
+    scenario = _run_choice(cfg, "scenario", ("uniform", "hotspot"))
+    require_run_keys(cfg, ["t_hot"], "relax")
+    t_hot = run_value(cfg, "t_hot")
     if scenario == "uniform":
-        require_run_keys(cfg, ["t_hot"], "relax")
-        return uniform_state(p, run_value(cfg, "t_hot"))
-    if scenario == "hotspot":
-        require_run_keys(cfg, ["t_hot"], "relax")
-        t_hot = run_value(cfg, "t_hot")
-        t_cold = run_value(cfg, "t_cold", float, p.bath_temp)
-        if "hotspot_width" in cfg.run:
-            if "hot_sites" in cfg.run:
-                raise ConfigError(["run.hot_sites, run.hotspot_width: a hot spot takes one of them, not both"])
-            weights = gaussian_site_weights(p.n_sites, p.n_sites / 2.0, run_value(cfg, "hotspot_width"))
-        else:
-            require_run_keys(cfg, ["hot_sites"], "relax")
-            count = run_value(cfg, "hot_sites", int)
-            if not 0 < count <= p.n_sites:
-                raise ConfigError(["run.hot_sites: must be in (0, n_sites]"])
-            weights = np.zeros(p.n_sites)
-            start = (p.n_sites - count) // 2
-            weights[start : start + count] = 1.0
-        mode = str(cfg.run.get("hotspot_mode", "thermal"))
-        return hotspot_state(p, t_cold, t_hot, weights, mode=mode)
-    raise ConfigError([f"run.scenario: expected 'uniform' or 'hotspot', got {scenario!r}"])
+        return uniform_state(p, t_hot)
+    t_cold = run_value(cfg, "t_cold", float, p.bath_temp)
+    if "hotspot_width" in cfg.run:
+        if "hot_sites" in cfg.run:
+            raise ConfigError(["run.hot_sites, run.hotspot_width: a hot spot takes one of them, not both"])
+        weights = gaussian_site_weights(p.n_sites, p.n_sites / 2.0, run_value(cfg, "hotspot_width"))
+    else:
+        require_run_keys(cfg, ["hot_sites"], "relax")
+        count = run_value(cfg, "hot_sites", int)
+        if not 0 < count <= p.n_sites:
+            raise ConfigError(["run.hot_sites: must be in (0, n_sites]"])
+        weights = np.zeros(p.n_sites)
+        start = (p.n_sites - count) // 2
+        weights[start : start + count] = 1.0
+    mode = _run_choice(cfg, "hotspot_mode", ("thermal", "diagonal"), "thermal")
+    return hotspot_state(p, t_cold, t_hot, weights, mode=mode)
 
 
 def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
@@ -255,7 +245,7 @@ def _compare_scenario(cfg: ScenarioConfig) -> CompareScenario:
         t_cold=run_value(cfg, "t_cold"),
         width_sites=run_value(cfg, "hotspot_width"),
         t_final=run_value(cfg, "t_final"),
-        hotspot_mode=str(cfg.run.get("hotspot_mode", "thermal")),
+        hotspot_mode=_run_choice(cfg, "hotspot_mode", ("thermal", "diagonal"), "thermal"),
         dt_max=run_value(cfg, "dt_max"),
         sample_interval=run_value(cfg, "sample_interval"),
         fit_t_min=run_value(cfg, "fit_t_min"),
@@ -293,7 +283,7 @@ def cmd_compare(cfg: ScenarioConfig, outdir: Path) -> RunReport:
 def cmd_conductivity(cfg: ScenarioConfig, outdir: Path) -> RunReport:
     p = cfg.chain
     temps = _temperature_sweep(cfg, "conductivity")
-    velocity = str(cfg.run.get("velocity", "sound"))
+    velocity = _run_choice(cfg, "velocity", ("sound", "dispersion"), "sound")
     c = heat_capacity_density(p, temps)
     diff = diffusion_constant(p)
     columns = (temps, c, diff * c, klemens_conductivity(p, temps, velocity=velocity), np.full_like(temps, diff))
@@ -364,25 +354,22 @@ def main(argv: "list[str] | None" = None) -> int:
     except ConfigError as exc:
         return _error_record("config", exc.problems, 2)
 
-    outdir = Path(
-        args.out
-        or os.environ.get(OUT_ENV)
-        or (cfg.output_dir if cfg is not None else "out")
-    )
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(args.out or os.environ.get(OUT_ENV) or (cfg.output_dir if cfg is not None else "out"))
 
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         if cfg is not None:
             _require_fits(args.subcommand, cfg)
         report = COMMANDS[args.subcommand](cfg, outdir)
+        report_path = report.write(outdir / f"{args.subcommand}_report.json")
     except ConfigError as exc:
         return _error_record("config", exc.problems, 2)
-    except (PSDViolationError, ValueError, RuntimeError, ArithmeticError) as exc:
+    # OSError: an output directory or artifact that cannot be written
+    except (PSDViolationError, ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         return _error_record(type(exc).__name__, str(exc), 3)
     except MemoryError as exc:  # NumPy's allocation failures among them
         return _error_record("MemoryError", str(exc) or "out of memory", 3)
 
-    report_path = report.write(outdir / f"{args.subcommand}_report.json")
     print(f"wrote {report_path}")
     for artifact in report.artifacts:
         print(f"wrote {artifact}")

@@ -4,8 +4,8 @@ heating (`FactoredState`) for every state the dynamics builds or evolves, or a
 plain dense array, such as the moment equation's right-hand side (built, with
 the rest of the dense model, by the oracles of `heatchain.verify`).
 
-This module alone knows how a heating's Fourier Gram is stored (`FourierGram`)
-and reads it: a factored state's dense `sigma`, its `max_deviation` and the
+This module alone knows how a heating's Fourier Gram is built (`FourierGram`),
+stored and read: a factored state's dense `sigma`, its `max_deviation` and the
 site bands that the observables are built from (`FactoredState.bands`)."""
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from numpy.typing import NDArray
 
 from .chain import circulant_blocks
@@ -78,7 +78,7 @@ class FourierGram:
     columns v; the other pairs are zero.  H0 is real, so row N - s is row s
     conjugated with v reversed.  With the diagonal layout
     E_ab[k, m] = H0_ab[k, (k - m) mod N], K_ab is the rFFT of E_ab over k and
-    then its FFT over m (`of_diagonals`).
+    then its FFT over m (`of_window`, `of_factor`).
 
     `bound` is an eps0 with H0 >= -eps0 I, for the matrix that the stored
     K_ab represent, and is finite exactly when every E_ab entry was, short of
@@ -101,7 +101,7 @@ class FourierGram:
     bound: float
 
     @classmethod
-    def of_diagonals(cls, diagonals, build_error: float = 0.0) -> "FourierGram":
+    def _of_diagonals(cls, diagonals, build_error: float = 0.0) -> "FourierGram":
         """From ((a, b), E_ab) pairs, each E_ab real (N, N), which may be
         yielded one at a time so that only one is alive."""
         skewed, squares, n = {}, 0.0, 0
@@ -112,6 +112,32 @@ class FourierGram:
             del layout
             skewed[pair] = np.fft.fft(spectrum, axis=1, out=spectrum)  # out=: NumPy 2.0
         return cls(skewed, build_error + 4.0 * fft_rounding(n) * math.sqrt(squares))
+
+    @classmethod
+    def of_window(cls, root: Array, rows: "list[Array]", build_error: float = 0.0) -> "FourierGram":
+        """The window H0_aa = S C_a S of the parts a = x, p, S = diag(root) and C_a the
+        symmetric circulant C_a[k, l] = rows[a][(l - k) mod N], one part's diagonal layout
+        alive at a time (`window_bytes`); `build_error` is the caller's, for the rows."""
+        n = len(root)
+        # root[(k - m) mod N] at [k, m], a view: the reversed ring read N - 1 - k sites on
+        shifted = sliding_window_view(np.concatenate((root, root))[::-1], n)[n - 1::-1]
+
+        def layouts():  # E_aa[k, m] = H0_aa[k, (k - m) mod N]
+            for a, row in enumerate(rows):
+                layout = np.multiply.outer(root, row[-np.arange(n)])
+                layout *= shifted
+                yield (a, a), layout
+
+        return cls._of_diagonals(layouts(), build_error)
+
+    @staticmethod
+    def window_bytes(n: int) -> "tuple[int, str]":
+        """The fewest bytes a window's heating (`of_window`) holds at once at N = n, and what:
+        its Gram and one N x N float array, a part's layout during the build or a block of
+        `FactoredState.max_deviation` (tracemalloc read 3.08 N^2 floats for compare and
+        3.64 for relax at N = 1024, the Gram alone 2.02)."""
+        return (2 * 16 * (n // 2 + 1) * n + 8 * n**2,
+                "the heating's Fourier Gram, 2 part pairs of (N/2 + 1) x N complex, and an N x N float array")
 
     @classmethod
     def of_factor(cls, factor: Array) -> "FourierGram | None":
@@ -132,7 +158,7 @@ class FourierGram:
             gram = factor.T @ factor
             layouts = (((a, b), np.take_along_axis(gram[a * n:(a + 1) * n, b * n:(b + 1) * n], skew, axis=1))
                        for a in held for b in held)
-            return cls.of_diagonals(layouts, gamma * float(np.vdot(factor, factor)))
+            return cls._of_diagonals(layouts, gamma * float(np.vdot(factor, factor)))
 
     def _left(self, hankel: np.ndarray, rows: slice, i: int) -> np.ndarray:
         """Y[s, b, v] = sum_a T_{s+v}[i, a] K_ab[s, v] for the rows s in

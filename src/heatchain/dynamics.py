@@ -18,19 +18,19 @@ The stationary state solves the continuous Lyapunov equation mode by mode.
 
 Site energies, currents and the on-site energy balance read bands
 <z^i_k z^j_{k+d}> of Sigma (`_bands`): a factored state reads its own
-(`FactoredState.bands`, from its heating's Fourier Gram, whose storage only
-`heatchain.covariance` knows), a dense Sigma is read by index.  The dense A,
-D, moment right-hand side and Van Loan map are oracles: `heatchain.verify`.
+(`FactoredState.bands`, from its heating's Fourier Gram, which only
+`heatchain.covariance` builds and reads), a dense Sigma by index.  The dense
+A, D, moment right-hand side and Van Loan map are oracles: `heatchain.verify`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import ModelMatrices, circulant_row_from_symbol
 from .covariance import Array, FactoredState, FourierGram, check_psd, fft_rounding
@@ -82,18 +82,17 @@ def step_bound(matrices: ModelMatrices, dt_max: float | None = None) -> float:
 
 
 def sample_grid(matrices: ModelMatrices, span: float, dt_max: float | None = None,
-                sample_stride: int = 10) -> "tuple[int, float]":
-    """The grid of `evolve` over a time span >= 0: the fewest equal steps, n
-    of them, of length dt <= `step_bound(matrices, dt_max)`.  `evolve` takes
-    1 + ceil(n / sample_stride) samples on it.  ValueError for dt_max <= 0
-    or sample_stride < 1."""
+                sample_stride: int = 10) -> "tuple[range, float]":
+    """(steps, dt) of `evolve` over a span >= 0: the fewest equal grid steps, n, of length dt <=
+    `step_bound(matrices, dt_max)`, sampled at steps = range(0, n, sample_stride), built lazily,
+    and at n = steps.stop: len(steps) + 1 samples.  ValueError for dt_max <= 0 or sample_stride < 1."""
     if dt_max is not None and dt_max <= 0:
         raise ValueError(f"dt_max must be > 0, got {dt_max}")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     dt = step_bound(matrices, dt_max)
     n_steps = max(1, int(np.ceil(span / dt - 1e-12))) if span > 0 else 0
-    return n_steps, (span / n_steps if n_steps else 0.0)
+    return range(0, n_steps, sample_stride), (span / n_steps if n_steps else 0.0)
 
 
 def mode_propagator(matrices: ModelMatrices, h: float) -> "tuple[Array, Array]":
@@ -146,11 +145,11 @@ def evolve(
 
     The span is cut into n equal grid steps dt no longer than
     `step_bound(matrices, dt_max)` = min(dt_max, 0.05/omega(pi), 0.05/max_q
-    lambda_q).  The grid only places the samples: the initial state, every
-    `sample_stride`-th grid point and the final one.  Each interval between
-    samples is one exact map (`mode_propagator`), built once per distinct
-    interval length, that maps B_q and T_q mode by mode: O(N) per sample, and
-    every sample shares the start's heating.  `state` must be a
+    lambda_q).  The grid only places the samples (`sample_grid`): the initial
+    state, every `sample_stride`-th grid point and the final one.  Each interval
+    between samples is one exact map (`mode_propagator`), built once per
+    distinct interval length, that maps B_q and T_q mode by mode: O(N) per
+    sample, and every sample shares the start's heating.  `state` must be a
     `FactoredState` (TypeError otherwise): an arbitrary PSD Sigma is
     `FactoredState(np.zeros((N, 2, 2)), heating=FourierGram.of_factor(L.T))`,
     with L its Cholesky factor.  Each sample is handed to `observer`, whose
@@ -168,18 +167,15 @@ def evolve(
     if t_final < state.time:
         raise ValueError(f"t_final {t_final} precedes state time {state.time}")
 
-    n_steps, dt = sample_grid(matrices, t_final - state.time, dt_max, sample_stride)
-    sample_steps = list(range(sample_stride, n_steps + 1, sample_stride))
-    if n_steps % sample_stride:
-        sample_steps.append(n_steps)
-    intervals = [i - prev for prev, i in zip([0] + sample_steps, sample_steps)]
-    maps = {steps: mode_propagator(matrices, steps * dt) for steps in set(intervals)}
+    steps, dt = sample_grid(matrices, t_final - state.time, dt_max, sample_stride)
+    lengths = {i - prev for prev, i in itertools.pairwise(itertools.chain(steps, [steps.stop]))}
+    maps = {length: mode_propagator(matrices, length * dt) for length in lengths}
 
     times, kept = [], []
     sample = state
-    for i, steps in zip([0] + sample_steps, [0] + intervals):
-        if steps:
-            p, q = maps[steps]
+    for prev, i in itertools.pairwise(itertools.chain([0], steps, [steps.stop])):
+        if i > prev:
+            p, q = maps[i - prev]
             sample = FactoredState(p @ sample.background @ p.transpose(0, 2, 1) + q, time=state.time + i * dt,
                                    heating=state.heating, transfer=p @ sample.transfer)
         times.append(sample.time)
@@ -314,20 +310,21 @@ def hotspot_state(
     """Cold thermal background with a locally heated region.
 
     The cold Gibbs state is the background B; the heating H0 is held as its
-    `FourierGram`, built from the diagonal layout of each of its two blocks
-    H0_aa (a = x, p) with no 2N x 2N matrix.
+    `FourierGram`, which `FourierGram.of_window` builds from the window
+    H0_aa = S C_a S of each part (a = x, p), S = diag(sqrt(w)) and C_a a
+    symmetric circulant chosen by `mode`, with no 2N x 2N matrix.
 
     weights:
         Per-site envelope w_k in [0, 1] of the hot region.
     mode:
         "thermal" windows the full covariance difference Delta between the
-        hot and cold Gibbs states: H0_aa = S C_a S with S = diag(sqrt(w)) and
-        C_a the circulant of the per-mode differences d_a of the x (p)
-        variances, nonnegative.  The heated region is locally thermal with
-        flat per-mode energy weights.  C_a's row comes from an inverse FFT of
-        d_a, so S C_a S is within eta(N) ||d_a||_2 (`fft_rounding`) of a PSD
-        matrix.  "diagonal" adds only the single-site variance differences
-        w_k * (dx^2, dp^2) to the diagonals: H0_aa = diag(w mean(d_a)).
+        hot and cold Gibbs states: C_a is the circulant of the per-mode
+        differences d_a of the x (p) variances, nonnegative.  The heated
+        region is locally thermal with flat per-mode energy weights.  C_a's
+        row comes from an inverse FFT of d_a, so S C_a S is within
+        eta(N) ||d_a||_2 (`fft_rounding`) of a PSD matrix.  "diagonal" adds
+        only the single-site variance differences w_k * (dx^2, dp^2) to the
+        diagonals: C_a = mean(d_a) I, so H0_aa = diag(w mean(d_a)).
     """
     if t_hot < t_cold:
         raise ValueError("t_hot must be >= t_cold")
@@ -343,21 +340,10 @@ def hotspot_state(
     background = _diagonal_blocks(c_x[0], c_p[0])
     # the variances grow with T; the clip keeps a last-bit rounding below zero out of the heating
     d_x, d_p = (np.maximum(c[1] - c[0], 0.0) for c in (c_x, c_p))
-    n = params.n_sites
-    root = np.sqrt(w)
-    # root[(k - m) mod N] at [k, m], a view: the reversed ring read N - 1 - k sites on
-    shifted = sliding_window_view(np.concatenate((root, root))[::-1], n)[n - 1::-1]
-
-    def layouts():  # E_aa[k, m] = H0_aa[k, (k - m) mod N], one part at a time
-        for a, d in enumerate((d_x, d_p)):
-            if mode == "thermal":
-                row = circulant_row_from_symbol(d)  # C_a[k, l] = row[(l - k) mod N]
-                layout = np.multiply.outer(root, row[-np.arange(n)])
-                layout *= shifted
-            else:
-                layout = np.zeros((n, n))
-                layout[:, 0] = w * np.mean(d)
-            yield (a, a), layout
-
-    build_error = fft_rounding(n) * max(np.linalg.norm(d_x), np.linalg.norm(d_p)) if mode == "thermal" else 0.0
-    return FactoredState(background, heating=FourierGram.of_diagonals(layouts(), build_error))
+    if mode == "thermal":
+        rows = [circulant_row_from_symbol(d) for d in (d_x, d_p)]
+        build_error = fft_rounding(len(w)) * max(np.linalg.norm(d_x), np.linalg.norm(d_p))
+    else:  # the row of mean(d_a) I: its on-site entry alone
+        rows = [np.mean(d) * (np.arange(len(w)) == 0) for d in (d_x, d_p)]
+        build_error = 0.0
+    return FactoredState(background, heating=FourierGram.of_window(np.sqrt(w), rows, build_error))

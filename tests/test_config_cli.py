@@ -569,6 +569,16 @@ class TestCli:
          "run.scale: expected 'linear' or 'log', got 'bogus'"),
         ("relax", "scenario = hotspot\nt_hot = 4.0\nhotspot_width = 2.0\nhot_sites = 4\nt_final = 1.0\n",
          "run.hot_sites, run.hotspot_width: a hot spot takes one of them, not both"),
+        ("relax", "scenario = hotspot\nt_hot = 4.0\nhot_sites = 4\nt_final = 1.0\nhotspot_mode = tophat\n",
+         "run.hotspot_mode: expected 'thermal' or 'diagonal', got 'tophat'"),
+        ("compare", "hotspot_width = 2.0\nt_hot = 4.0\nt_cold = 2.0\nt_final = 1.0\nhotspot_mode = tophat\n",
+         "run.hotspot_mode: expected 'thermal' or 'diagonal', got 'tophat'"),
+        ("conductivity", "t_min = 0.5\nt_max = 8.0\nt_steps = 4\nvelocity = bogus\n",
+         "run.velocity: expected 'sound' or 'dispersion', got 'bogus'"),
+        ("relax", "scenario = bogus\nt_hot = 4.0\nt_final = 1.0\n",
+         "run.scenario: expected 'uniform' or 'hotspot', got 'bogus'"),
+        ("coefficients", "t_min = 0.5\nt_max = 8.0\nt_steps = 4\nmethod = bogus\n",
+         "run.method: expected 'quad' or 'mode_sum', got 'bogus'"),
     ])
     def test_malformed_run_value_is_config_error(self, tmp_path, capsys, command, run, problem):
         cfg = write_config(tmp_path, BASE_CONFIG + "\n[run]\n" + run)
@@ -620,6 +630,22 @@ class TestCli:
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.strip().splitlines()[-1]) == dict.fromkeys(runs, 0)
+
+    @pytest.mark.parametrize("case, error", [("out_file", "FileExistsError"), ("under_file", "NotADirectoryError"),
+                                             ("artifact_dir", "IsADirectoryError")])
+    def test_unwritable_output_is_a_run_error(self, tmp_path, capsys, case, error):
+        # --out an existing file, a path under one, or a directory where the CSV
+        # goes: a JSON record with exit 3, not a traceback
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        taken = tmp_path / "taken"
+        if case == "artifact_dir":
+            (taken / "dispersion.csv").mkdir(parents=True)
+        else:
+            taken.write_text("")
+        out = taken / "o" if case == "under_file" else taken
+        assert main(["dispersion", "--config", str(cfg), "--out", str(out)]) == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == error and str(taken) in record["detail"]
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -719,7 +745,6 @@ RUNTIME_FAULTS = {
     "negative_width": ("compare", None, lambda x: {"hotspot_width": repr(-x)}),
     "negative_dt_max": ("relax", None, lambda x: {"dt_max": repr(-x)}),
     "negative_t_final": ("relax", None, lambda x: {"t_final": repr(-x)}),
-    "unknown_hotspot_mode": ("compare", None, lambda x: {"hotspot_mode": "tophat"}),
 }
 
 

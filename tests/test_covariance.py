@@ -167,7 +167,7 @@ def heated(x0: float, eig: float, bound: float) -> FactoredState:
     diagonal layouts with the given `bound`: H0 >= -bound I is the promise."""
     state = factored(x0, [])
     layouts = (((a, a), np.full((8, 8), e / 8.0)) for a, e in ((0, eig), (1, 1.0)))
-    return FactoredState(state.background, heating=FourierGram.of_diagonals(layouts, build_error=bound))
+    return FactoredState(state.background, heating=FourierGram._of_diagonals(layouts, build_error=bound))
 
 
 def test_heating_inside_the_margin_is_certified(monkeypatch):

@@ -481,35 +481,44 @@ class TestEnergyBalance:
 
 
 class TestInitialStates:
-    def test_hotspot_modes_are_psd(self):
-        p = params(n_sites=16)
-        w = gaussian_site_weights(16, 8.0, 3.0)
-        for mode in ("thermal", "diagonal"):
-            s = hotspot_state(p, 1.0, 4.0, w, mode=mode)
-            eig = np.linalg.eigvalsh(s.sigma)
-            assert eig.min() >= -1e-12 * eig.max()
-
-    def test_factored_states_are_gibbs_background_plus_gram(self):
+    @pytest.mark.parametrize("mode", ["thermal", "diagonal"])
+    @pytest.mark.parametrize("window", ["gaussian", 1, 4, "all"])
+    @pytest.mark.parametrize("n", [7, 8, 15, 16])
+    def test_hot_spot_is_cold_gibbs_plus_its_window(self, n, window, mode):
         # the heating of a thermal hot spot is S C_a S per part, C_a the
         # circulant of the variance differences d_a and S = diag(sqrt(w)); in
-        # diagonal mode it is diag(w mean(d_a))
-        p = params(n_sites=8)
-        w = gaussian_site_weights(8, 4.0, 1.5)
+        # diagonal mode it is diag(w mean(d_a)); a Gaussian window and top
+        # hats of 1, 4 and all N sites, the last the hot Gibbs state in
+        # thermal mode; each state PSD
+        p = params(n_sites=n)
+        if window == "gaussian":
+            w = gaussian_site_weights(n, n / 2.0, 1.5)
+        else:
+            count = n if window == "all" else window
+            w = np.zeros(n)
+            w[(n - count) // 2:(n - count) // 2 + count] = 1.0
         _, _, c_x, c_p = mode_thermal_variances(p, 1.0)
         _, _, h_x, h_p = mode_thermal_variances(p, 4.0)
-        zero = np.zeros((8, 8))
-        cold = circulant_blocks([[c_x, np.zeros(8)], [np.zeros(8), c_p]])
+        zero = np.zeros((n, n))
+        cold = circulant_blocks([[c_x, np.zeros(n)], [np.zeros(n), c_p]])
         for state in (gibbs_covariance(p, 1.0), uniform_state(p, 1.0),
                       stationary_covariance(thermal_matrices(p))):
             assert isinstance(state, FactoredState) and state.heating is None
         assert np.max(np.abs(uniform_state(p, 1.0).sigma - cold)) <= 1e-14 * np.max(np.abs(cold))
         root = np.sqrt(w)
-        thermal = [root[:, None] * circulant(circulant_row_from_symbol(h - c)) * root for h, c in ((h_x, c_x), (h_p, c_p))]
-        diagonal = [np.diag(w * np.mean(h - c)) for h, c in ((h_x, c_x), (h_p, c_p))]
-        for mode, (hx, hp) in (("thermal", thermal), ("diagonal", diagonal)):
-            s = hotspot_state(p, 1.0, 4.0, w, mode=mode)
-            heating = np.block([[hx, zero], [zero, hp]])
-            assert np.max(np.abs(s.sigma - cold - heating)) <= 1e-14 * np.max(np.abs(cold))
+        if mode == "thermal":
+            hx, hp = (root[:, None] * circulant(circulant_row_from_symbol(h - c)) * root
+                      for h, c in ((h_x, c_x), (h_p, c_p)))
+        else:
+            hx, hp = (np.diag(w * np.mean(h - c)) for h, c in ((h_x, c_x), (h_p, c_p)))
+        s = hotspot_state(p, 1.0, 4.0, w, mode=mode)
+        heating = np.block([[hx, zero], [zero, hp]])
+        assert np.max(np.abs(s.sigma - cold - heating)) <= 1e-14 * np.max(np.abs(cold))
+        if window == "all" and mode == "thermal":
+            hot = gibbs_covariance(p, 4.0).sigma
+            assert np.max(np.abs(s.sigma - hot)) <= 1e-14 * np.max(np.abs(hot))
+        eig = np.linalg.eigvalsh(s.sigma)
+        assert eig.min() >= -1e-12 * eig.max()
 
     def test_factored_background_keeps_the_symmetric_even_part(self):
         rng = np.random.default_rng(2)
