@@ -37,6 +37,7 @@ from .dynamics import (
     SiteObservables,
     Trajectory,
     energy_balance_rhs,
+    energy_decay,
     evolve,
     gaussian_site_weights,
     hotspot_state,

@@ -30,6 +30,7 @@ from .continuum import (
 )
 from .covariance import FourierGram, PSDViolationError
 from .diffusion import (
+    TEMP_BLOCK,
     gibbs_covariance,
     gibbs_energy_density,
     heat_capacity_density,
@@ -39,6 +40,8 @@ from .diffusion import (
     thermal_matrices,
 )
 from .dynamics import (
+    DOUBLINGS,
+    energy_decay,
     evolve,
     gaussian_site_weights,
     hotspot_state,
@@ -67,6 +70,15 @@ SAMPLE_FLOATS = {"relax": 5, "compare": 10}
 # in a temperature sweep (tracemalloc read 12.2 (quad) and 13.6 (mode_sum) for
 # coefficients and 6.6 for conductivity at t_steps = 4e5, toy coefficients_sweep chain)
 SWEEP_COLUMNS = {"coefficients": 12, "conductivity": 6}
+# coefficients and conductivity, also: the heat capacities' kernel blocks, a
+# temperature block by the N/2 + 1 distinct modes, alive together next to the
+# mode grid (tracemalloc read 789-799 bytes a site for sweeps of 64 and 1000
+# temperatures at N = 1e4 and 5e4, of which these count 768)
+KERNEL_BLOCKS = 3
+# a uniform relax: floats per site and level of `mode_propagator`, which holds
+# its DOUBLINGS + 1 levels of P_q at once (tracemalloc read 12.6 at N = 1e4 and
+# 5e4, 3134 and 3116 bytes a site for the whole run)
+PROPAGATOR_FLOATS = 12
 
 
 def _relax_grid(cfg: ScenarioConfig) -> "tuple[float, float | None, int]":
@@ -95,11 +107,17 @@ def _require_fits(command: str, cfg: ScenarioConfig) -> None:
     n = cfg.chain.n_sites
     dense = {c: (k * 8 * (2 * n) ** 2, f"{k} dense 2N x 2N matrices") for c, k in DENSE_MATRICES.items()}
     heated = FourierGram.window_bytes(n)
-    # the others: their CSV text is written in chunks (`report.CHUNK_LINES`)
-    modes = (8 * 2 * n, "the mode grid and its frequencies, 2 length-N arrays")
-    uniform = command == "relax" and str(cfg.run.get("scenario")) != "hotspot"
-    need, what = {**dense, "compare": heated, "relax": modes if uniform else heated}.get(command, modes)
     steps, columns = run_value(cfg, "t_steps", int, 0), SWEEP_COLUMNS.get(command, 0)
+    # the others: their CSV text is written in chunks (`report.CHUNK_VALUES`)
+    modes = (8 * 2 * n, "the mode grid and its frequencies, 2 length-N arrays")
+    rows = min(max(steps, 0), TEMP_BLOCK)  # the temperatures of a kernel block
+    sweep = (modes[0] + 8 * KERNEL_BLOCKS * rows * (n // 2 + 1),
+             f"{modes[1]}, and {KERNEL_BLOCKS} kernel blocks of {rows} temperatures by N/2 + 1 modes")
+    uniform = (8 * PROPAGATOR_FLOATS * (DOUBLINGS + 1) * n,
+               f"the exact map's {DOUBLINGS + 1} levels of P_q, {PROPAGATOR_FLOATS} length-N arrays each")
+    hotspot = str(cfg.run.get("scenario")) == "hotspot"
+    need, what = {**dense, "compare": heated, "relax": heated if hotspot else uniform,
+                  "coefficients": sweep, "conductivity": sweep}.get(command, modes)
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     above = f"above the {total / 2**30:.3g} GiB of physical memory"
     problems = []
@@ -221,15 +239,10 @@ def cmd_relax(cfg: ScenarioConfig, outdir: Path) -> RunReport:
                      [traj.times[:, None], np.arange(p.n_sites), energies, currents,
                       energies / p.lattice_const])
 
-    u_eq = p.n_sites * p.lattice_const * gibbs_energy_density(p, p.bath_temp)
-    mask = np.abs(u - u_eq) > 1e-300
-    slope = np.nan
-    if mask.sum() >= 2:
-        a = np.vstack([traj.times[mask], np.ones(mask.sum())]).T
-        slope = float(np.linalg.lstsq(a, np.log(np.abs(u[mask] - u_eq)), rcond=None)[0][0])
+    rate, u_eq = energy_decay(p, traj.times, u)
     final_dev = last[0].max_deviation(gibbs_covariance(p, p.bath_temp))
     summary = {
-        "decay_rate_fit": -slope,
+        "decay_rate_fit": rate,
         "decay_rate_expected": 2.0 * p.lambda_fric,
         "total_energy_initial": float(u[0]),
         "total_energy_equilibrium": u_eq,
@@ -305,11 +318,7 @@ def cmd_verify(cfg: "ScenarioConfig | None", outdir: Path) -> RunReport:
     results = run_verify(params, seed=seed)
     for res in results:
         print(res.line())
-    criteria = [
-        {"name": r.name, "passed": r.passed, "value": r.value, "tolerance": r.tolerance,
-         "detail": r.detail}
-        for r in results
-    ]
+    criteria = [asdict(r) for r in results]
     summary = {
         "checks_total": len(results),
         "checks_passed": sum(r.passed for r in results),
@@ -357,14 +366,13 @@ def main(argv: "list[str] | None" = None) -> int:
     outdir = Path(args.out or os.environ.get(OUT_ENV) or (cfg.output_dir if cfg is not None else "out"))
 
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
         if cfg is not None:
             _require_fits(args.subcommand, cfg)
         report = COMMANDS[args.subcommand](cfg, outdir)
         report_path = report.write(outdir / f"{args.subcommand}_report.json")
     except ConfigError as exc:
         return _error_record("config", exc.problems, 2)
-    # OSError: an output directory or artifact that cannot be written
+    # OSError: an output directory or artifact that cannot be written, raised at the first write
     except (PSDViolationError, ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         return _error_record(type(exc).__name__, str(exc), 3)
     except MemoryError as exc:  # NumPy's allocation failures among them

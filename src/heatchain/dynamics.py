@@ -35,7 +35,7 @@ import numpy as np
 from .chain import ModelMatrices, circulant_row_from_symbol
 from .covariance import Array, FactoredState, FourierGram, check_psd, fft_rounding
 # gibbs_covariance is looked up here by the benchmark's tracer (benchmarks/run.py)
-from .diffusion import _diagonal_blocks, gibbs_covariance, mode_thermal_variances
+from .diffusion import _diagonal_blocks, gibbs_covariance, gibbs_energy_density, mode_thermal_variances
 from .params import ChainParams
 
 GRID_FRACTION = 0.05  # sample-grid step dt <= 0.05 / (fastest rate)
@@ -231,6 +231,18 @@ def _over(band: Array, s: int) -> Array:
     return np.concatenate((band[-s:], band[:-s]))
 
 
+# the bands that E_k and J_k read: x-x at offsets 0 and 1, p-p at 0, x-p and p-x at 1
+_SITE_BANDS = ((0, 0, 0), (1, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1))
+
+
+def _energies_currents(params: ChainParams, xx: Array, pp: Array, xx_up: Array, xp_up: Array,
+                       px_up: Array) -> "tuple[Array, Array]":
+    """E_k and J_k of `site_observables` and `energy_balance_rhs` from the five `_SITE_BANDS`."""
+    m, om0, xi = params.mass, params.omega0, params.xi
+    energies = pp / (2.0 * m) + (m * om0**2 / 2.0 + xi) * xx - (xi / 2.0) * (xx_up + _over(xx_up, 1))
+    return energies, (xi / (2.0 * m)) * _over(xp_up - px_up, 1)
+
+
 def site_observables(state: "Array | FactoredState", params: ChainParams) -> SiteObservables:
     """Per-site energy, current and energy density extracted from the state.
 
@@ -238,18 +250,27 @@ def site_observables(state: "Array | FactoredState", params: ChainParams) -> Sit
           - (xi/2)(<x_k x_{k+1}> + <x_k x_{k-1}>)
     J_k = (xi/2m)(<x_{k-1} p_k> - <x_k p_{k-1}>)
 
-    The five bands come from `_bands`, the neighbour at k - 1 being the
+    The five `_SITE_BANDS` come from `_bands`, the neighbour at k - 1 being the
     band one site over (`_over`), so a factored state is never formed densely.
     """
-    m, om0, xi = params.mass, params.omega0, params.xi
-    xx, pp, xx_up, xp_up, px_up = _bands(state, (0, 0, 0), (1, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1))
-    energies = pp / (2.0 * m) + (m * om0**2 / 2.0 + xi) * xx - (xi / 2.0) * (xx_up + _over(xx_up, 1))
-    currents = (xi / (2.0 * m)) * _over(xp_up - px_up, 1)
+    energies, currents = _energies_currents(params, *_bands(state, *_SITE_BANDS))
     return SiteObservables(energies, currents, energies / params.lattice_const, float(np.sum(energies)))
 
 
 def total_energy(state: "Array | FactoredState", params: ChainParams) -> float:
     return site_observables(state, params).total_energy
+
+
+def energy_decay(params: ChainParams, times: Array, totals: Array) -> "tuple[float, float]":
+    """(rate, U_eq) of total energies U sampled at `times`, U_eq = N a `gibbs_energy_density`(T_bath):
+    the rate is minus the least-squares slope of log|U - U_eq| against t over the samples
+    with |U - U_eq| > 1e-300, NaN when fewer than two are."""
+    u_eq = params.n_sites * params.lattice_const * gibbs_energy_density(params, params.bath_temp)
+    off = np.abs(totals - u_eq) > 1e-300
+    if off.sum() < 2:
+        return np.nan, u_eq
+    a = np.vstack([times[off], np.ones(off.sum())]).T
+    return -float(np.linalg.lstsq(a, np.log(np.abs(totals[off] - u_eq)), rcond=None)[0][0]), u_eq
 
 
 def energy_balance_rhs(state: "Array | FactoredState", params: ChainParams,
@@ -264,17 +285,18 @@ def energy_balance_rhs(state: "Array | FactoredState", params: ChainParams,
     circulant rows of the symbols of `matrices` (lambda, gamma and D^xx at
     offsets 0 and +-1, D^pp at 0); the result equals
     E_k(A Sigma + Sigma A^T + 2 D) (`verify.exact_energy_rate`).
-    It reads the x-x bands at offsets 0, 1, 2 and the p-p band at 1 (`_bands`).
+    It reads the `_SITE_BANDS` of E_k and J_k, the x-x band at offset 2 and the
+    p-p band at 1 in one `_bands` call, so a factored state's heating is read once.
     """
-    xx, xx_up, xx_up2, pp_up = _bands(state, (0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 1, 1))
-    obs = site_observables(state, params)
+    xx, pp, xx_up, xp_up, px_up, xx_up2, pp_up = _bands(state, *_SITE_BANDS, (0, 0, 2), (1, 1, 1))
+    energies, currents = _energies_currents(params, xx, pp, xx_up, xp_up, px_up)
     m, om0, xi = params.mass, params.omega0, params.xi
     fric, dxx, dpp = (circulant_row_from_symbol(s) for s in (
         matrices.friction, matrices.diffusion_xx, matrices.diffusion_pp))
     lam, gam = fric[0], fric[1]
-    grad_j = _over(obs.currents, -1) - obs.currents
+    grad_j = _over(currents, -1) - currents
     out = (
-        -2.0 * lam * obs.energies
+        -2.0 * lam * energies
         + dpp[0] / m
         + (m * om0**2 + 2.0 * xi) * dxx[0]
         - xi * (dxx[1] + dxx[-1])

@@ -13,10 +13,10 @@ import numpy as np
 from . import __version__ as _version
 
 SCHEMA_VERSION = "1"
-# table lines formatted and written at a time by `write_csv`: a chunk of four
-# columns holds about 0.3 MB of Python objects (4096 lines held 1.1 MB, which set
+# table values formatted and written at a time by `write_csv`, in whole lines: a
+# chunk holds about 0.3 MB of Python objects (16384 values held 1.1 MB, which set
 # the peak memory of a compare at N = 128 in a process that compiles its sources)
-CHUNK_LINES = 1024
+CHUNK_VALUES = 4096
 
 
 def write_csv(path: "str | Path", header: "list[str]", columns) -> Path:
@@ -28,8 +28,8 @@ def write_csv(path: "str | Path", header: "list[str]", columns) -> Path:
     samples x sites table.  Integers are formatted by `str`, floats by
     `repr` (the shortest decimal that round-trips the value).  A column
     smaller than the table is formatted once and then broadcast; the table
-    is formatted and written CHUNK_LINES lines at a time, so the text held
-    at once does not grow with the table.
+    is formatted and written CHUNK_VALUES // columns lines (at least one) at a
+    time, so the text held at once grows with neither the table nor its width.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -44,8 +44,9 @@ def write_csv(path: "str | Path", header: "list[str]", columns) -> Path:
         flats.append((np.broadcast_to(a, shape).flat, fmt))
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, size, CHUNK_LINES):
-            values = [(flat[start : start + CHUNK_LINES].tolist(), fmt) for flat, fmt in flats]
+        lines = max(1, CHUNK_VALUES // max(len(flats), 1))
+        for start in range(0, size, lines):
+            values = [(flat[start : start + lines].tolist(), fmt) for flat, fmt in flats]
             texts = [v if fmt is None else map(fmt, v) for v, fmt in values]
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
     return path

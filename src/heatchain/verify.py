@@ -21,7 +21,6 @@ from .covariance import PSD_TOL, FactoredState, FourierGram, min_eig_ratio, symm
 from .diffusion import (
     DiffusionSet,
     gibbs_covariance,
-    gibbs_energy_density,
     heat_capacity_density,
     high_temp_diffusion,
     mode_sum_diffusion,
@@ -31,6 +30,7 @@ from .diffusion import (
 )
 from .dynamics import (
     energy_balance_rhs,
+    energy_decay,
     evolve,
     gaussian_site_weights,
     hotspot_state,
@@ -270,15 +270,14 @@ def _energy_and_ratio(params: ChainParams):
 
 
 def check_energy_decay(params: ChainParams) -> CheckResult:
-    """gamma = 0 relaxation: rate 2 lambda (0.1%), U_eq identity (1e-6), PSD states."""
+    """gamma = 0 relaxation, fitted as relax fits it (`energy_decay`): rate 2 lambda
+    (0.1%), U_eq against N a s / 2 lambda of the mode sums (1e-6), PSD states."""
     p = replace(params, gamma_fric=0.0)
     traj = evolve(uniform_state(p, 2.0 * p.bath_temp + 1.0), thermal_matrices(p),
                   t_final=2.0 / p.lambda_fric, sample_stride=5, observer=_energy_and_ratio(p))
     u, ratios = np.array(traj.observations).T
-    u_eq = p.n_sites * p.lattice_const * gibbs_energy_density(p, p.bath_temp)
-    a = np.vstack([traj.times, np.ones_like(traj.times)]).T
-    slope = float(np.linalg.lstsq(a, np.log(np.abs(u - u_eq)), rcond=None)[0][0])
-    rate_err = abs(slope / (-2 * p.lambda_fric) - 1.0)
+    rate, u_eq = energy_decay(p, traj.times, u)
+    rate_err = abs(rate / (2 * p.lambda_fric) - 1.0)
     s_val = source_density(p, mode_sum_diffusion(p, p.bath_temp))
     ueq_err = abs(u_eq / (p.n_sites * p.lattice_const * s_val / (2 * p.lambda_fric)) - 1.0)
     min_eig = float(np.min(ratios))

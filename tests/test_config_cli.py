@@ -29,7 +29,7 @@ from heatchain import (
 )
 from heatchain.cli import main
 from heatchain.config import ConfigError, load_config
-from heatchain.report import CHUNK_LINES, RunReport, validate_report, write_csv
+from heatchain.report import CHUNK_VALUES, RunReport, validate_report, write_csv
 from heatchain.verify import CheckResult, check_conservation, check_energy_decay
 
 BASE_CONFIG = """\
@@ -132,9 +132,9 @@ class TestReport:
     def test_chunked_table_matches_one_shot_formatting(self, tmp_path):
         # a samples x sites table crossing at least two chunk boundaries, with a
         # per-sample float column, a per-site int column and full-size float
-        # columns of awkward values
-        n = 64
-        samples = 2 * CHUNK_LINES // n + 3
+        # columns of awkward values: four columns, so chunks of CHUNK_VALUES // 4 lines
+        n, lines = 64, CHUNK_VALUES // 4
+        samples = 2 * lines // n + 3
         rng = np.random.default_rng(7)
         times = rng.standard_normal((samples, 1))
         special = np.resize([-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, -1e300], (samples, n))
@@ -144,7 +144,7 @@ class TestReport:
             f"{repr(t)},{k},{repr(a)},{repr(b)}\n"
             for (t,), srow, nrow in zip(times.tolist(), special.tolist(), noise.tolist())
             for k, a, b in zip(range(n), srow, nrow))
-        assert samples * n > 2 * CHUNK_LINES
+        assert samples * n > 2 * lines
         assert path.read_bytes() == want.encode()
 
     def test_empty_and_zero_dimensional_tables(self, tmp_path):
@@ -170,7 +170,7 @@ class TestReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert path.stat().st_size > 4e6 and samples * n > 50 * CHUNK_LINES
+        assert path.stat().st_size > 4e6 and samples * n > 50 * CHUNK_VALUES // 4
         assert peak < 1e6
 
     def test_csv_deterministic_bytes(self, tmp_path):
@@ -376,21 +376,29 @@ class TestCli:
     def test_ring_too_large_for_memory_is_config_error(self, tmp_path, capsys, command):
         # the estimate alone decides, so nothing of the ring is allocated: at
         # N = 1e15 the 6 dense 2N x 2N matrices of verify need 1.8e23 GiB, the
-        # hot spot's Fourier Gram and one N x N array of compare 2.2e22 GiB and
-        # the mode grid and frequencies of the others 1.5e7 GiB, a uniform
-        # relax among them
+        # hot spot's Fourier Gram and one N x N array of compare 2.2e22 GiB,
+        # the 31 propagator levels of a uniform relax 2.8e9 GiB, the kernel
+        # blocks of a 3-temperature sweep 5.1e7 GiB and the mode grid and
+        # frequencies of dispersion 1.5e7 GiB; no output directory is made
         n = 10**15
         body = BASE_CONFIG.replace("n_sites = 16", f"n_sites = {n}") + (
             "\n[run]\nscenario = uniform\nhotspot_width = 4.0\nt_hot = 3.0\nt_cold = 2.0\n"
             "t_final = 1.0\nt_min = 0.5\nt_max = 50.0\nt_steps = 3\n")
         cfg = write_config(tmp_path, body)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        modes = "the mode grid and its frequencies, 2 length-N arrays"
+        sweep = (2 * 8 * n + 3 * 8 * 3 * (n // 2 + 1),
+                 f"{modes}, and 3 kernel blocks of 3 temperatures by N/2 + 1 modes")
         need, what = {
             "verify": (6 * 8 * (2 * n) ** 2, "6 dense 2N x 2N matrices"),
             "compare": (2 * 16 * (n // 2 + 1) * n + 8 * n**2, "the heating's Fourier Gram, 2 part pairs "
                         "of (N/2 + 1) x N complex, and an N x N float array"),
-        }.get(command, (2 * 8 * n, "the mode grid and its frequencies, 2 length-N arrays"))
+            "relax": (12 * 8 * 31 * n, "the exact map's 31 levels of P_q, 12 length-N arrays each"),
+            "coefficients": sweep,
+            "conductivity": sweep,
+        }.get(command, (2 * 8 * n, modes))
         assert record["error"] == "config"
         assert record["detail"] == [
             f"chain.n_sites: {n} sites need at least {need / 2**30:.3g} GiB for {what}, above the "
@@ -405,7 +413,8 @@ class TestCli:
         cfg = write_config(tmp_path, BASE_CONFIG.replace("n_sites = 16", "n_sites = 10000"))
         assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         cfg = write_config(tmp_path, BASE_CONFIG.replace("n_sites = 16", "n_sites = 100000"))
-        assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "refused")]) == 2
+        assert not (tmp_path / "refused").exists()
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "config", "detail": [
             "chain.n_sites: 100000 sites need at least 0.00149 GiB for the mode grid and its "
@@ -421,6 +430,7 @@ class TestCli:
         body = BASE_CONFIG.replace("n_sites = 16", "n_sites = 512") + "\n[run]\nt_hot = 3.0\nt_final = 0.5\n"
         cfg = write_config(tmp_path, body.replace("[run]", "[run]\nscenario = hotspot\nhotspot_width = 4.0"))
         assert main(["relax", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "config", "detail": [
             "chain.n_sites: 512 sites need at least 0.00587 GiB for the heating's Fourier Gram, 2 part "
@@ -428,6 +438,33 @@ class TestCli:
             "memory"]}
         cfg = write_config(tmp_path, body.replace("[run]", "[run]\nscenario = uniform"))
         assert main(["relax", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("command, run", [
+        ("relax", "scenario = uniform\nt_hot = 3.0\nt_final = 0.5\n"),
+        ("coefficients", "t_min = 0.5\nt_max = 50.0\nt_steps = 64\n"),
+        ("conductivity", "t_min = 0.5\nt_max = 50.0\nt_steps = 64\n"),
+    ])
+    def test_linear_commands_count_their_largest_arrays(self, tmp_path, capsys, monkeypatch, command, run):
+        # at N = 4096 the count of a uniform relax (its propagator levels, 12 MB)
+        # or of a sweep (its kernel blocks, 3 MB) lies between half the run's
+        # tracemalloc peak and the peak: the run fits that much memory and is
+        # refused, naming chain.n_sites, with half of it
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("n_sites = 16", "n_sites = 4096") + "\n[run]\n" + run)
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "measured")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sysconf = os.sysconf
+        for pages, code in ((peak // 4096, 0), (peak // 8192, 2)):
+            monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+                                .get(name) or sysconf(name))
+            out = tmp_path / f"o{code}"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        detail = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["detail"]
+        assert len(detail) == 1 and detail[0].startswith("chain.n_sites: 4096 sites need at least ")
 
     @pytest.mark.parametrize("command, columns", [("coefficients", 12), ("conductivity", 6)])
     def test_sweep_counts_its_temperature_columns(self, tmp_path, capsys, monkeypatch, command, columns):
@@ -442,7 +479,9 @@ class TestCli:
             for steps, code in ((fits, 0), (fits + 1, 2)):
                 body = BASE_CONFIG + f"\n[run]\nt_min = 0.5\nt_max = 50.0\nt_steps = {steps}\nmethod = {method}\n"
                 cfg = write_config(tmp_path, body)
-                assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+                out = tmp_path / f"{method}{steps}"
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+                assert out.exists() == (code == 0)
             record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             need = 8 * columns * (fits + 1)
             assert record == {"error": "config", "detail": [
@@ -464,6 +503,7 @@ class TestCli:
         stride = 2 if command == "relax" else round(1.0 / dt)
         samples = 1 + math.ceil(math.ceil(1e12 / dt) / stride)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         need = 8 * floats * p.n_sites * samples
         assert record == {"error": "config", "detail": [
@@ -541,7 +581,7 @@ class TestCli:
     def test_bad_config_machine_readable_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[chain]\nn_sites = 2\n")
         code = main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2
+        assert code == 2 and not (tmp_path / "o").exists()
         err = capsys.readouterr().err
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "config"
@@ -549,7 +589,7 @@ class TestCli:
     def test_missing_run_keys_listed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG)
         code = main(["coefficients", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2
+        assert code == 2 and not (tmp_path / "o").exists()
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert any("t_min" in p for p in record["detail"])
 
@@ -583,6 +623,7 @@ class TestCli:
     def test_malformed_run_value_is_config_error(self, tmp_path, capsys, command, run, problem):
         cfg = write_config(tmp_path, BASE_CONFIG + "\n[run]\n" + run)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "config", "detail": [problem]}
 
@@ -602,6 +643,7 @@ class TestCli:
                                                         problems):
         cfg = write_config(tmp_path, BASE_CONFIG + "\n[run]\n" + run)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "config", "detail": problems}
 
@@ -704,15 +746,17 @@ CLI_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadli
 
 
 def run_cli(command, chain, run):
-    """Exit code and the last stderr line, parsed as JSON, of one CLI run."""
+    """Exit code, the last stderr line, parsed as JSON, and whether the output
+    directory exists afterwards, of one CLI run."""
     body = chain + "\n[run]\n" + "".join(f"{k} = {v}\n" for k, v in run.items())
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         cfg = write_config(Path(tmp), body)
         code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        wrote = (Path(tmp) / "o").exists()
     lines = err.getvalue().strip().splitlines()
-    return code, json.loads(lines[-1]) if lines else None
+    return code, json.loads(lines[-1]) if lines else None, wrote
 
 
 @CLI_SETTINGS
@@ -720,8 +764,8 @@ def run_cli(command, chain, run):
 def test_malformed_chain_value_exits_2(command, key, value):
     chain = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
                     for line in SMALL_CHAIN.splitlines())
-    code, record = run_cli(command, chain, VALID_RUNS[command])
-    assert code == 2
+    code, record, wrote = run_cli(command, chain, VALID_RUNS[command])
+    assert code == 2 and not wrote
     assert record["error"] == "config" and key in " ".join(record["detail"])
 
 
@@ -729,8 +773,8 @@ def test_malformed_chain_value_exits_2(command, key, value):
 @given(st.sampled_from(NUMERIC_RUN_KEYS), st.one_of(words, st.sampled_from(["yes", "no", "true"])))
 def test_malformed_run_value_exits_2(command_key, value):
     command, key = command_key
-    code, record = run_cli(command, SMALL_CHAIN, {**VALID_RUNS[command], key: value})
-    assert code == 2
+    code, record, wrote = run_cli(command, SMALL_CHAIN, {**VALID_RUNS[command], key: value})
+    assert code == 2 and not wrote
     assert record["error"] == "config" and any(f"run.{key}" in p for p in record["detail"])
 
 
@@ -753,7 +797,7 @@ RUNTIME_FAULTS = {
 def test_runtime_failure_exits_3(fault, x):
     command, replacement, overrides = RUNTIME_FAULTS[fault]
     chain = SMALL_CHAIN.replace(*replacement) if replacement else SMALL_CHAIN
-    code, record = run_cli(command, chain, {**VALID_RUNS[command], **overrides(x)})
+    code, record, _ = run_cli(command, chain, {**VALID_RUNS[command], **overrides(x)})
     assert code == 3
     assert record["error"] in ("ValueError", "PSDViolationError", "RuntimeError")
     assert isinstance(record["detail"], str) and record["detail"]

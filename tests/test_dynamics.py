@@ -13,6 +13,7 @@ from heatchain import (
     PSDViolationError,
     build_matrices,
     energy_balance_rhs,
+    energy_decay,
     evolve,
     gaussian_site_weights,
     gibbs_covariance,
@@ -458,7 +459,12 @@ class TestEnergyBalance:
             raise AssertionError("FactoredState.sigma was formed")
 
         monkeypatch.setattr(FactoredState, "sigma", property(no_dense))
-        got, got_rate = site_observables(state, p), energy_balance_rhs(state, p, mats)
+        reads = []
+        bands = FactoredState.bands
+        monkeypatch.setattr(FactoredState, "bands", lambda self, *wanted: reads.append(wanted) or bands(self, *wanted))
+        got_rate = energy_balance_rhs(state, p, mats)
+        assert len(reads) == 1  # the heating is read once for E_k, J_k and the rate's own bands
+        got = site_observables(state, p)
         scale = np.max(np.abs(want.energies))
         assert np.max(np.abs(got.energies - want.energies)) <= 1e-13 * scale
         assert np.max(np.abs(got.currents - want.currents)) <= 1e-13 * scale
@@ -478,6 +484,23 @@ class TestEnergyBalance:
             assert np.max(np.abs(energy_balance_rhs(state, p, mats) - want)) <= 1e-13 * scale
             assert np.max(np.abs(want + np.roll(j, -1) - j)) <= 1e-13 * scale
             assert abs(want.sum()) <= 1e-13 * scale
+
+
+class TestEnergyDecay:
+    def test_recovers_the_rate_of_a_sampled_decay(self):
+        p = params(n_sites=16)
+        u_eq = p.n_sites * p.lattice_const * gibbs_energy_density(p, p.bath_temp)
+        times = np.linspace(0.0, 5.0, 21)
+        rate, fit_eq = energy_decay(p, times, u_eq + 3.0 * np.exp(-0.37 * times))
+        assert fit_eq == u_eq
+        assert rate == pytest.approx(0.37, rel=1e-12)
+
+    def test_no_rate_from_fewer_than_two_samples_off_equilibrium(self):
+        p = params()
+        u_eq = energy_decay(p, np.zeros(0), np.zeros(0))[1]
+        for totals in ([], [u_eq + 1.0], [u_eq, u_eq, u_eq], [u_eq, u_eq + 1.0, u_eq]):
+            rate, _ = energy_decay(p, np.arange(len(totals), dtype=float), np.array(totals))
+            assert np.isnan(rate)
 
 
 class TestInitialStates:
