@@ -67,7 +67,9 @@ class Trajectory:
 
 def step_bound(matrices: ModelMatrices, dt_max: float | None = None) -> float:
     """Grid step min(dt_max, 0.05/omega_max, 0.05/max_q lambda_q), the fastest
-    oscillation and damping rates; ValueError if none is finite."""
+    oscillation and damping rates; ValueError for dt_max <= 0 or if none is finite."""
+    if dt_max is not None and dt_max <= 0:
+        raise ValueError(f"dt_max must be > 0, got {dt_max}")
     bound = np.inf
     if matrices.omega_max > 0.0:
         bound = min(bound, GRID_FRACTION / matrices.omega_max)
@@ -86,8 +88,6 @@ def sample_grid(matrices: ModelMatrices, span: float, dt_max: float | None = Non
     """(steps, dt) of `evolve` over a span >= 0: the fewest equal grid steps, n, of length dt <=
     `step_bound(matrices, dt_max)`, sampled at steps = range(0, n, sample_stride), built lazily,
     and at n = steps.stop: len(steps) + 1 samples.  ValueError for dt_max <= 0 or sample_stride < 1."""
-    if dt_max is not None and dt_max <= 0:
-        raise ValueError(f"dt_max must be > 0, got {dt_max}")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     dt = step_bound(matrices, dt_max)

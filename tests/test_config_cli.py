@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heatchain
@@ -704,11 +704,26 @@ class TestCli:
         # adding or dropping a check is a deliberate change to this list
         assert [c["name"] for c in rep["criteria"]] == [
             "moment-equation-fidelity", "gibbs-stationarity", "energy-decay-rate",
-            "high-temperature-forms", "heat-capacity-limits", "energy-conservation",
+            "high-temperature-forms", "heat-capacity-limits", "conductivity-consistency",
+            "pde-correctness", "discrete-continuum-emergence", "energy-conservation",
             "energy-balance"]
         assert rep["summary"]["checks_passed"] == rep["summary"]["checks_total"]
         assert all(c["passed"] for c in rep["criteria"])
         assert all(c["passed"] == (c["value"] <= c["tolerance"]) for c in rep["criteria"])
+
+    def test_fixed_criteria_ignore_the_config(self, tmp_path):
+        # criteria 6-8 run on their own chains: a config with gamma = 0.02 and
+        # N = 8 leaves their entries as the default run writes them
+        toy = Path(__file__).resolve().parents[1] / "benchmarks" / "configs" / "toy" / "relax_hotspot_n64.ini"
+        assert "gamma = 0.02" in toy.read_text()
+        fixed = ["conductivity-consistency", "pde-correctness", "discrete-continuum-emergence"]
+        entries = []
+        for name, config in (("default", []), ("config", ["--config", str(toy)])):
+            assert main(["verify", *config, "--out", str(tmp_path / name)]) == 0
+            rep = read_report(tmp_path / name / "verify_report.json")
+            entries.append([c for c in rep["criteria"] if c["name"] in fixed])
+        assert [c["name"] for c in entries[0]] == fixed
+        assert entries[1] == entries[0]
 
     def test_check_reports_the_deciding_clause(self):
         # a source err of 7e-3 fails its 5e-3 bound although it is below the coefficient's 1e-2
@@ -788,12 +803,18 @@ RUNTIME_FAULTS = {
                                                      "hotspot_width": "2.0"}),
     "negative_width": ("compare", None, lambda x: {"hotspot_width": repr(-x)}),
     "negative_dt_max": ("relax", None, lambda x: {"dt_max": repr(-x)}),
+    "zero_dt_max": ("relax", None, lambda x: {"dt_max": "0.0"}),
+    "compare_negative_dt_max": ("compare", None, lambda x: {"dt_max": repr(-x)}),
+    "compare_zero_dt_max": ("compare", None, lambda x: {"dt_max": "0.0"}),
     "negative_t_final": ("relax", None, lambda x: {"t_final": repr(-x)}),
 }
 
 
 @CLI_SETTINGS
 @given(st.sampled_from(sorted(RUNTIME_FAULTS)), st.floats(1e-3, 1e3))
+# 40 draws need not reach every fault: the zero cases, which take no magnitude, run once each
+@example("zero_dt_max", 1.0)
+@example("compare_zero_dt_max", 1.0)
 def test_runtime_failure_exits_3(fault, x):
     command, replacement, overrides = RUNTIME_FAULTS[fault]
     chain = SMALL_CHAIN.replace(*replacement) if replacement else SMALL_CHAIN
